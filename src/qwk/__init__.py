@@ -20,13 +20,12 @@ from .correlators import (CorrelatorKey, CorrelatorTable, constant_term,
                           correlator, correlator_table, correlator_tau0,
                           series_coefficient, vanishes_by_level)
 from .hurwitz import (Partition, aut_factor, factorization_count,
-                      hurwitz_correlator, hurwitz_correlator_tau0,
-                      one_part_number, one_part_polynomial)
+                      hurwitz_correlator, one_part_number, one_part_polynomial)
 from .qkdv import (BracketBudget, bracket, hamiltonian_density,
                    integrate_hamiltonian, nested_bracket)
-from .special import (EhrhartPoly, EulerianTable, ehrhart_brute_force,
-                      ehrhart_convolution, eulerian_polynomial, s_series,
-                      series_exp_log, series_inverse)
+from .special import (EhrhartPoly, ehrhart_brute_force, ehrhart_convolution,
+                      eulerian_polynomial, s_series, series_exp_log,
+                      series_inverse)
 from .symbols import (DiffPoly, FourierSymbol, SymbolTerm, d_dp0, d_x,
                       eval_string_point, from_diff_poly, symmetrize,
                       to_diff_poly, variational_derivative)

@@ -32,10 +32,6 @@ def rat_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def parse_rat(s: str) -> Fraction:
-    return Fraction(s.strip())
-
-
 class GaussRat:
     """Gaussian rational a + b*i, always in canonical (reduced) form."""
 
@@ -134,20 +130,6 @@ class GaussRat:
             return rat_str(self.re)
         sign = "+" if self.im >= 0 else "-"
         return f"{rat_str(self.re)}{sign}{rat_str(abs(self.im))}*i"
-
-    @staticmethod
-    def from_str(s: str) -> "GaussRat":
-        s = s.strip().replace(" ", "")
-        if s.endswith("*i"):
-            body = s[:-2]
-            # split at the sign separating the real and imaginary parts
-            for pos in range(len(body) - 1, 0, -1):
-                if body[pos] in "+-" and body[pos - 1] not in "+-/*":
-                    re = Fraction(body[:pos])
-                    im = Fraction(body[pos:].lstrip("+"))
-                    return GaussRat(re, im)
-            return GaussRat(0, Fraction(body))
-        return GaussRat(Fraction(s))
 
     def __repr__(self):
         return f"GaussRat({self.to_str()})"
@@ -460,10 +442,6 @@ class MultiPoly:
             last = k
         return result * replacement ** last
 
-    def substitute_linear(self, var: str, replacement: Union["MultiPoly", Scalar]) -> "MultiPoly":
-        """Alias kept for the engine API; accepts any polynomial replacement."""
-        return self.substitute(var, replacement)
-
     def substitute_var_scaled(self, var: str, new_var: str, scale: Scalar) -> "MultiPoly":
         """Fast substitution var := scale * new_var (new_var may equal var)."""
         j = self.variables.index(var)
@@ -532,16 +510,3 @@ class MultiPoly:
             else:
                 parts.append(f"({cs})")
         return " + ".join(parts)
-
-
-def poly_mul(a: MultiPoly, b: MultiPoly) -> MultiPoly:
-    """Exact (truncated) product; function-style alias for ``a * b``."""
-    return a * b
-
-
-def coeff_extract(p: MultiPoly, monomial: Mapping[str, int]) -> GaussRat:
-    return p.coeff_extract(monomial)
-
-
-def substitute_linear(p: MultiPoly, var: str, replacement) -> MultiPoly:
-    return p.substitute_linear(var, replacement)

@@ -10,7 +10,8 @@ Subcommands:
 
 All numeric output is exact rational text ("p/q"); --decimal adds a clearly
 marked approximation and never replaces the exact value.  Exit codes: 0 on
-success, 1 on any verification failure or oracle mismatch, 2 on usage errors.
+success, 1 on any verification failure or oracle mismatch, 2 on usage errors,
+which include an empty verification grid and negative table bounds.
 Verification grids run on a worker pool sized by --jobs (default from
 QWK_JOBS, else 1); output ordering is deterministic regardless of
 scheduling.
@@ -30,11 +31,11 @@ from itertools import combinations_with_replacement
 from typing import List, Optional, Sequence, Tuple
 
 from .algebra import GaussRat, MultiPoly, rat_str
-from .correlators import (correlator, correlator_tau0, series_coefficient,
-                          vanishes_by_level)
-from .hurwitz import (Partition, aut_factor, factorization_count,
-                      hurwitz_correlator, one_part_number,
-                      one_part_polynomial, partitions_of)
+from .correlators import (correlator, correlator_table, correlator_tau0,
+                          series_coefficient, vanishes_by_level)
+from .hurwitz import (DEFAULT_DEGREE_CAP, Partition, aut_factor,
+                      factorization_count, hurwitz_correlator,
+                      one_part_number, partitions_of)
 from .identities import (check_carlitz, check_eulerian_generating,
                          check_products_of_exponentials, check_sh_lemmas,
                          check_sinh_formula, check_variational)
@@ -108,7 +109,7 @@ def cmd_hurwitz(args) -> int:
     exit_code = 0
     if args.mu:
         mu = Partition(_parse_int_list(args.mu, "--mu"))
-        value = one_part_polynomial(args.g, len(mu))(mu.parts)
+        value = one_part_number(args.g, mu)
         record["mu"] = list(mu.parts)
         record["value"] = rat_str(value)
         if args.oracle:
@@ -153,18 +154,13 @@ def _monomial_name(d: Tuple[int, ...]) -> str:
 
 def cmd_table(args) -> int:
     rows = []
-    for g in range(args.g_max + 1):
-        for n in range(1, args.n_max + 1):
-            for d in combinations_with_replacement(range(args.sum_max + 1), n):
-                if sum(d) > args.sum_max:
-                    continue
-                value = correlator(d, g)
-                rows.append({
-                    "g": g, "d": list(d), "level": _level_index(d, g),
-                    "monomial": _monomial_name(d),
-                    "correlator": rat_str(value),
-                    "series_coefficient": rat_str(series_coefficient(d, g)),
-                })
+    for key, value in correlator_table(args.g_max, args.n_max, args.sum_max).entries.items():
+        rows.append({
+            "g": key.g, "d": list(key.d), "level": _level_index(key.d, key.g),
+            "monomial": _monomial_name(key.d),
+            "correlator": rat_str(value),
+            "series_coefficient": rat_str(series_coefficient(key.d, key.g)),
+        })
     bounds = {"g_max": args.g_max, "n_max": args.n_max, "sum_max": args.sum_max}
     if args.format == "json":
         _emit({"kind": "table", "bounds": bounds, "rows": rows})
@@ -282,13 +278,7 @@ def _suite_string(args) -> Tuple[List[dict], dict]:
 def _suite_levels(args) -> Tuple[List[dict], dict]:
     g_max = args.g_max if args.g_max is not None else 2
     n_max = args.n_max if args.n_max is not None else 3
-    keys = []
-    for g in range(g_max + 1):
-        for n in range(1, n_max + 1):
-            cap = 4 * g + n if args.sum_max is None else args.sum_max
-            for d in combinations_with_replacement(range(cap + 1), n):
-                if sum(d) <= cap:
-                    keys.append((d, g))
+    keys = _grid_keys(g_max, n_max, slack=3, sum_cap=args.sum_max)
     checks = _run_keys(keys, _check_level, args.jobs)
     return checks, {"g_max": g_max, "n_max": n_max, "sum_max": args.sum_max,
                     "keys": len(keys)}
@@ -322,7 +312,7 @@ def _suite_hurwitz_oracle(args) -> Tuple[List[dict], dict]:
             mu = Partition(parts)
             for g in range(g_max + 1):
                 closed = one_part_number(g, mu)
-                count = factorization_count(g, mu, cap=max(d_cap, 6))
+                count = factorization_count(g, mu, cap=max(d_cap, DEFAULT_DEGREE_CAP))
                 aut = aut_factor(mu)
                 checks.append({
                     "key": {"mu": list(mu.parts), "g": g},
@@ -391,6 +381,8 @@ def cmd_verify(args) -> int:
     }
     t0 = time.monotonic()
     checks, bounds = runners[args.suite](args)
+    if not checks:
+        raise ValueError(f"nothing to verify within bounds {json.dumps(bounds, sort_keys=True)}")
     ok = all(c["ok"] for c in checks)
     record = {"kind": "verdict", "suite": args.suite, "bounds": bounds,
               "ok": ok, "checks": checks,
@@ -424,7 +416,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=str, help="correlator insertions instead of a partition")
     p.add_argument("--oracle", action="store_true",
                    help="with --mu: compare against the factorization count")
-    p.add_argument("--cap", type=int, default=6, help="degree cap for the count")
+    p.add_argument("--cap", type=int, default=DEFAULT_DEGREE_CAP,
+                   help="degree cap for the count")
     p.add_argument("--decimal", action="store_true")
     p.set_defaults(func=cmd_hurwitz)
 

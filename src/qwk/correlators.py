@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import factorial
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from .algebra import GaussRat, I, Rat
 from .qkdv import nested_bracket
@@ -118,9 +118,6 @@ class CorrelatorTable:
 
     def get(self, d: Sequence[int], g: int) -> Rat:
         return self.entries[CorrelatorKey.of(d, g)]
-
-    def sorted_keys(self) -> List[CorrelatorKey]:
-        return sorted(self.entries, key=lambda k: (k.g, len(k.d), sum(k.d), k.d))
 
 
 def correlator_table(g_max: int, n_max: int, sum_max: int) -> CorrelatorTable:

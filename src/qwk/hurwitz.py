@@ -30,8 +30,8 @@ from functools import lru_cache
 from math import factorial
 from typing import Dict, List, Sequence, Tuple
 
-from .algebra import GaussRat, MultiPoly, Rat
-from .special import s_series, s_series_of, series_inverse
+from .algebra import MultiPoly, Rat
+from .special import power_of_sum, s_series, s_series_of, series_inverse
 
 DEFAULT_DEGREE_CAP = 6
 
@@ -55,30 +55,8 @@ class Partition:
         return len(self.parts)
 
 
-@dataclass(frozen=True)
-class HurwitzPoly:
-    """The one-part Hurwitz number as a polynomial in mu_1..mu_n."""
-
-    g: int
-    n: int
-    poly: MultiPoly
-
-    def __call__(self, mu: Sequence[int]) -> Rat:
-        names = mu_names(self.n)
-        v = self.poly.evaluate(dict(zip(names, mu)))
-        if not v.is_real():
-            raise ArithmeticError("Hurwitz polynomial produced a non-real value")
-        return v.re
-
-
 def mu_names(n: int) -> Tuple[str, ...]:
     return tuple(f"mu{i}" for i in range(1, n + 1))
-
-
-def _mu_sum(n: int) -> MultiPoly:
-    names = mu_names(n)
-    return MultiPoly(names, {tuple(1 if i == j else 0 for i in range(n)): GaussRat(1)
-                             for j in range(n)})
 
 
 @lru_cache(maxsize=None)
@@ -95,15 +73,15 @@ def _s_quotient(g: int, n: int) -> MultiPoly:
     return prod.coeff_of_var_power("z", order)
 
 
-def one_part_polynomial(g: int, n: int) -> HurwitzPoly:
+def one_part_polynomial(g: int, n: int) -> MultiPoly:
     """r! * (sum mu)^(r-1) * [z^(2g)] prod S(mu_i z)/S(z), with r = 2g-1+n."""
     r = 2 * g - 1 + n
     if r - 1 < 0:
         raise ValueError("need 2g-2+n >= 0")
     poly = _s_quotient(g, n) * factorial(r)
     if r - 1 > 0:
-        poly = poly * _mu_sum(n) ** (r - 1)
-    return HurwitzPoly(g, n, poly)
+        poly = poly * power_of_sum(mu_names(n), r - 1)
+    return poly
 
 
 def one_part_number(g: int, mu: Partition) -> Rat:
@@ -138,30 +116,9 @@ def hurwitz_correlator(d: Sequence[int], g: int) -> Rat:
     poly = _s_quotient(g, n)
     e = 2 * g - 3 + n
     if e:
-        poly = poly * _mu_sum(n) ** e
+        poly = poly * power_of_sum(mu_names(n), e)
     c = poly.coeff_extract(dict(zip(mu_names(n), d)))
     sign = -1 if ((4 * g - 3 + n - total) // 2) % 2 else 1
-    value = c * sign
-    if not value.is_real():
-        raise ArithmeticError("non-real Hurwitz correlator")
-    return value.re
-
-
-def hurwitz_correlator_tau0(rest: Sequence[int], g: int) -> Rat:
-    """<<tau_0 tau_{d_1}..tau_{d_n}>>_g from the closed formula, S(0) = 1."""
-    rest = tuple(rest)
-    n = len(rest)
-    if 2 * g - 2 + n < 0:
-        raise ValueError("need 2g-2+n >= 0")
-    total = sum(rest)
-    if (total - n) % 2 != 0:
-        return Fraction(0)
-    poly = _s_quotient(g, n)
-    e = 2 * g - 2 + n
-    if e:
-        poly = poly * _mu_sum(n) ** e
-    c = poly.coeff_extract(dict(zip(mu_names(n), rest)))
-    sign = -1 if ((-2 + n - total) // 2) % 2 else 1
     value = c * sign
     if not value.is_real():
         raise ArithmeticError("non-real Hurwitz correlator")

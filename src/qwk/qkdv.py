@@ -143,8 +143,7 @@ def _group_by_k(poly: MultiPoly, k_vars: Tuple[str, ...]) -> Dict[Tuple[int, ...
     return out
 
 
-def bracket(left: FourierSymbol, right: FourierSymbol, budget: BracketBudget,
-            check_branches: bool = True) -> FourierSymbol:
+def bracket(left: FourierSymbol, right: FourierSymbol, budget: BracketBudget) -> FourierSymbol:
     """(left * right - right * left) / hbar_u as a density symbol."""
     if left.kind != DENSITY:
         raise ValueError("left operand must be a density")
@@ -171,8 +170,7 @@ def bracket(left: FourierSymbol, right: FourierSymbol, budget: BracketBudget,
                 k_vars = tuple(f"k{i}" for i in range(1, q + 1))
                 for mat in _strike_matrices(tl.blocks, tr.blocks, q):
                     _bracket_piece(merged, tl, tr, q, grade, mat,
-                                   phi0, psi0, x_vars, y_vars, k_vars,
-                                   check_branches)
+                                   phi0, psi0, x_vars, y_vars, k_vars)
 
     out_terms = []
     for (grade, blocks), terms in merged.items():
@@ -186,7 +184,7 @@ def bracket(left: FourierSymbol, right: FourierSymbol, budget: BracketBudget,
 
 
 def _bracket_piece(merged, tl, tr, q, grade, mat,
-                   phi0, psi0, x_vars, y_vars, k_vars, check_branches):
+                   phi0, psi0, x_vars, y_vars, k_vars):
     nrows = len(tl.blocks)
     ncols = len(tr.blocks)
     rowsum = [0] * nrows
@@ -253,21 +251,20 @@ def _bracket_piece(merged, tl, tr, q, grade, mat,
         return
     fwd = _group_by_k(p_fwd, tuple(k_vars))
 
-    if check_branches:
-        phi_r = substituted(phi0, strike_l, -1)
-        psi_r = substituted(psi0, strike_r, 1)
-        p_rev = phi_r.with_variables(all_vars) * psi_r.with_variables(all_vars) * k_monomial
-        rev = _group_by_k(p_rev, tuple(k_vars))
-        for k_exps in set(fwd) | set(rev):
-            sign = (-1) ** (q + sum(k_exps))
-            a = fwd.get(k_exps, {})
-            b = rev.get(k_exps, {})
-            for rest in set(a) | set(b):
-                ca = a.get(rest, GaussRat(0))
-                cb = b.get(rest, GaussRat(0))
-                if ca != cb * sign:
-                    raise BracketBranchError(
-                        f"branch mismatch at k-exponents {k_exps}: {ca} vs {cb}")
+    phi_r = substituted(phi0, strike_l, -1)
+    psi_r = substituted(psi0, strike_r, 1)
+    p_rev = phi_r.with_variables(all_vars) * psi_r.with_variables(all_vars) * k_monomial
+    rev = _group_by_k(p_rev, tuple(k_vars))
+    for k_exps in set(fwd) | set(rev):
+        sign = (-1) ** (q + sum(k_exps))
+        a = fwd.get(k_exps, {})
+        b = rev.get(k_exps, {})
+        for rest in set(a) | set(b):
+            ca = a.get(rest, GaussRat(0))
+            cb = b.get(rest, GaussRat(0))
+            if ca != cb * sign:
+                raise BracketBranchError(
+                    f"branch mismatch at k-exponents {k_exps}: {ca} vs {cb}")
 
     # E_fwd(N) with N := sum of surviving right slots, via the Ehrhart convolution
     rest_vars = rem_x + rem_y
@@ -311,17 +308,6 @@ def _bracket_piece(merged, tl, tr, q, grade, mat,
 # ----------------------------------------------------------------------
 # nested evaluation at the string point
 
-@lru_cache(maxsize=None)
-def _nested_bracket_cached(d_list: Tuple[int, ...], g: int) -> Tuple[Tuple[int, GaussRat], ...]:
-    budget = BracketBudget(g)
-    current = hamiltonian_density(d_list[0] - 1, max_grade=g)
-    for d in d_list[1:]:
-        right = integrate_hamiltonian(hamiltonian_density(d, max_grade=g))
-        current = bracket(current, right, budget)
-    values = eval_string_point(current)
-    return tuple(sorted(values.items()))
-
-
 def nested_bracket(d_list: Sequence[int], g: int) -> Dict[int, GaussRat]:
     """Evaluate [[..[H_{d_1-1}, Hbar_{d_2}].., Hbar_{d_n}]] at the string point.
 
@@ -334,7 +320,12 @@ def nested_bracket(d_list: Sequence[int], g: int) -> Dict[int, GaussRat]:
         raise ValueError("insertions must be >= 0")
     if g < 0:
         raise ValueError("genus grade must be >= 0")
-    return dict(_nested_bracket_cached(d_list, g))
+    budget = BracketBudget(g)
+    current = hamiltonian_density(d_list[0] - 1, max_grade=g)
+    for d in d_list[1:]:
+        right = integrate_hamiltonian(hamiltonian_density(d, max_grade=g))
+        current = bracket(current, right, budget)
+    return eval_string_point(current)
 
 
 # ----------------------------------------------------------------------

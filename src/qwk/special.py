@@ -18,8 +18,7 @@ engine's single-polynomial representation rests on them.
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -128,22 +127,17 @@ def series_exp_log(p: MultiPoly, var: str, order: int, mode: str) -> MultiPoly:
 # ----------------------------------------------------------------------
 # Eulerian polynomials
 
-_euler_lock = threading.Lock()
-_euler_rows: List[List[int]] = [[1]]  # row n holds the descent counts <n,k>
-
-
-def _euler_row(n: int) -> List[int]:
-    with _euler_lock:
-        while len(_euler_rows) <= n:
-            m = len(_euler_rows)
-            prev = _euler_rows[m - 1]
-            row = [0] * max(1, m)
-            for k in range(len(row)):
-                a = (k + 1) * prev[k] if k < len(prev) else 0
-                b = (m - k) * prev[k - 1] if 0 <= k - 1 < len(prev) else 0
-                row[k] = a + b
-            _euler_rows.append(row)
-        return _euler_rows[n]
+@lru_cache(maxsize=None)
+def _euler_row(n: int) -> Tuple[int, ...]:
+    """Descent counts <n,k> for k < max(n, 1), by the Eulerian recurrence."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if n == 0:
+        return (1,)
+    prev = _euler_row(n - 1)
+    return tuple((k + 1) * (prev[k] if k < len(prev) else 0)
+                 + (n - k) * (prev[k - 1] if k >= 1 else 0)
+                 for k in range(n))
 
 
 def eulerian_number(n: int, k: int) -> int:
@@ -153,22 +147,8 @@ def eulerian_number(n: int, k: int) -> int:
 
 def eulerian_polynomial(n: int, var: str = "t") -> MultiPoly:
     """E_n(t) = sum_k <n,k> t^k; E_n(1) = n!."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
     row = _euler_row(n)
     return MultiPoly((var,), {(k,): c for k, c in enumerate(row) if c})
-
-
-@dataclass(frozen=True)
-class EulerianTable:
-    """Rows E_0..E_n_max, precomputed."""
-
-    n_max: int
-    rows: Tuple[MultiPoly, ...] = field(default=())
-
-    @staticmethod
-    def build(n_max: int, var: str = "t") -> "EulerianTable":
-        return EulerianTable(n_max, tuple(eulerian_polynomial(n, var) for n in range(n_max + 1)))
 
 
 # ----------------------------------------------------------------------

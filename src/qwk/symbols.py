@@ -111,10 +111,6 @@ def density(terms: Iterable[SymbolTerm]) -> FourierSymbol:
     return FourierSymbol(DENSITY, _merge_terms(tuple(terms)))
 
 
-def integrated(terms: Iterable[SymbolTerm]) -> FourierSymbol:
-    return FourierSymbol(INTEGRATED, _merge_terms(tuple(terms)))
-
-
 def u0_symbol() -> FourierSymbol:
     """The symbol of u_0: one slot, coefficient 1."""
     return density([make_term(0, 1, 1)])

@@ -18,6 +18,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from qwk.algebra import GaussRat, MultiPoly
+from qwk.cli import _random_symbol
 from qwk.correlators import correlator, correlator_tau0, vanishes_by_level
 from qwk.hurwitz import (Partition, aut_factor, factorization_count,
                          hurwitz_correlator, one_part_number, partitions_of)
@@ -29,8 +30,7 @@ from qwk.qkdv import (BracketBudget, bracket, hamiltonian_density,
                       symbol_to_weyl, weyl_commutator_over_hbar)
 from qwk.special import ehrhart_brute_force, ehrhart_convolution
 from qwk.symbols import (DENSITY, INTEGRATED, FourierSymbol, d_dp0,
-                         make_term, slot_names, symbols_equal, symmetrize,
-                         u0_symbol)
+                         slot_names, symbols_equal, symmetrize, u0_symbol)
 
 
 def finish(num: int, desc: str, failures: list):
@@ -229,22 +229,6 @@ def _zero_mode_vanishes(sym: FourierSymbol) -> bool:
         if not total.with_variables(vs).substitute(vs[-1], minus_others).is_zero():
             return False
     return True
-
-
-def _random_symbol(rng, kind):
-    terms = []
-    for _ in range(rng.randint(1, 2)):
-        m = rng.randint(1, 2)
-        exps = {}
-        for _ in range(rng.randint(1, 3)):
-            e = tuple(rng.randint(0, 2) for _ in range(m))
-            exps[e] = GaussRat(Fraction(rng.randint(-3, 3), rng.randint(1, 2)),
-                               Fraction(rng.randint(-1, 1)))
-        terms.append(make_term(rng.randint(0, 1), m, MultiPoly(slot_names(m), exps)))
-    sym = symmetrize(FourierSymbol(DENSITY, tuple(terms)))
-    if kind == INTEGRATED:
-        return FourierSymbol(INTEGRATED, sym.terms)
-    return sym
 
 
 def test_criterion_06_bracket_finite_mode_oracle():

@@ -42,6 +42,8 @@ def test_usage_errors_exit_2():
     assert code == 2
     code, _, _ = run_cli("nonsense")
     assert code == 2
+    code, out, err = run_cli("table", "--sum-max", "-1", "--format", "json")
+    assert code == 2 and out == "" and "bounds must be >= 0" in err
 
 
 def test_values_never_rendered_as_floats():
@@ -124,3 +126,22 @@ def test_main_entry_point_in_process(capsys):
     assert main(["correlator", "--g", "1", "--d", "2"]) == 0
     record = json.loads(capsys.readouterr().out)
     assert record["value"] == "1/24"
+
+
+def test_hurwitz_genus_zero_single_part():
+    # r = 0 branch points: H_0((3)) = 1/3 by the closed form and by the count
+    code, out, _ = run_cli("hurwitz", "--g", "0", "--mu", "3", "--oracle")
+    assert code == 0
+    record = json.loads(out)
+    assert record["value"] == "1/3" and record["factorization_count"] == "1/3"
+    assert record["match"] is True
+
+
+def test_empty_verification_grid_exits_2():
+    for argv, bound in ((("hurwitz-oracle", "--degree-cap", "0"), '"degree_cap": 0'),
+                        (("main-theorem", "--sum-max", "-1"), '"sum_max": -1'),
+                        (("bracket-oracle", "--cases", "0"), '"cases": 0')):
+        code, out, err = run_cli("verify", *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert "nothing to verify" in err and bound in err, err

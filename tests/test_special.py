@@ -7,10 +7,9 @@ from math import factorial
 import pytest
 
 from qwk.algebra import GaussRat, MultiPoly
-from qwk.special import (EulerianTable, ehrhart_brute_force,
-                         ehrhart_convolution, eulerian_number,
-                         eulerian_polynomial, s_series, series_exp_log,
-                         series_inverse)
+from qwk.special import (ehrhart_brute_force, ehrhart_convolution,
+                         eulerian_number, eulerian_polynomial, s_series,
+                         series_exp_log, series_inverse)
 
 
 def test_s_series_coefficients():
@@ -80,13 +79,6 @@ def test_eulerian_polynomials_against_descent_enumeration():
             assert row.coeff_extract({"t": k}) == c
         assert row.evaluate({"t": 1}) == factorial(n)
     assert eulerian_number(5, 1) == 26
-
-
-def test_eulerian_table_rows():
-    table = EulerianTable.build(5)
-    assert len(table.rows) == 6
-    for n, row in enumerate(table.rows):
-        assert row.evaluate({"t": 1}) == factorial(n)
 
 
 def test_eulerian_cache_concurrent_growth():
