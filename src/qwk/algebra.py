@@ -442,43 +442,6 @@ class MultiPoly:
             last = k
         return result * replacement ** last
 
-    def substitute_var_scaled(self, var: str, new_var: str, scale: Scalar) -> "MultiPoly":
-        """Fast substitution var := scale * new_var (new_var may equal var)."""
-        j = self.variables.index(var)
-        c = _coerce(scale)
-        if new_var in self.variables and new_var != var:
-            k = self.variables.index(new_var)
-            vs = tuple(v for v in self.variables if v != var)
-            drop = True
-        else:
-            k = j
-            vs = tuple(new_var if v == var else v for v in self.variables)
-            drop = False
-        out: dict = {}
-        for exps, coeff in self.terms.items():
-            x = exps[j]
-            v = coeff * c ** x if x else coeff
-            if not v:
-                continue
-            if drop:
-                e = list(exps)
-                e[k] += x
-                e = tuple(y for i, y in enumerate(e) if i != j)
-            else:
-                e = exps
-            if e in out:
-                s = out[e] + v
-                if s:
-                    out[e] = s
-                else:
-                    del out[e]
-            else:
-                out[e] = v
-        trunc = dict(self.truncation) if self.truncation else None
-        if trunc and drop:
-            trunc.pop(var, None)
-        return MultiPoly(vs, out, trunc)
-
     def rename_vars(self, mapping: Mapping[str, str]) -> "MultiPoly":
         vs = tuple(mapping.get(v, v) for v in self.variables)
         if len(set(vs)) != len(vs):

@@ -11,7 +11,8 @@ Subcommands:
 All numeric output is exact rational text ("p/q"); --decimal adds a clearly
 marked approximation and never replaces the exact value.  Exit codes: 0 on
 success, 1 on any verification failure or oracle mismatch, 2 on usage errors,
-which include an empty verification grid and negative table bounds.
+which include an empty verification grid (also --cases or --modes below 1),
+negative table bounds and a non-integer QWK_JOBS.
 Verification grids run on a worker pool sized by --jobs (default from
 QWK_JOBS, else 1); output ordering is deterministic regardless of
 scheduling.
@@ -284,8 +285,15 @@ def _suite_levels(args) -> Tuple[List[dict], dict]:
                     "keys": len(keys)}
 
 
+def _nothing_to_verify(bounds: dict) -> ValueError:
+    return ValueError(f"nothing to verify within bounds {json.dumps(bounds, sort_keys=True)}")
+
+
 def _suite_identities(args) -> Tuple[List[dict], dict]:
     order = args.order if args.order is not None else 8
+    cases = args.cases if args.cases is not None else 50
+    if cases < 1:
+        raise _nothing_to_verify({"order": order, "cases": cases})
     reports = []
     for d in range(0, 7):
         reports.append(check_carlitz(d, 12))
@@ -298,9 +306,9 @@ def _suite_identities(args) -> Tuple[List[dict], dict]:
     for n in (2, 3):
         for a_vals in combinations_with_replacement(range(1, 4), n):
             reports.append(check_products_of_exponentials(n, a_vals, 6))
-    reports.append(check_variational(seed=2024, cases=args.cases or 50))
+    reports.append(check_variational(seed=2024, cases=cases))
     checks = [r.to_json() for r in reports]
-    return checks, {"order": order, "reports": len(checks)}
+    return checks, {"order": order, "cases": cases, "reports": len(checks)}
 
 
 def _suite_hurwitz_oracle(args) -> Tuple[List[dict], dict]:
@@ -341,6 +349,9 @@ def _random_symbol(rng: random.Random, kind: str) -> FourierSymbol:
 def _suite_bracket_oracle(args) -> Tuple[List[dict], dict]:
     cases = args.cases if args.cases is not None else 50
     modes = args.modes if args.modes is not None else 5
+    if modes < 1:
+        # no monomial has a mode sum within 0 modes, so every case compares nothing
+        raise _nothing_to_verify({"cases": cases, "modes": modes, "seed": args.seed})
     rng = random.Random(args.seed if args.seed is not None else 20240)
     checks = []
     produced = 0
@@ -382,7 +393,7 @@ def cmd_verify(args) -> int:
     t0 = time.monotonic()
     checks, bounds = runners[args.suite](args)
     if not checks:
-        raise ValueError(f"nothing to verify within bounds {json.dumps(bounds, sort_keys=True)}")
+        raise _nothing_to_verify(bounds)
     ok = all(c["ok"] for c in checks)
     record = {"kind": "verdict", "suite": args.suite, "bounds": bounds,
               "ok": ok, "checks": checks,
@@ -438,8 +449,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--modes", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--degree-cap", type=int, default=None)
-    p.add_argument("--jobs", type=int,
-                   default=int(os.environ.get("QWK_JOBS", "1")))
+    # argparse converts a string default itself, so a bad QWK_JOBS is a usage error
+    p.add_argument("--jobs", type=int, default=os.environ.get("QWK_JOBS", "1"))
     p.set_defaults(func=cmd_verify)
     return parser
 

@@ -31,7 +31,7 @@ from math import factorial
 from typing import Dict, List, Sequence, Tuple
 
 from .algebra import MultiPoly, Rat
-from .special import power_of_sum, s_series, s_series_of, series_inverse
+from .special import power_of_sum, s_quotient_series
 
 DEFAULT_DEGREE_CAP = 6
 
@@ -62,15 +62,7 @@ def mu_names(n: int) -> Tuple[str, ...]:
 @lru_cache(maxsize=None)
 def _s_quotient(g: int, n: int) -> MultiPoly:
     """[z^(2g)] of prod_i S(mu_i z) / S(z), a polynomial in mu_1..mu_n."""
-    order = 2 * g
-    names = mu_names(n)
-    vs = names + ("z",)
-    trunc = {"z": order}
-    prod = series_inverse(s_series(order), "z", order)
-    prod = MultiPoly(vs, prod._remap(vs), trunc)
-    for name in names:
-        prod = prod * s_series_of(MultiPoly.var(name, vs), "z", order)
-    return prod.coeff_of_var_power("z", order)
+    return s_quotient_series(mu_names(n), 2 * g).coeff_of_var_power("z", 2 * g)
 
 
 def one_part_polynomial(g: int, n: int) -> MultiPoly:

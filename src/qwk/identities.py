@@ -135,10 +135,6 @@ def _form_vec(basis: Tuple[str, ...], form: Mapping[str, object]) -> Tuple[int, 
     return tuple(out)
 
 
-def exp_term(basis: Tuple[str, ...], form: Mapping[str, object], c=1) -> ExpSum:
-    return ExpSum(basis, {_form_vec(basis, form): c})
-
-
 def sh(basis: Tuple[str, ...], form: Mapping[str, object]) -> ExpSum:
     v = _form_vec(basis, form)
     half = Fraction(1, 2)
@@ -157,18 +153,6 @@ def cheb_ratio(basis: Tuple[str, ...], k: int, form: Mapping[str, object]) -> Ex
     for i in range(k):
         scaled = {v: Fraction(form.get(v, 0)) * (k - 1 - 2 * i) for v in form}
         out = out + ch(basis, scaled)
-    return out
-
-
-def _scale_form(form: Mapping[str, object], c) -> Dict[str, Fraction]:
-    return {v: Fraction(x) * c for v, x in form.items()}
-
-
-def _add_forms(*forms: Mapping[str, object]) -> Dict[str, Fraction]:
-    out: Dict[str, Fraction] = {}
-    for f in forms:
-        for v, x in f.items():
-            out[v] = out.get(v, Fraction(0)) + Fraction(x)
     return out
 
 

@@ -19,6 +19,11 @@ single polynomial E_fwd because C^r has pure parity, and the engine asserts
 the gluing for every term (BracketBranchError on violation) instead of
 assuming it.
 
+Each strike works on exponent tuples: both operands' terms are split into
+(strike-mode exponents, survivor exponents, coefficient) triples, and one
+double loop multiplies the splits grouped by strike-mode exponents, once per
+branch with the signs swapped.
+
 Budget-based truncation by hbar grade is mandatory: terms above the budget
 are dropped eagerly, which keeps nested commutators desk-sized.
 """
@@ -33,7 +38,7 @@ from math import factorial, perm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import GaussRat, MultiPoly
-from .special import ehrhart_convolution, power_of_sum, s_series, s_series_of, series_inverse
+from .special import ehrhart_convolution, power_of_sum, s_quotient_series, s_series_of
 from .symbols import (DENSITY, INTEGRATED, FourierSymbol, SymbolTerm,
                       eval_string_point, make_term, slot_names)
 
@@ -65,15 +70,9 @@ def _hamiltonian_term(d: int, g: int) -> Optional[SymbolTerm]:
         return make_term(0, m, Fraction(1, factorial(m)), blocks=(m,) if m else ())
     order = 2 * g
     slots = slot_names(m)
-    vs = slots + ("z",)
-    trunc = {"z": order}
-    prod = series_inverse(s_series(order), "z", order).with_variables(("z",))
-    prod = MultiPoly(vs, prod._remap(vs), trunc)
-    for a in slots:
-        prod = prod * s_series_of(MultiPoly.var(a, vs), "z", order)
+    prod = s_quotient_series(slots, order)
     if m:
-        total = MultiPoly(vs, {tuple(1 if i == j else 0 for i in range(len(vs))): GaussRat(1)
-                               for j in range(m)})
+        total = MultiPoly(slots, {tuple(int(i == j) for i in range(m)): 1 for j in range(m)})
         prod = prod * s_series_of(total, "z", order)
     coeff = prod.coeff_of_var_power("z", order) * Fraction(1, factorial(m))
     if coeff.is_zero():
@@ -129,20 +128,6 @@ def _strike_matrices(row_caps: Tuple[int, ...], col_caps: Tuple[int, ...], q: in
     yield from rec(0, q, [0] * len(row_caps), [0] * len(col_caps), [])
 
 
-def _group_by_k(poly: MultiPoly, k_vars: Tuple[str, ...]) -> Dict[Tuple[int, ...], Dict[tuple, GaussRat]]:
-    """Split a polynomial into k-exponent classes, keyed by remaining-variable exponents."""
-    k_idx = [poly.variables.index(k) for k in k_vars]
-    rest_idx = [i for i, v in enumerate(poly.variables) if v not in k_vars]
-    out: Dict[Tuple[int, ...], Dict[tuple, GaussRat]] = {}
-    for exps, c in poly.terms.items():
-        k_part = tuple(exps[i] for i in k_idx)
-        rest = tuple(exps[i] for i in rest_idx)
-        bucket = out.setdefault(k_part, {})
-        prev = bucket.get(rest)
-        bucket[rest] = prev + c if prev is not None else c
-    return out
-
-
 def bracket(left: FourierSymbol, right: FourierSymbol, budget: BracketBudget) -> FourierSymbol:
     """(left * right - right * left) / hbar_u as a density symbol."""
     if left.kind != DENSITY:
@@ -155,22 +140,16 @@ def bracket(left: FourierSymbol, right: FourierSymbol, budget: BracketBudget) ->
     for tl in left.terms:
         if tl.m == 0:
             continue
-        x_vars = tuple(f"x{i}" for i in range(1, tl.m + 1))
-        phi0 = tl.coeff.with_variables(slot_names(tl.m)).rename_vars(
-            dict(zip(slot_names(tl.m), x_vars)))
+        phi = tl.coeff.with_variables(slot_names(tl.m)).terms
         for tr in right.terms:
             if tr.m == 0:
                 continue
-            y_vars = tuple(f"y{i}" for i in range(1, tr.m + 1))
-            psi0 = tr.coeff.with_variables(slot_names(tr.m)).rename_vars(
-                dict(zip(slot_names(tr.m), y_vars)))
+            psi = tr.coeff.with_variables(slot_names(tr.m)).terms
             q_cap = min(tl.m, tr.m, gmax + 1 - tl.grade - tr.grade)
             for q in range(1, q_cap + 1):
                 grade = tl.grade + tr.grade + q - 1
-                k_vars = tuple(f"k{i}" for i in range(1, q + 1))
                 for mat in _strike_matrices(tl.blocks, tr.blocks, q):
-                    _bracket_piece(merged, tl, tr, q, grade, mat,
-                                   phi0, psi0, x_vars, y_vars, k_vars)
+                    _bracket_piece(merged, tl, tr, q, grade, mat, phi, psi)
 
     out_terms = []
     for (grade, blocks), terms in merged.items():
@@ -183,8 +162,40 @@ def bracket(left: FourierSymbol, right: FourierSymbol, budget: BracketBudget) ->
     return FourierSymbol(DENSITY, tuple(out_terms))
 
 
-def _bracket_piece(merged, tl, tr, q, grade, mat,
-                   phi0, psi0, x_vars, y_vars, k_vars):
+def _split(terms: Dict[tuple, GaussRat], struck: List[int], kept: List[int],
+           sign: int) -> List[Tuple[Tuple[int, ...], tuple, GaussRat]]:
+    """(k-exponents, survivor exponents, coefficient) per term.
+
+    Struck slot ``struck[t]`` becomes the strike mode k_t, i.e. is replaced by
+    ``sign * k_t``; the slots in ``kept`` survive in order.
+    """
+    out = []
+    for exps, c in terms.items():
+        k_exps = tuple(exps[p] for p in struck)
+        if sign < 0 and sum(k_exps) % 2:
+            c = -c
+        out.append((k_exps, tuple(exps[p] for p in kept), c))
+    return out
+
+
+def _product_by_k(left, right) -> Dict[Tuple[int, ...], Dict[tuple, GaussRat]]:
+    """The product of two splits times k_1...k_q, grouped by k-exponents."""
+    out: Dict[Tuple[int, ...], Dict[tuple, GaussRat]] = {}
+    for kl, rest_l, cl in left:
+        for kr, rest_r, cr in right:
+            bucket = out.setdefault(tuple(a + b + 1 for a, b in zip(kl, kr)), {})
+            rest = rest_l + rest_r
+            v = cl * cr
+            prev = bucket.get(rest)
+            s = prev + v if prev is not None else v
+            if s:
+                bucket[rest] = s
+            elif prev is not None:
+                del bucket[rest]
+    return {k: bucket for k, bucket in out.items() if bucket}
+
+
+def _bracket_piece(merged, tl, tr, q, grade, mat, phi, psi):
     nrows = len(tl.blocks)
     ncols = len(tr.blocks)
     rowsum = [0] * nrows
@@ -207,54 +218,26 @@ def _bracket_piece(merged, tl, tr, q, grade, mat,
     for v in cell_count.values():
         pref /= factorial(v)
 
-    # assign k variables to cells in row-major order
-    k_of_cell: Dict[Tuple[int, int], List[str]] = {}
-    pos = 0
-    for i in range(nrows):
-        for j in range(ncols):
-            v = cell_count.get((i, j), 0)
-            if v:
-                k_of_cell[(i, j)] = list(k_vars[pos:pos + v])
-                pos += v
+    # each block strikes its last rowsum/colsum slots; the cells take the
+    # modes k_1..k_q in row-major order, so struck_l[t] and struck_r[t] are
+    # the left and right slots struck against each other by k_t
+    next_l = [sum(tl.blocks[:i + 1]) - rowsum[i] for i in range(nrows)]
+    next_r = [sum(tr.blocks[:j + 1]) - colsum[j] for j in range(ncols)]
+    struck_l: List[int] = []
+    struck_r: List[int] = []
+    for (i, j), v in cell_count.items():
+        for _ in range(v):
+            struck_l.append(next_l[i])
+            struck_r.append(next_r[j])
+            next_l[i] += 1
+            next_r[j] += 1
+    kept_l = [p for p in range(tl.m) if p not in struck_l]
+    kept_r = [p for p in range(tr.m) if p not in struck_r]
 
-    l_starts = [sum(tl.blocks[:i]) for i in range(nrows)]
-    r_starts = [sum(tr.blocks[:j]) for j in range(ncols)]
-
-    # struck positions: the last rowsum/colsum slots of each block
-    strike_l: List[Tuple[str, str]] = []
-    for i in range(nrows):
-        ks = [k for j in range(ncols) for k in k_of_cell.get((i, j), [])]
-        first = l_starts[i] + tl.blocks[i] - rowsum[i]
-        for off, k in enumerate(ks):
-            strike_l.append((x_vars[first + off], k))
-    strike_r: List[Tuple[str, str]] = []
-    for j in range(ncols):
-        ks = [k for i in range(nrows) for k in k_of_cell.get((i, j), [])]
-        first = r_starts[j] + tr.blocks[j] - colsum[j]
-        for off, k in enumerate(ks):
-            strike_r.append((y_vars[first + off], k))
-
-    def substituted(poly, pairs, sign):
-        for var, k in pairs:
-            poly = poly.substitute_var_scaled(var, k, sign)
-        return poly
-
-    phi_f = substituted(phi0, strike_l, 1)
-    psi_f = substituted(psi0, strike_r, -1)
-    rem_x = tuple(v for v in x_vars if v not in {a for a, _ in strike_l})
-    rem_y = tuple(v for v in y_vars if v not in {a for a, _ in strike_r})
-    all_vars = rem_x + rem_y + tuple(k_vars)
-    k_monomial = MultiPoly(all_vars,
-                           {tuple(1 if v in k_vars else 0 for v in all_vars): GaussRat(1)})
-    p_fwd = phi_f.with_variables(all_vars) * psi_f.with_variables(all_vars) * k_monomial
-    if p_fwd.is_zero():
+    fwd = _product_by_k(_split(phi, struck_l, kept_l, 1), _split(psi, struck_r, kept_r, -1))
+    if not fwd:
         return
-    fwd = _group_by_k(p_fwd, tuple(k_vars))
-
-    phi_r = substituted(phi0, strike_l, -1)
-    psi_r = substituted(psi0, strike_r, 1)
-    p_rev = phi_r.with_variables(all_vars) * psi_r.with_variables(all_vars) * k_monomial
-    rev = _group_by_k(p_rev, tuple(k_vars))
+    rev = _product_by_k(_split(phi, struck_l, kept_l, -1), _split(psi, struck_r, kept_r, 1))
     for k_exps in set(fwd) | set(rev):
         sign = (-1) ** (q + sum(k_exps))
         a = fwd.get(k_exps, {})
@@ -267,16 +250,16 @@ def _bracket_piece(merged, tl, tr, q, grade, mat,
                     f"branch mismatch at k-exponents {k_exps}: {ca} vs {cb}")
 
     # E_fwd(N) with N := sum of surviving right slots, via the Ehrhart convolution
-    rest_vars = rem_x + rem_y
+    left_zeros = (0,) * len(kept_l)
     acc: Dict[tuple, GaussRat] = {}
     for k_exps, bucket in fwd.items():
         c_poly = ehrhart_convolution(k_exps).poly  # univariate in N
         for (n_exp,), cn in c_poly.terms.items():
-            n_poly = power_of_sum(rem_y, n_exp)
-            n_terms = n_poly._remap(rest_vars) if n_poly.variables != rest_vars else n_poly.terms
+            n_terms = [(left_zeros + e2, c2) for e2, c2 in
+                       power_of_sum(slot_names(len(kept_r)), n_exp).terms.items()]
             for rest, c in bucket.items():
                 base = c * cn
-                for e2, c2 in n_terms.items():
+                for e2, c2 in n_terms:
                     e = tuple(a + b for a, b in zip(rest, e2))
                     v = base * c2
                     prev = acc.get(e)
@@ -288,9 +271,10 @@ def _bracket_piece(merged, tl, tr, q, grade, mat,
     if not acc:
         return
 
-    # survivor exponents are laid out in rest_vars order, which is exactly the
-    # canonical slot order (left-block survivors, then right-block survivors),
-    # so terms with equal (grade, blocks) merge by plain exponent addition
+    # survivor exponents are laid out as the left survivors, then the right
+    # survivors, each in slot order, which is exactly the canonical slot order
+    # of new_blocks, so terms with equal (grade, blocks) merge by plain
+    # exponent addition
     new_blocks = tuple(b for b in
                        [tl.blocks[i] - rowsum[i] for i in range(nrows)] +
                        [tr.blocks[j] - colsum[j] for j in range(ncols)] if b)

@@ -4,7 +4,8 @@ Contents:
 
   * the even series S(z) = sh(z/2)/(z/2) = sum z^(2l) / (4^l (2l+1)!),
     which carries every intersection-number coefficient in the engine;
-  * truncated-series inverse, exp and log over MultiPoly;
+  * truncated-series inverse, exp and log over MultiPoly, and the series
+    prod_i S(x_i z) / S(z) shared by the densities and the Hurwitz formula;
   * Eulerian polynomials E_n(t) via the descent recurrence;
   * the power-sum convolution C^r(N) = sum over compositions
     k_1+...+k_q = N (k_i >= 1) of prod k_i^(r_i), expanded as an exact
@@ -89,6 +90,15 @@ def series_inverse(p: MultiPoly, var: str, order: int) -> MultiPoly:
             out = out + inv_layers[n] * zpow
         zpow = zpow * zvar
     return out
+
+
+def s_quotient_series(names: Tuple[str, ...], order: int) -> MultiPoly:
+    """prod_i S(x_i z) / S(z) truncated at z^order, over the variables names + ("z",)."""
+    vs = names + ("z",)
+    prod = series_inverse(s_series(order), "z", order).with_variables(vs)
+    for name in names:
+        prod = prod * s_series_of(MultiPoly.var(name, vs), "z", order)
+    return prod
 
 
 def series_exp_log(p: MultiPoly, var: str, order: int, mode: str) -> MultiPoly:

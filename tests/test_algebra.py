@@ -184,14 +184,3 @@ def test_polynomial_substitution_commutes_with_evaluation():
         lhs = substituted.evaluate(point)
         rhs = p.evaluate({"x": r.evaluate(point), **point})
         assert lhs == rhs
-
-
-def test_scaled_variable_substitution_matches_general():
-    rng = random.Random(9)
-    for _ in range(100):
-        p = random_poly(rng, ("x", "y"), max_deg=3)
-        c = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
-        via_fast = p.substitute_var_scaled("x", "k", c)
-        repl = MultiPoly(("k",), {(1,): c})
-        via_general = p.substitute("x", repl)
-        assert via_fast == via_general

@@ -122,6 +122,19 @@ def test_jobs_default_from_environment():
     assert json.loads(proc.stdout)["ok"] is True
 
 
+def test_jobs_from_environment_must_be_an_integer():
+    import os
+    env = dict(os.environ, QWK_JOBS="abc")
+    proc = subprocess.run(
+        [sys.executable, "-m", "qwk", "verify", "string", "--g-max", "0",
+         "--n-max", "2"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "--jobs" in proc.stderr and "'abc'" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_main_entry_point_in_process(capsys):
     assert main(["correlator", "--g", "1", "--d", "2"]) == 0
     record = json.loads(capsys.readouterr().out)
@@ -140,7 +153,11 @@ def test_hurwitz_genus_zero_single_part():
 def test_empty_verification_grid_exits_2():
     for argv, bound in ((("hurwitz-oracle", "--degree-cap", "0"), '"degree_cap": 0'),
                         (("main-theorem", "--sum-max", "-1"), '"sum_max": -1'),
-                        (("bracket-oracle", "--cases", "0"), '"cases": 0')):
+                        (("bracket-oracle", "--cases", "0"), '"cases": 0'),
+                        (("identities", "--cases", "0"), '"cases": 0'),
+                        (("identities", "--cases", "-5"), '"cases": -5'),
+                        (("bracket-oracle", "--modes", "0"), '"modes": 0'),
+                        (("bracket-oracle", "--modes", "-1"), '"modes": -1')):
         code, out, err = run_cli("verify", *argv)
         assert code == 2, argv
         assert out == ""

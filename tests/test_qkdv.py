@@ -191,3 +191,24 @@ def test_hamiltonian_bracket_against_weyl_oracle():
             if monomial_mode_sum(key[1], modes) > modes:
                 continue
             assert direct.get(key, GaussRat(0)) == via.get(key, GaussRat(0)), (d1, d2, key)
+
+
+def test_multi_block_left_operand_against_weyl_oracle():
+    # a left operand with two-block terms, so some strike matrices have two
+    # nonzero rows: [H_1, Hbar_1] has blocks (2,2), (1,1) and (2)
+    modes = 4
+    left = bracket(hamiltonian_density(1, max_grade=1),
+                   integrate_hamiltonian(hamiltonian_density(1, max_grade=1)), BracketBudget(1))
+    assert {t.blocks for t in left.terms} == {(2, 2), (1, 1), (2,)}
+    right = integrate_hamiltonian(hamiltonian_density(0, max_grade=1))
+    sym = bracket(left, right, BracketBudget(2))
+    direct = weyl_commutator_over_hbar(
+        symbol_to_weyl(left, modes), symbol_to_weyl(right, modes), modes)
+    via = symbol_to_weyl(sym, modes)
+    comparisons = 0
+    for key in set(direct) | set(via):
+        if key[0] > 1 or monomial_mode_sum(key[1], modes) > modes:
+            continue
+        comparisons += 1
+        assert direct.get(key, GaussRat(0)) == via.get(key, GaussRat(0)), key
+    assert comparisons == 52
