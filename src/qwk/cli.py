@@ -11,8 +11,9 @@ Subcommands:
 All numeric output is exact rational text ("p/q"); --decimal adds a clearly
 marked approximation and never replaces the exact value.  Exit codes: 0 on
 success, 1 on any verification failure or oracle mismatch, 2 on usage errors,
-which include an empty verification grid (also --cases or --modes below 1),
-negative table bounds and a non-integer QWK_JOBS.
+which include an empty verification grid (also --cases or --modes below 1,
+and a bracket-oracle case whose redraws all compare nothing), negative table
+bounds and a non-integer QWK_JOBS.
 Verification grids run on a worker pool sized by --jobs (default from
 QWK_JOBS, else 1); output ordering is deterministic regardless of
 scheduling.
@@ -346,39 +347,58 @@ def _random_symbol(rng: random.Random, kind: str) -> FourierSymbol:
     return sym
 
 
+def _bracket_oracle_draw(rng: random.Random, modes: int) -> Optional[dict]:
+    """Compare one random pair on both routes; None when nothing is compared."""
+    left = _random_symbol(rng, DENSITY)
+    right = _random_symbol(rng, INTEGRATED)
+    if left.is_zero() or right.is_zero():
+        return None
+    budget = left.max_grade() + right.max_grade() + min(
+        max(t.m for t in left.terms), max(t.m for t in right.terms))
+    sym = bracket(left, right, BracketBudget(budget))
+    direct = weyl_commutator_over_hbar(
+        symbol_to_weyl(left, modes), symbol_to_weyl(right, modes), modes)
+    via_symbol = symbol_to_weyl(sym, modes)
+    mismatches = 0
+    compared = 0
+    for key in set(direct) | set(via_symbol):
+        grade, e = key
+        if monomial_mode_sum(e, modes) > modes:
+            continue
+        compared += 1
+        if direct.get(key, GaussRat(0)) != via_symbol.get(key, GaussRat(0)):
+            mismatches += 1
+    if compared == 0:
+        return None
+    return {"compared": compared, "mismatches": mismatches, "ok": mismatches == 0}
+
+
+# a pair with a zero commutator compares nothing; 29 of the first 50 nonzero
+# pairs at the default seed are such pairs, so at that rate a case runs out of
+# redraws with odds near 1e-5
+_BRACKET_ORACLE_REDRAWS = 20
+
+
 def _suite_bracket_oracle(args) -> Tuple[List[dict], dict]:
     cases = args.cases if args.cases is not None else 50
     modes = args.modes if args.modes is not None else 5
+    bounds = {"cases": cases, "modes": modes, "seed": args.seed}
     if modes < 1:
         # no monomial has a mode sum within 0 modes, so every case compares nothing
-        raise _nothing_to_verify({"cases": cases, "modes": modes, "seed": args.seed})
+        raise _nothing_to_verify(bounds)
     rng = random.Random(args.seed if args.seed is not None else 20240)
     checks = []
-    produced = 0
-    while produced < cases:
-        left = _random_symbol(rng, DENSITY)
-        right = _random_symbol(rng, INTEGRATED)
-        if left.is_zero() or right.is_zero():
-            continue
-        produced += 1
-        budget = left.max_grade() + right.max_grade() + min(
-            max(t.m for t in left.terms), max(t.m for t in right.terms))
-        sym = bracket(left, right, BracketBudget(budget))
-        direct = weyl_commutator_over_hbar(
-            symbol_to_weyl(left, modes), symbol_to_weyl(right, modes), modes)
-        via_symbol = symbol_to_weyl(sym, modes)
-        mismatches = 0
-        compared = 0
-        for key in set(direct) | set(via_symbol):
-            grade, e = key
-            if monomial_mode_sum(e, modes) > modes:
-                continue
-            compared += 1
-            if direct.get(key, GaussRat(0)) != via_symbol.get(key, GaussRat(0)):
-                mismatches += 1
-        checks.append({"key": {"case": produced}, "compared": compared,
-                       "mismatches": mismatches, "ok": mismatches == 0})
-    return checks, {"cases": cases, "modes": modes, "seed": args.seed}
+    for case in range(1, cases + 1):
+        for _ in range(1 + _BRACKET_ORACLE_REDRAWS):
+            check = _bracket_oracle_draw(rng, modes)
+            if check is not None:
+                break
+        else:
+            raise ValueError(
+                f"case {case}: {1 + _BRACKET_ORACLE_REDRAWS} draws compared no monomial "
+                f"within bounds {json.dumps(bounds, sort_keys=True)}")
+        checks.append({"key": {"case": case}, **check})
+    return checks, bounds
 
 
 def cmd_verify(args) -> int:

@@ -31,6 +31,7 @@ from qwk.qkdv import (BracketBudget, bracket, hamiltonian_density,
 from qwk.special import ehrhart_brute_force, ehrhart_convolution
 from qwk.symbols import (DENSITY, INTEGRATED, FourierSymbol, d_dp0,
                          slot_names, symbols_equal, symmetrize, u0_symbol)
+from test_hurwitz import _count_by_permutations
 
 
 def finish(num: int, desc: str, failures: list):
@@ -102,11 +103,12 @@ def _solve_exact(rows):
 def test_golden_tau1_tau6_from_permutation_counts():
     """<tau1 tau6> at g=2 from transposition factorization counts alone.
 
-    P(mu) = H_2(mu) / (5! d^4), with H_2(mu) = aut(mu) * factorization_count,
-    is an even symmetric polynomial of degree <= 4 in (mu1, mu2) (GJV 2005).
-    The nine two-part partitions with d <= 6 overdetermine its six
-    coefficients; the signed mu1 mu2^6 coefficient of (mu1+mu2)^3 P is the
-    correlator.  No closed formula or engine code is used.
+    P(mu) = H_2(mu) / (5! d^4), with H_2(mu) = aut(mu) times the number of
+    transposition factorizations, is an even symmetric polynomial of degree
+    <= 4 in (mu1, mu2) (GJV 2005).  The nine two-part partitions with d <= 6
+    overdetermine its six coefficients; the signed mu1 mu2^6 coefficient of
+    (mu1+mu2)^3 P is the correlator.  The counts come from enumerating
+    permutations; no closed formula, cycle-type count or engine code is used.
     """
     g, d = 2, (1, 6)
     rows = []
@@ -115,7 +117,7 @@ def test_golden_tau1_tau6_from_permutation_counts():
             if len(parts) != 2:
                 continue
             mu = Partition(parts)
-            value = aut_factor(mu) * factorization_count(g, mu) / (factorial(5) * deg ** 4)
+            value = aut_factor(mu) * _count_by_permutations(g, mu) / (factorial(5) * deg ** 4)
             rows.append([sum(Fraction(parts[0] ** a * parts[1] ** b) for a, b in orbit)
                          for orbit in _GENUS_2_BASIS] + [value])
     assert len(rows) == 9

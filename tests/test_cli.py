@@ -4,7 +4,12 @@ import json
 import subprocess
 import sys
 
+import pytest
+
+from qwk import cli
+from qwk.algebra import MultiPoly
 from qwk.cli import main
+from qwk.symbols import DENSITY, FourierSymbol, make_term, slot_names
 
 
 def run_cli(*argv):
@@ -162,3 +167,25 @@ def test_empty_verification_grid_exits_2():
         assert code == 2, argv
         assert out == ""
         assert "nothing to verify" in err and bound in err, err
+
+
+def test_bracket_oracle_cases_all_compare():
+    code, out, _ = run_cli("verify", "bracket-oracle", "--cases", "3", "--modes", "3")
+    assert code == 0
+    record = json.loads(out)
+    assert [c["key"]["case"] for c in record["checks"]] == [1, 2, 3]
+    assert all(c["compared"] >= 1 for c in record["checks"]), record["checks"]
+
+
+def test_bracket_oracle_out_of_redraws_exits_2(monkeypatch, capsys):
+    # integrated u0 is the central p0: every pair has a zero commutator
+    u0 = FourierSymbol(DENSITY, (make_term(0, 1, MultiPoly.const(1, slot_names(1))),))
+    monkeypatch.setattr(cli, "_random_symbol",
+                        lambda rng, kind: FourierSymbol(kind, u0.terms))
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "bracket-oracle", "--cases", "2", "--modes", "3"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "case 1: 21 draws compared no monomial" in captured.err
+    assert '"cases": 2' in captured.err and '"modes": 3' in captured.err

@@ -1,14 +1,67 @@
-"""Closed-formula Hurwitz numbers against the factorization oracle."""
+"""Closed-formula Hurwitz numbers against the factorization oracle.
+
+The library counts transposition factorizations on cycle types
+(cut-and-join); ``_count_by_permutations`` counts the same tuples over all
+d! permutations and is kept here as the reference for small degrees.
+"""
 
 import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qwk.algebra import MultiPoly
-from qwk.hurwitz import (Partition, aut_factor, factorization_count,
-                         hurwitz_correlator, mu_names, one_part_number,
-                         one_part_polynomial, partitions_of)
+from qwk.hurwitz import (DEFAULT_DEGREE_CAP, Partition, aut_factor,
+                         factorization_count, hurwitz_correlator, mu_names,
+                         one_part_number, one_part_polynomial, partitions_of)
+
+
+def _cycle_type(p):
+    seen = [False] * len(p)
+    lens = []
+    for start in range(len(p)):
+        if seen[start]:
+            continue
+        length = 0
+        x = start
+        while not seen[x]:
+            seen[x] = True
+            x = p[x]
+            length += 1
+        lens.append(length)
+    return tuple(sorted(lens, reverse=True))
+
+
+def _count_by_permutations(g, mu, left_to_right=True):
+    """factorization_count by a dynamic program over all d! permutations.
+
+    Applies every transposition to every partial product sigma_0 t_1..t_k
+    (on the right, or with left_to_right=False on the left), then keeps the
+    permutations of cycle type mu.  Practical for d <= 6.
+    """
+    d = mu.degree
+    r = 2 * g - 1 + len(mu)
+    sigma0 = tuple(list(range(1, d)) + [0])
+    transpositions = []
+    for i, j in itertools.combinations(range(d), 2):
+        t = list(range(d))
+        t[i], t[j] = j, i
+        transpositions.append(tuple(t))
+    counts = {sigma0: 1}
+    for _ in range(r):
+        nxt = {}
+        for p, c in counts.items():
+            for t in transpositions:
+                if left_to_right:
+                    q = tuple(p[t[x]] for x in range(d))   # p composed after t
+                else:
+                    q = tuple(t[p[x]] for x in range(d))
+                nxt[q] = nxt.get(q, 0) + c
+        counts = nxt
+    total = sum(c for p, c in counts.items() if _cycle_type(p) == mu.parts)
+    return Fraction(total, d)
 
 
 def test_one_part_polynomial_examples():
@@ -102,16 +155,50 @@ def test_factorization_count_examples():
     assert factorization_count(0, Partition((1, 1))) == Fraction(1, 2)
     assert factorization_count(1, Partition((3,))) == 2
     with pytest.raises(ValueError):
-        factorization_count(0, Partition((7,)))
+        factorization_count(0, Partition((DEFAULT_DEGREE_CAP + 1,)))
 
 
 def test_factorization_count_convention_invariance():
     for g in range(0, 2):
         for parts in partitions_of(4):
             mu = Partition(parts)
-            a = factorization_count(g, mu, left_to_right=True)
-            b = factorization_count(g, mu, left_to_right=False)
+            a = _count_by_permutations(g, mu, left_to_right=True)
+            b = _count_by_permutations(g, mu, left_to_right=False)
             assert a == b, (g, parts)
+
+
+def test_cut_and_join_matches_permutation_count():
+    keys = 0
+    for d in range(1, 7):
+        for parts in partitions_of(d):
+            mu = Partition(parts)
+            for g in range(4):
+                count = factorization_count(g, mu)
+                assert count == _count_by_permutations(g, mu), (parts, g)
+                keys += 1
+    assert keys == 116
+
+
+def test_closed_form_equals_aut_times_count_to_degree_10():
+    keys = 0
+    for d in range(1, 11):
+        for parts in partitions_of(d):
+            mu = Partition(parts)
+            for g in range(4):
+                count = factorization_count(g, mu)
+                assert one_part_number(g, mu) == aut_factor(mu) * count, (parts, g)
+                keys += 1
+    assert keys == 552
+
+
+_PARTITIONS_11_TO_16 = [Partition(parts) for d in range(11, 17)
+                        for parts in partitions_of(d) if len(parts) <= 6]
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(mu=st.sampled_from(_PARTITIONS_11_TO_16), g=st.integers(0, 2))
+def test_closed_form_equals_aut_times_count_random_high_degree(mu, g):
+    assert one_part_number(g, mu) == aut_factor(mu) * factorization_count(g, mu)
 
 
 def test_aut_factor():
