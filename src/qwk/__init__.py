@@ -25,7 +25,7 @@ from .qkdv import (BracketBudget, bracket, hamiltonian_density,
                    integrate_hamiltonian, nested_bracket)
 from .special import (EhrhartPoly, ehrhart_brute_force, ehrhart_convolution,
                       eulerian_polynomial, s_series, series_exp_log,
-                      series_inverse)
+                      series_inverse, series_product)
 from .symbols import (DiffPoly, FourierSymbol, SymbolTerm, d_dp0, d_x,
                       eval_string_point, from_diff_poly, symmetrize,
                       to_diff_poly, variational_derivative)

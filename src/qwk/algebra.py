@@ -3,14 +3,16 @@
 Everything downstream is built on two types:
 
   GaussRat   a + b*i with a, b arbitrary-precision rationals (i**2 = -1)
-  MultiPoly  sparse polynomial over GaussRat with named variables; an optional
-             per-variable truncation map turns it into a truncated power series
-             (arithmetic discards, never rounds, terms above the cutoff)
+  MultiPoly  sparse polynomial over GaussRat with named variables
 
 A polynomial is a dict mapping exponent tuples (aligned with the ``variables``
 tuple) to nonzero GaussRat coefficients.  The zero polynomial is the empty
 dict.  Values are immutable by convention: no operation mutates its inputs,
 so polynomials can be shared freely between workers.
+
+Truncated power series are not a MultiPoly feature: they are lists of
+coefficient layers, one per power of the series variable, and their kernels
+live in ``qwk.special``.
 
 No floating point is used anywhere.
 """
@@ -147,27 +149,21 @@ def _coerce(x: Scalar) -> GaussRat:
 class MultiPoly:
     """Sparse multivariate polynomial over GaussRat.
 
-    ``variables`` fixes the exponent-tuple layout; ``truncation`` (optional)
-    maps variable names to maximal per-variable degrees.  Terms exceeding a
-    cutoff are discarded on construction and by every arithmetic operation,
-    which is exactly truncated power-series arithmetic below the cutoff.
+    ``variables`` fixes the exponent-tuple layout.
     """
 
-    __slots__ = ("variables", "terms", "truncation")
+    __slots__ = ("variables", "terms")
 
     def __init__(self, variables: Iterable[str],
                  terms: Optional[Mapping[tuple, Scalar]] = None,
-                 truncation: Optional[Mapping[str, int]] = None,
                  _normalized: bool = False):
         vs = tuple(variables)
         object.__setattr__(self, "variables", vs)
-        object.__setattr__(self, "truncation", dict(truncation) if truncation else None)
         if _normalized:
             object.__setattr__(self, "terms", dict(terms) if terms else {})
             return
         clean: dict = {}
         if terms:
-            limits = self._limit_vec()
             for exps, c in terms.items():
                 g = _coerce(c)
                 if not g:
@@ -177,8 +173,6 @@ class MultiPoly:
                     raise ValueError("exponent tuple length mismatch")
                 if any(x < 0 for x in e):
                     raise ValueError("negative exponent")
-                if limits and any(l is not None and x > l for x, l in zip(e, limits)):
-                    continue
                 if e in clean:
                     s = clean[e] + g
                     if s:
@@ -192,30 +186,23 @@ class MultiPoly:
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
 
-    def _limit_vec(self):
-        if not self.truncation:
-            return None
-        return tuple(self.truncation.get(v) for v in self.variables)
-
     # ------------------------------------------------------------------
     # constructors
 
     @staticmethod
-    def const(c: Scalar, variables: Iterable[str] = (),
-              truncation: Optional[Mapping[str, int]] = None) -> "MultiPoly":
+    def const(c: Scalar, variables: Iterable[str] = ()) -> "MultiPoly":
         vs = tuple(variables)
         g = _coerce(c)
         terms = {(0,) * len(vs): g} if g else {}
-        return MultiPoly(vs, terms, truncation, _normalized=True)
+        return MultiPoly(vs, terms, _normalized=True)
 
     @staticmethod
-    def var(name: str, variables: Optional[Iterable[str]] = None,
-            truncation: Optional[Mapping[str, int]] = None) -> "MultiPoly":
+    def var(name: str, variables: Optional[Iterable[str]] = None) -> "MultiPoly":
         vs = tuple(variables) if variables is not None else (name,)
         if name not in vs:
             raise KeyError(f"unknown variable {name!r}")
         e = tuple(1 if v == name else 0 for v in vs)
-        return MultiPoly(vs, {e: ONE}, truncation)
+        return MultiPoly(vs, {e: ONE}, _normalized=True)
 
     # ------------------------------------------------------------------
     # alignment over a common variable tuple
@@ -236,15 +223,6 @@ class MultiPoly:
             out[tuple(e)] = c
         return out
 
-    @staticmethod
-    def _merge_trunc(a: "MultiPoly", b: "MultiPoly"):
-        ta, tb = a.truncation, b.truncation
-        if ta and tb:
-            if ta != tb:
-                raise ValueError("incompatible truncation settings")
-            return ta
-        return ta or tb
-
     def _common_vars(self, other: "MultiPoly") -> tuple:
         if self.variables == other.variables:
             return self.variables
@@ -261,9 +239,8 @@ class MultiPoly:
 
     def __add__(self, other: Union["MultiPoly", Scalar]) -> "MultiPoly":
         if not isinstance(other, MultiPoly):
-            other = MultiPoly.const(other, self.variables, self.truncation)
+            other = MultiPoly.const(other, self.variables)
         vs = self._common_vars(other)
-        trunc = MultiPoly._merge_trunc(self, other)
         ta = self._remap(vs)
         tb = other._remap(vs)
         out = dict(ta)
@@ -276,47 +253,39 @@ class MultiPoly:
                     del out[e]
             else:
                 out[e] = c
-        return MultiPoly(vs, out, trunc, _normalized=True)
+        return MultiPoly(vs, out, _normalized=True)
 
     __radd__ = __add__
 
     def __neg__(self) -> "MultiPoly":
         return MultiPoly(self.variables, {e: -c for e, c in self.terms.items()},
-                         self.truncation, _normalized=True)
+                         _normalized=True)
 
     def __sub__(self, other: Union["MultiPoly", Scalar]) -> "MultiPoly":
         if not isinstance(other, MultiPoly):
-            other = MultiPoly.const(other, self.variables, self.truncation)
+            other = MultiPoly.const(other, self.variables)
         return self + (-other)
 
     def __rsub__(self, other: Scalar) -> "MultiPoly":
-        return MultiPoly.const(other, self.variables, self.truncation) - self
+        return MultiPoly.const(other, self.variables) - self
 
     def __mul__(self, other: Union["MultiPoly", Scalar]) -> "MultiPoly":
         if not isinstance(other, MultiPoly):
             c = _coerce(other)
             if not c:
-                return MultiPoly(self.variables, {}, self.truncation, _normalized=True)
+                return MultiPoly(self.variables, {}, _normalized=True)
             return MultiPoly(self.variables,
                              {e: v * c for e, v in self.terms.items()},
-                             self.truncation, _normalized=True)
+                             _normalized=True)
         vs = self._common_vars(other)
-        trunc = MultiPoly._merge_trunc(self, other)
         ta = self._remap(vs)
         tb = other._remap(vs)
-        limits = None
-        if trunc:
-            limits = tuple(trunc.get(v) for v in vs)
-            if all(l is None for l in limits):
-                limits = None
         out: dict = {}
         if len(ta) > len(tb):
             ta, tb = tb, ta
         for ea, ca in ta.items():
             for eb, cb in tb.items():
                 e = tuple(x + y for x, y in zip(ea, eb))
-                if limits and any(l is not None and x > l for x, l in zip(e, limits)):
-                    continue
                 if e in out:
                     s = out[e] + ca * cb
                     if s:
@@ -325,14 +294,14 @@ class MultiPoly:
                         del out[e]
                 else:
                     out[e] = ca * cb
-        return MultiPoly(vs, out, trunc, _normalized=True)
+        return MultiPoly(vs, out, _normalized=True)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "MultiPoly":
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        out = MultiPoly.const(1, self.variables, self.truncation)
+        out = MultiPoly.const(1, self.variables)
         base = self
         while n:
             if n & 1:
@@ -372,16 +341,13 @@ class MultiPoly:
         """Coefficient of var**k, as a polynomial in the remaining variables."""
         j = self.variables.index(var)
         rest = tuple(v for v in self.variables if v != var)
-        trunc = dict(self.truncation) if self.truncation else None
-        if trunc:
-            trunc.pop(var, None)
         out = {}
         for exps, c in self.terms.items():
             if exps[j] != k:
                 continue
             e = tuple(x for i, x in enumerate(exps) if i != j)
             out[e] = c
-        return MultiPoly(rest, out, trunc, _normalized=True)
+        return MultiPoly(rest, out, _normalized=True)
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
@@ -413,16 +379,13 @@ class MultiPoly:
     def substitute(self, var: str, replacement: Union["MultiPoly", Scalar]) -> "MultiPoly":
         """Substitute a polynomial (or constant) for ``var``, exactly.
 
-        Re-truncates against this polynomial's truncation map.  Covers the
-        linear changes of variables used by the engine as a special case.
+        Covers the linear changes of variables used by the engine as a
+        special case.
         """
         j = self.variables.index(var)
         rest = tuple(v for v in self.variables if v != var)
-        trunc = dict(self.truncation) if self.truncation else None
-        if trunc:
-            trunc.pop(var, None)
         if not isinstance(replacement, MultiPoly):
-            replacement = MultiPoly.const(replacement, rest, trunc)
+            replacement = MultiPoly.const(replacement, rest)
         # group by the power of var, then Horner over descending powers
         by_pow: dict = {}
         for exps, c in self.terms.items():
@@ -430,11 +393,11 @@ class MultiPoly:
             e = tuple(x for i, x in enumerate(exps) if i != j)
             by_pow.setdefault(k, {})[e] = c
         if not by_pow:
-            return MultiPoly(rest, {}, trunc, _normalized=True)
+            return MultiPoly(rest, {}, _normalized=True)
         result = None
         last = 0
         for k in sorted(by_pow, reverse=True):
-            layer = MultiPoly(rest, by_pow[k], trunc, _normalized=True)
+            layer = MultiPoly(rest, by_pow[k], _normalized=True)
             if result is None:
                 result = layer
             else:
@@ -446,16 +409,12 @@ class MultiPoly:
         vs = tuple(mapping.get(v, v) for v in self.variables)
         if len(set(vs)) != len(vs):
             raise ValueError("renaming collides")
-        trunc = {mapping.get(v, v): d for v, d in self.truncation.items()} if self.truncation else None
-        return MultiPoly(vs, self.terms, trunc, _normalized=True)
-
-    def drop_truncation(self) -> "MultiPoly":
-        return MultiPoly(self.variables, self.terms, None, _normalized=True)
+        return MultiPoly(vs, self.terms, _normalized=True)
 
     def with_variables(self, vs: Iterable[str]) -> "MultiPoly":
         """Reindex onto the given variable tuple (a superset of the support)."""
         vs = tuple(vs)
-        return MultiPoly(vs, self._remap(vs), self.truncation, _normalized=True)
+        return MultiPoly(vs, self._remap(vs), _normalized=True)
 
     # ------------------------------------------------------------------
 

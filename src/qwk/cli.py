@@ -315,13 +315,17 @@ def _suite_identities(args) -> Tuple[List[dict], dict]:
 def _suite_hurwitz_oracle(args) -> Tuple[List[dict], dict]:
     d_cap = args.degree_cap if args.degree_cap is not None else 5
     g_max = args.g_max if args.g_max is not None else 2
+    if d_cap > DEFAULT_DEGREE_CAP:
+        raise ValueError(
+            f"degree cap {d_cap} above the factorization-count cap {DEFAULT_DEGREE_CAP} "
+            f"within bounds {json.dumps({'degree_cap': d_cap, 'g_max': g_max}, sort_keys=True)}")
     checks = []
     for d in range(1, d_cap + 1):
         for parts in partitions_of(d):
             mu = Partition(parts)
             for g in range(g_max + 1):
                 closed = one_part_number(g, mu)
-                count = factorization_count(g, mu, cap=max(d_cap, DEFAULT_DEGREE_CAP))
+                count = factorization_count(g, mu)
                 aut = aut_factor(mu)
                 checks.append({
                     "key": {"mu": list(mu.parts), "g": g},

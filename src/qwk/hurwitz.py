@@ -64,7 +64,7 @@ def mu_names(n: int) -> Tuple[str, ...]:
 @lru_cache(maxsize=None)
 def _s_quotient(g: int, n: int) -> MultiPoly:
     """[z^(2g)] of prod_i S(mu_i z) / S(z), a polynomial in mu_1..mu_n."""
-    return s_quotient_series(mu_names(n), 2 * g).coeff_of_var_power("z", 2 * g)
+    return s_quotient_series(mu_names(n), 2 * g)[2 * g]
 
 
 def one_part_polynomial(g: int, n: int) -> MultiPoly:

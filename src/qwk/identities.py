@@ -12,9 +12,12 @@ never truncate.  Quotients like sh(k L)/sh(L) are eliminated exactly via
 
 Identities that are genuinely power series in an outer variable (the t-sums
 of the log/ratio lemmas, the exponential generating function of the Eulerian
-polynomials) are checked coefficient-by-coefficient up to the requested
-order; powers of 1/(1-t) ride along as an auxiliary symbol s that is
-eliminated exactly through the relation s*(1-t) = 1 at the end.
+polynomials, the z-series of the products of exponentials) are checked
+coefficient-by-coefficient up to the requested order.  Such a series is a
+list of coefficient layers (rationals, MultiPoly or ExpSum), multiplied,
+inverted and exponentiated by the shared kernels of ``qwk.special``; powers
+of 1/(1-t) ride along as an auxiliary symbol s that is eliminated exactly
+through the relation s*(1-t) = 1 at the end.
 """
 
 from __future__ import annotations
@@ -26,7 +29,8 @@ from math import factorial
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .algebra import GaussRat, MultiPoly
-from .special import eulerian_polynomial, s_series_of, series_exp_log, series_inverse
+from .special import (eulerian_number, eulerian_polynomial, s_series_of,
+                      series_exp_log, series_inverse, series_product)
 from .symbols import (DiffPoly, from_diff_poly, mode_derivative_zero_mode,
                       symmetrize, variational_derivative)
 
@@ -47,8 +51,17 @@ class IdentityReport:
                 "max_abs_discrepancy": str(self.max_abs_discrepancy), "ok": self.ok}
 
 
-def _poly_discrepancy(p: MultiPoly) -> Fraction:
-    return max((c.abs1() for c in p.terms.values()), default=Fraction(0))
+def _discrepancy(x) -> Fraction:
+    """max |re| + |im| over the coefficients of x; a list is a series of layers."""
+    if isinstance(x, list):
+        return max((_discrepancy(c) for c in x), default=Fraction(0))
+    if isinstance(x, (int, Fraction, GaussRat)):
+        return GaussRat.of(x).abs1()
+    return max((c.abs1() for c in x.terms.values()), default=Fraction(0))
+
+
+def _series_minus(a: list, b: list) -> list:
+    return [x - y for x, y in zip(a, b, strict=True)]
 
 
 # ----------------------------------------------------------------------
@@ -78,7 +91,9 @@ class ExpSum:
     def __eq__(self, other) -> bool:
         return isinstance(other, ExpSum) and self.basis == other.basis and self.terms == other.terms
 
-    def __add__(self, other: "ExpSum") -> "ExpSum":
+    def __add__(self, other) -> "ExpSum":
+        if not isinstance(other, ExpSum):
+            other = ExpSum.const(self.basis, other)
         out = dict(self.terms)
         for e, c in other.terms.items():
             s = out.get(e, GaussRat(0)) + c
@@ -95,7 +110,7 @@ class ExpSum:
         r.terms = {e: -c for e, c in self.terms.items()}
         return r
 
-    def __sub__(self, other: "ExpSum") -> "ExpSum":
+    def __sub__(self, other) -> "ExpSum":
         return self + (-other)
 
     def __mul__(self, other) -> "ExpSum":
@@ -119,9 +134,6 @@ class ExpSum:
         return r
 
     __rmul__ = __mul__
-
-    def discrepancy(self) -> Fraction:
-        return max((c.abs1() for c in self.terms.values()), default=Fraction(0))
 
 
 def _form_vec(basis: Tuple[str, ...], form: Mapping[str, object]) -> Tuple[int, ...]:
@@ -156,79 +168,6 @@ def cheb_ratio(basis: Tuple[str, ...], k: int, form: Mapping[str, object]) -> Ex
     return out
 
 
-# t-power series with ExpSum coefficients
-
-class TSeries:
-    """Truncated power series in one outer variable, ExpSum coefficients."""
-
-    __slots__ = ("basis", "order", "coeffs")
-
-    def __init__(self, basis: Tuple[str, ...], order: int,
-                 coeffs: Optional[List[ExpSum]] = None):
-        self.basis = basis
-        self.order = order
-        self.coeffs = coeffs if coeffs is not None else [ExpSum(basis) for _ in range(order + 1)]
-
-    @staticmethod
-    def from_terms(basis, order, terms: Mapping[int, ExpSum]) -> "TSeries":
-        s = TSeries(basis, order)
-        for k, v in terms.items():
-            if k <= order:
-                s.coeffs[k] = s.coeffs[k] + v
-        return s
-
-    def __add__(self, other: "TSeries") -> "TSeries":
-        return TSeries(self.basis, self.order,
-                       [a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __sub__(self, other: "TSeries") -> "TSeries":
-        return TSeries(self.basis, self.order,
-                       [a - b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __mul__(self, other: "TSeries") -> "TSeries":
-        out = TSeries(self.basis, self.order)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j in range(self.order + 1 - i):
-                b = other.coeffs[j]
-                if b.is_zero():
-                    continue
-                out.coeffs[i + j] = out.coeffs[i + j] + a * b
-        return out
-
-    def scale(self, c) -> "TSeries":
-        return TSeries(self.basis, self.order, [a * c for a in self.coeffs])
-
-    def inverse(self) -> "TSeries":
-        one = ExpSum.const(self.basis, 1)
-        if self.coeffs[0] != one:
-            raise ValueError("t-series inversion needs constant term 1")
-        inv = [one]
-        for n in range(1, self.order + 1):
-            acc = ExpSum(self.basis)
-            for j in range(1, n + 1):
-                if not self.coeffs[j].is_zero():
-                    acc = acc + self.coeffs[j] * inv[n - j]
-            inv.append(-acc)
-        return TSeries(self.basis, self.order, inv)
-
-    def exp(self) -> "TSeries":
-        if not self.coeffs[0].is_zero():
-            raise ValueError("t-series exp needs zero constant term")
-        out = TSeries(self.basis, self.order)
-        out.coeffs[0] = ExpSum.const(self.basis, 1)
-        term = TSeries(self.basis, self.order)
-        term.coeffs[0] = ExpSum.const(self.basis, 1)
-        for n in range(1, self.order + 1):
-            term = term * self
-            out = out + term.scale(Fraction(1, factorial(n)))
-        return out
-
-    def discrepancy(self) -> Fraction:
-        return max((c.discrepancy() for c in self.coeffs), default=Fraction(0))
-
-
 # ----------------------------------------------------------------------
 # Carlitz and the Eulerian generating functions
 
@@ -236,71 +175,53 @@ def check_carlitz(d: int, big_k: int) -> IdentityReport:
     """sum_{k=1..K} k^d t^k == t E_d(t)/(1-t)^(d+1) mod t^(K+1)."""
     if big_k < 1:
         raise ValueError("K must be >= 1")
-    t = MultiPoly.var("t", ("t",), {"t": big_k})
-    lhs = MultiPoly(("t",), {(k,): Fraction(k**d) for k in range(1, big_k + 1)},
-                    {"t": big_k})
-    one_minus = MultiPoly.const(1, ("t",), {"t": big_k}) - t
-    rhs = t * eulerian_polynomial(d).with_variables(("t",)) \
-        * series_inverse(one_minus ** (d + 1), "t", big_k)
+    lhs = [Fraction(0)] + [Fraction(k**d) for k in range(1, big_k + 1)]
+    t_euler = [Fraction(0)] + [Fraction(eulerian_number(d, k)) for k in range(big_k)]
+    one_minus_t = [Fraction(1), Fraction(-1)] + [Fraction(0)] * (big_k - 1)
+    den = one_minus_t
+    for _ in range(d):
+        den = series_product(den, one_minus_t)
+    rhs = series_product(t_euler, series_inverse(den))
     return IdentityReport("carlitz", {"d": d, "K": big_k}, big_k,
-                          _poly_discrepancy(lhs - rhs))
+                          _discrepancy(_series_minus(lhs, rhs)))
 
 
 def check_eulerian_generating(order: int) -> IdentityReport:
-    """The exponential generating function and its primitive, to the given order."""
+    """The exponential generating function and its primitive, to the given order.
+
+    Both sides are z-series with layers polynomial in t (and s).
+    """
     if order < 1:
         raise ValueError("order must be >= 1")
-    vs = ("t", "z")
-    trunc = {"z": order}
-    z = MultiPoly.var("z", vs, trunc)
-    t = MultiPoly.var("t", vs, trunc)
+    t = MultiPoly.var("t")
     # (t-1)/(t - e^{z(t-1)}) = 1 / (1 - sum_{j>=1} z^j (t-1)^(j-1)/j!)
-    denom = MultiPoly.const(1, vs, trunc)
-    tm1_pow = MultiPoly.const(1, vs, trunc)
-    zpow = MultiPoly.const(1, vs, trunc)
-    for j in range(1, order + 1):
-        zpow = zpow * z
-        denom = denom - zpow * tm1_pow * Fraction(1, factorial(j))
-        tm1_pow = tm1_pow * (t - 1)
-    rhs = series_inverse(denom, "z", order)
-    lhs = MultiPoly((), {})
-    zpow = MultiPoly.const(1, vs, trunc)
-    for n in range(0, order + 1):
-        lhs = lhs + eulerian_polynomial(n).with_variables(vs) * zpow * Fraction(1, factorial(n))
-        zpow = zpow * z
-    disc1 = _poly_discrepancy(lhs - rhs)
+    denom = [MultiPoly.const(1, ("t",))] + [-(t - 1) ** (j - 1) * Fraction(1, factorial(j))
+                                            for j in range(1, order + 1)]
+    lhs = [eulerian_polynomial(n) * Fraction(1, factorial(n)) for n in range(order + 1)]
+    disc1 = _discrepancy(_series_minus(lhs, series_inverse(denom)))
 
     # primitive form: sum_n t E_n(t) z^(n+1) s^(n+1)/(n+1)! == -z - log(1 - w s),
     # w = 1 - e^{-z}; s stands for 1/(1-t) and is eliminated exactly at the end
-    vs3 = ("t", "z", "s")
-    trunc3 = {"z": order}
-    z3 = MultiPoly.var("z", vs3, trunc3)
-    s3 = MultiPoly.var("s", vs3, trunc3)
-    t3 = MultiPoly.var("t", vs3, trunc3)
-    lhs2 = MultiPoly((), {})
-    zs = MultiPoly.const(1, vs3, trunc3)
-    for n in range(0, order):
-        zs = zs * z3 * s3
-        lhs2 = lhs2 + t3 * eulerian_polynomial(n).with_variables(vs3) * zs \
-            * Fraction(1, factorial(n + 1))
-    w = MultiPoly((), {})
-    zpow = MultiPoly.const(1, vs3, trunc3)
-    for j in range(1, order + 1):
-        zpow = zpow * z3
-        w = w + zpow * Fraction((-1) ** (j + 1), factorial(j))
-    rhs2 = -z3 - series_exp_log(MultiPoly.const(1, vs3, trunc3) - w * s3, "z", order, "log")
-    diff = lhs2 - rhs2
-    # eliminate s: multiply by (1-t)^(max s-degree), use s^e (1-t)^e == 1
-    e_max = diff.var_degree("s") if not diff.is_zero() else 0
-    one_minus_t = MultiPoly.const(1, vs3, trunc3) - t3
-    acc = MultiPoly((), {})
-    for e in range(max(e_max, 0) + 1):
-        layer = diff.coeff_of_var_power("s", e)
+    vs = ("t", "s")
+    t2 = MultiPoly.var("t", vs)
+    s2 = MultiPoly.var("s", vs)
+    lhs2 = [MultiPoly(vs)] + [t2 * eulerian_polynomial(k - 1) * s2 ** k * Fraction(1, factorial(k))
+                              for k in range(1, order + 1)]
+    # 1 - w s has layers 1 and -(-1)^(j+1) s / j!
+    log_arg = series_exp_log([MultiPoly.const(1, vs)] + [s2 * Fraction((-1) ** j, factorial(j))
+                                                         for j in range(1, order + 1)], "log")
+    rhs2 = [-c for c in log_arg]
+    rhs2[1] = rhs2[1] - 1  # the -z
+    # eliminate s per layer: multiply by (1-t)^(max s-degree), use s^e (1-t)^e == 1
+    disc2 = Fraction(0)
+    for layer in _series_minus(lhs2, rhs2):
         if layer.is_zero():
             continue
-        acc = acc + layer.with_variables(("t", "z")) * \
-            (MultiPoly.const(1, ("t", "z"), {"z": order}) - MultiPoly.var("t", ("t", "z"), {"z": order})) ** (e_max - e)
-    disc2 = _poly_discrepancy(acc)
+        e_max = layer.var_degree("s")
+        cleared = MultiPoly(("t",))
+        for e in range(e_max + 1):
+            cleared = cleared + layer.coeff_of_var_power("s", e) * (1 - t) ** (e_max - e)
+        disc2 = max(disc2, _discrepancy(cleared))
     return IdentityReport("eulerian-generating", {}, order, max(disc1, disc2))
 
 
@@ -323,19 +244,19 @@ def check_sh_lemmas(order: int) -> IdentityReport:
     b3 = ("al", "be", "ga")
     lhs = sh(b3, {"al": 1}) * sh(b3, {"be": 1}) + sh(b3, {"ga": 1}) * sh(b3, {"al": 1, "be": 1, "ga": 1})
     rhs = sh(b3, {"al": 1, "ga": 1}) * sh(b3, {"be": 1, "ga": 1})
-    record("sinhsinh", (lhs - rhs).discrepancy())
+    record("sinhsinh", _discrepancy(lhs - rhs))
 
     # ch(a)sh(b+c) - ch(b)sh(a+c) == sh(b-a)ch(c)
     lhs = ch(b3, {"al": 1}) * sh(b3, {"be": 1, "ga": 1}) - ch(b3, {"be": 1}) * sh(b3, {"al": 1, "ga": 1})
     rhs = sh(b3, {"al": -1, "be": 1}) * ch(b3, {"ga": 1})
-    record("sinhcosh", (lhs - rhs).discrepancy())
+    record("sinhcosh", _discrepancy(lhs - rhs))
 
     # sh(u)sh(v)sh(w) == (1/4)[sh(u+v+w)+sh(u-v-w)+sh(-u+v-w)+sh(-u-v+w)]
     bu = ("u", "v", "w")
     lhs = sh(bu, {"u": 1}) * sh(bu, {"v": 1}) * sh(bu, {"w": 1})
     rhs = (sh(bu, {"u": 1, "v": 1, "w": 1}) + sh(bu, {"u": 1, "v": -1, "w": -1})
            + sh(bu, {"u": -1, "v": 1, "w": -1}) + sh(bu, {"u": -1, "v": -1, "w": 1})) * Fraction(1, 4)
-    record("triple-product", (lhs - rhs).discrepancy())
+    record("triple-product", _discrepancy(lhs - rhs))
 
     # finite sum: sh(mu/2) * sum_{j=0..b} sh(mu j + nu) == sh(mu(b+1)/2) sh(mu b/2 + nu)
     bm = ("mu", "nu")
@@ -345,7 +266,7 @@ def check_sh_lemmas(order: int) -> IdentityReport:
             total = total + sh(bm, {"mu": j, "nu": 1})
         lhs = sh(bm, {"mu": Fraction(1, 2)}) * total
         rhs = sh(bm, {"mu": Fraction(b + 1, 2)}) * sh(bm, {"mu": Fraction(b, 2), "nu": 1})
-        record(f"sum-lemma-b{b}", (lhs - rhs).discrepancy())
+        record(f"sum-lemma-b{b}", _discrepancy(lhs - rhs))
 
     # four-line lemma
     b4 = ("A1", "A2", "B")
@@ -358,7 +279,7 @@ def check_sh_lemmas(order: int) -> IdentityReport:
            + sh(b4, a1) * sh(b4, a2) * ch(b4, bb) * sh(b4, absum)
            - sh(b4, a1) * sh(b4, a2) * sh(b4, bb) * ch(b4, absum))
     rhs = sh(b4, {"A1": 1, "B": 1}) * sh(b4, {"A2": 1, "B": 1}) * sh(b4, {"A1": 1, "A2": 1})
-    record("four-line", (lhs - rhs).discrepancy())
+    record("four-line", _discrepancy(lhs - rhs))
 
     # main summation lemma, small integer a and b
     b5 = ("A1", "A2", "B", "X")
@@ -388,7 +309,7 @@ def check_sh_lemmas(order: int) -> IdentityReport:
             rhs = ExpSum(b5)
             for c, rest, s1, s2 in pieces:
                 rhs = rhs + c * rest * s1 * s2
-            record(f"main-lemma-a{a}-b{b}", (lhs - rhs).discrepancy())
+            record(f"main-lemma-a{a}-b{b}", _discrepancy(lhs - rhs))
 
     # per-t^k log expansion: (4/k) sh(kA/2) sh(kB/2) == (2/k)[ch(k(A+B)/2) - ch(k(A-B)/2)]
     bab = ("A", "B")
@@ -396,50 +317,36 @@ def check_sh_lemmas(order: int) -> IdentityReport:
         lhs = sh(bab, {"A": Fraction(k, 2)}) * sh(bab, {"B": Fraction(k, 2)}) * Fraction(4, k)
         rhs = (ch(bab, {"A": Fraction(k, 2), "B": Fraction(k, 2)})
                - ch(bab, {"A": Fraction(k, 2), "B": Fraction(-k, 2)})) * Fraction(2, k)
-        record(f"eulerian-log-k{k}", (lhs - rhs).discrepancy())
+        record(f"eulerian-log-k{k}", _discrepancy(lhs - rhs))
 
     # ratio lemma: sh(A+B) * (1-te^{A-B})(1-te^{B-A}) / ((1-te^{A+B})(1-te^{-A-B}))
     #            == sh(A+B) + 4 sh(A) sh(B) sum_k sh(k(A+B)) t^k
-    num = TSeries.from_terms(bab, order, {
-        0: ExpSum.const(bab, 1),
-        1: ch(bab, {"A": 1, "B": -1}) * Fraction(-2),
-        2: ExpSum.const(bab, 1)})
-    den = TSeries.from_terms(bab, order, {
-        0: ExpSum.const(bab, 1),
-        1: ch(bab, {"A": 1, "B": 1}) * Fraction(-2),
-        2: ExpSum.const(bab, 1)})
-    ratio = num * den.inverse()
-    lhs_series = TSeries(bab, order, [sh(bab, {"A": 1, "B": 1}) * c for c in ratio.coeffs])
-    rhs_series = TSeries(bab, order)
-    rhs_series.coeffs[0] = sh(bab, {"A": 1, "B": 1})
+    one = ExpSum.const(bab, 1)
+
+    def quadratic(middle: ExpSum) -> List[ExpSum]:
+        """1 + middle * t + t^2 as a t-series to the order."""
+        return [one, middle, one] + [ExpSum(bab)] * (order - 2)
+
+    ratio = series_product(quadratic(ch(bab, {"A": 1, "B": -1}) * Fraction(-2)),
+                           series_inverse(quadratic(ch(bab, {"A": 1, "B": 1}) * Fraction(-2))))
+    sh_ab = sh(bab, {"A": 1, "B": 1})
     shab4 = sh(bab, {"A": 1}) * sh(bab, {"B": 1}) * Fraction(4)
-    for k in range(1, order + 1):
-        rhs_series.coeffs[k] = shab4 * sh(bab, {"A": k, "B": k})
-    record("geometric-ratio", (lhs_series - rhs_series).discrepancy())
+    rhs_series = [sh_ab] + [shab4 * sh(bab, {"A": k, "B": k}) for k in range(1, order + 1)]
+    record("geometric-ratio", _discrepancy(_series_minus([sh_ab * c for c in ratio], rhs_series)))
 
     # corollary chain, halves: exp(sum_k (4/k) sh(kA/2) sh(kB/2) t^k) == ratio(half forms)
-    numh = TSeries.from_terms(bab, order, {
-        0: ExpSum.const(bab, 1),
-        1: ch(bab, {"A": Fraction(1, 2), "B": Fraction(-1, 2)}) * Fraction(-2),
-        2: ExpSum.const(bab, 1)})
-    denh = TSeries.from_terms(bab, order, {
-        0: ExpSum.const(bab, 1),
-        1: ch(bab, {"A": Fraction(1, 2), "B": Fraction(1, 2)}) * Fraction(-2),
-        2: ExpSum.const(bab, 1)})
-    ratio_h = numh * denh.inverse()
-    arg = TSeries(bab, order)
-    for k in range(1, order + 1):
-        arg.coeffs[k] = sh(bab, {"A": Fraction(k, 2)}) * sh(bab, {"B": Fraction(k, 2)}) * Fraction(4, k)
-    record("eulerian-fin-1", (arg.exp() - ratio_h).discrepancy())
+    half = Fraction(1, 2)
+    ratio_h = series_product(quadratic(ch(bab, {"A": half, "B": -half}) * Fraction(-2)),
+                             series_inverse(quadratic(ch(bab, {"A": half, "B": half}) * Fraction(-2))))
+    arg = [ExpSum(bab)] + [sh(bab, {"A": Fraction(k, 2)}) * sh(bab, {"B": Fraction(k, 2)}) * Fraction(4, k)
+                           for k in range(1, order + 1)]
+    record("eulerian-fin-1", _discrepancy(_series_minus(series_exp_log(arg, "exp"), ratio_h)))
 
-    lhs_series = TSeries(bab, order, [sh(bab, {"A": Fraction(1, 2), "B": Fraction(1, 2)}) * c
-                                      for c in ratio_h.coeffs])
-    rhs_series = TSeries(bab, order)
-    rhs_series.coeffs[0] = sh(bab, {"A": Fraction(1, 2), "B": Fraction(1, 2)})
-    shab4h = sh(bab, {"A": Fraction(1, 2)}) * sh(bab, {"B": Fraction(1, 2)}) * Fraction(4)
-    for k in range(1, order + 1):
-        rhs_series.coeffs[k] = shab4h * sh(bab, {"A": Fraction(k, 2), "B": Fraction(k, 2)})
-    record("eulerian-fin-2", (lhs_series - rhs_series).discrepancy())
+    sh_ab_h = sh(bab, {"A": half, "B": half})
+    shab4h = sh(bab, {"A": half}) * sh(bab, {"B": half}) * Fraction(4)
+    rhs_series = [sh_ab_h] + [shab4h * sh(bab, {"A": Fraction(k, 2), "B": Fraction(k, 2)})
+                              for k in range(1, order + 1)]
+    record("eulerian-fin-2", _discrepancy(_series_minus([sh_ab_h * c for c in ratio_h], rhs_series)))
 
     return IdentityReport("sh-lemmas", {"checks": results}, order, worst)
 
@@ -500,7 +407,7 @@ def check_sinh_formula(n: int, a: Sequence[int], b: int, order: int) -> Identity
         rhs = rhs * sh(basis, form)
 
     return IdentityReport("sinh-formula", {"n": n, "a": list(a), "b": b},
-                          order, (lhs - rhs).discrepancy())
+                          order, _discrepancy(lhs - rhs))
 
 
 def _subsets(items) -> List[Tuple]:
@@ -534,90 +441,62 @@ def _compositions(total: int, parts: int) -> List[Tuple[int, ...]]:
 # products of exponentials
 
 def check_products_of_exponentials(n: int, a_vals: Sequence[int], order: int) -> IdentityReport:
-    """Laurent extraction of the pairwise exponential product against the closed form."""
+    """Laurent extraction of the pairwise exponential product against the closed form.
+
+    The left side is a z-series whose layers are Laurent polynomials in
+    t_2..t_n, held as lattice elements with t_i = e^(x_i), so t_i^k has
+    exponent vector 2k; its t-coefficient at (a_2..a_n) is compared with the
+    closed form, layer by layer.
+    """
     a_vals = tuple(a_vals)
     if len(a_vals) != n or any(x < 1 for x in a_vals):
         raise ValueError("need n positive integers")
     if not 2 <= n <= 3:
         raise ValueError("n must be 2 or 3")
-    trunc = {"z": order}
     k_max = sum(a_vals[1:])
+    basis = tuple(f"t{i}" for i in range(2, n + 1))
 
-    def s_int(c: int) -> MultiPoly:
-        return s_series_of(MultiPoly.const(c), "z", order)
+    def s_int(c: int) -> list:
+        return s_series_of(Fraction(c), order)
 
-    # Laurent series over t_2..t_n: dict exponent-vector -> z-polynomial.
-    # The product runs over i of (prod_{j<i} exp(pair term) - 1).
-    nt = n - 1
-    window = k_max * (order // 2 + 1)
-    laurent: Dict[Tuple[int, ...], MultiPoly] = {(0,) * nt: MultiPoly.const(1, ("z",), trunc)}
+    def unit() -> List[ExpSum]:
+        return [ExpSum.const(basis, 1)] + [ExpSum(basis)] * order
+
+    # the product runs over i of (prod_{j<i} exp(pair term) - 1)
+    laurent = unit()
     for i in range(2, n + 1):
-        group: Dict[Tuple[int, ...], MultiPoly] = {(0,) * nt: MultiPoly.const(1, ("z",), trunc)}
+        group = unit()
         for j in range(1, i):
-            arg: Dict[Tuple[int, ...], MultiPoly] = {}
-            z2 = MultiPoly(("z",), {(2,): GaussRat(a_vals[i - 1] * a_vals[j - 1])}, trunc)
+            arg = [ExpSum(basis)] * (order + 1)
             for k in range(1, k_max + 1):
-                vec = [0] * nt
-                vec[i - 2] += k
+                vec = [0] * (n - 1)
+                vec[i - 2] += 2 * k
                 if j >= 2:
-                    vec[j - 2] -= k
-                arg[tuple(vec)] = z2 * k * s_int(k * a_vals[i - 1]) * s_int(k * a_vals[j - 1])
-            group = _laurent_mul(group, _laurent_exp(arg, nt, order, window), order, window)
-        zero = (0,) * nt
-        group[zero] = group.get(zero, MultiPoly((), {})) - 1  # the "- 1" of each bracket
-        laurent = _laurent_mul(laurent, group, order, window)
+                    vec[j - 2] -= 2 * k
+                t_pow = ExpSum(basis, {tuple(vec): a_vals[i - 1] * a_vals[j - 1] * k})
+                pair = series_product(s_int(k * a_vals[i - 1]), s_int(k * a_vals[j - 1]))
+                for l in range(2, order + 1):  # the pair term carries z^2
+                    arg[l] = arg[l] + t_pow * pair[l - 2]
+            group = series_product(group, series_exp_log(arg, "exp"))
+        group[0] = group[0] - 1  # the "- 1" of each bracket
+        laurent = series_product(laurent, group)
 
-    target = tuple(a_vals[1:])
-    lhs = laurent.get(target, MultiPoly(("z",), {}, trunc))
+    target = tuple(2 * x for x in a_vals[1:])
+    lhs = [layer.terms.get(target, GaussRat(0)) for layer in laurent]
 
     total = sum(a_vals)
     pref = a_vals[0]
     for x in a_vals[1:]:
         pref *= x * x
-    rhs = MultiPoly(("z",), {(2 * n - 2,): GaussRat(pref * total ** (n - 2))}, trunc)
+    rhs = [Fraction(pref * total ** (n - 2)) if k == 2 * n - 2 else Fraction(0)
+           for k in range(order + 1)]
     for x in a_vals:
-        rhs = rhs * s_int(x)
-    rhs = rhs * series_inverse(s_int(total), "z", order)
+        rhs = series_product(rhs, s_int(x))
+    rhs = series_product(rhs, series_inverse(s_int(total)))
     for x in a_vals[1:]:
-        rhs = rhs * s_int(x * total)
+        rhs = series_product(rhs, s_int(x * total))
     return IdentityReport("products-of-exponentials", {"n": n, "A": list(a_vals)},
-                          order, _poly_discrepancy(lhs - rhs))
-
-
-def _laurent_mul(a: Dict[tuple, MultiPoly], b: Dict[tuple, MultiPoly],
-                 order: int, window: int) -> Dict[tuple, MultiPoly]:
-    out: Dict[tuple, MultiPoly] = {}
-    for ea, pa in a.items():
-        for eb, pb in b.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
-            if any(abs(x) > window for x in e):
-                continue
-            prod = pa * pb
-            if prod.is_zero():
-                continue
-            if e in out:
-                out[e] = out[e] + prod
-            else:
-                out[e] = prod
-    return {e: p for e, p in out.items() if not p.is_zero()}
-
-
-def _laurent_exp(arg: Dict[tuple, MultiPoly], nt: int, order: int, window: int) -> Dict[tuple, MultiPoly]:
-    """exp of a Laurent element whose z-order is >= 2 in every term."""
-    out: Dict[tuple, MultiPoly] = {(0,) * nt: MultiPoly.const(1, ("z",), {"z": order})}
-    power: Dict[tuple, MultiPoly] = dict(out)
-    for m in range(1, order // 2 + 1):
-        power = _laurent_mul(power, arg, order, window)
-        if not power:
-            break
-        inv = Fraction(1, factorial(m))
-        for e, p in power.items():
-            scaled = p * inv
-            if e in out:
-                out[e] = out[e] + scaled
-            else:
-                out[e] = scaled
-    return out
+                          order, _discrepancy(_series_minus(lhs, rhs)))
 
 
 # ----------------------------------------------------------------------
@@ -652,5 +531,5 @@ def check_variational(seed: int = 0, cases: int = 50) -> IdentityReport:
                 diff = pa
             else:
                 diff = pa - pb
-            worst = max(worst, _poly_discrepancy(diff))
+            worst = max(worst, _discrepancy(diff))
     return IdentityReport("variational", {"seed": seed, "cases": cases}, 0, worst)

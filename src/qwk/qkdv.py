@@ -38,7 +38,8 @@ from math import factorial, perm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import GaussRat, MultiPoly
-from .special import ehrhart_convolution, power_of_sum, s_quotient_series, s_series_of
+from .special import (ehrhart_convolution, power_of_sum, s_quotient_series,
+                      s_series_of, series_layer)
 from .symbols import (DENSITY, INTEGRATED, FourierSymbol, SymbolTerm,
                       eval_string_point, make_term, slot_names)
 
@@ -72,9 +73,12 @@ def _hamiltonian_term(d: int, g: int) -> Optional[SymbolTerm]:
     slots = slot_names(m)
     prod = s_quotient_series(slots, order)
     if m:
+        # only the z^(2g) layer of the product with S((a_1+..+a_m) z) is formed
         total = MultiPoly(slots, {tuple(int(i == j) for i in range(m)): 1 for j in range(m)})
-        prod = prod * s_series_of(total, "z", order)
-    coeff = prod.coeff_of_var_power("z", order) * Fraction(1, factorial(m))
+        top = series_layer(prod, s_series_of(total, order), order)
+    else:
+        top = prod[order]
+    coeff = top * Fraction(1, factorial(m))
     if coeff.is_zero():
         return None
     return make_term(g, m, coeff, blocks=(m,) if m else ())

@@ -4,8 +4,13 @@ Contents:
 
   * the even series S(z) = sh(z/2)/(z/2) = sum z^(2l) / (4^l (2l+1)!),
     which carries every intersection-number coefficient in the engine;
-  * truncated-series inverse, exp and log over MultiPoly, and the series
-    prod_i S(x_i z) / S(z) shared by the densities and the Hurwitz formula;
+  * truncated power series as lists of coefficient layers: layer k is the
+    coefficient of z^k, for k up to the order len(layers) - 1, and a layer is
+    a MultiPoly, an identities.ExpSum or a plain rational.  The kernels for
+    product, inverse, exp and log are the only truncated-series arithmetic in
+    the package; a product forms only the layer pairs i + j <= order, so
+    nothing above the cutoff is ever computed.  The series
+    prod_i S(x_i z) / S(z) is shared by the densities and the Hurwitz formula;
   * Eulerian polynomials E_n(t) via the descent recurrence;
   * the power-sum convolution C^r(N) = sum over compositions
     k_1+...+k_q = N (k_i >= 1) of prod k_i^(r_i), expanded as an exact
@@ -23,115 +28,122 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from .algebra import GaussRat, MultiPoly, Rat
 
 
-def s_series(order: int, var: str = "z") -> MultiPoly:
-    """Truncated expansion of S(z); even, constant term 1."""
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    terms = {}
-    l = 0
-    while 2 * l <= order:
-        terms[(2 * l,)] = Fraction(1, 4**l * factorial(2 * l + 1))
-        l += 1
-    return MultiPoly((var,), terms, {var: order})
+def _is_zero(c) -> bool:
+    return not c if isinstance(c, (int, Fraction, GaussRat)) else c.is_zero()
 
 
-def s_series_of(form: MultiPoly, z_var: str, order: int) -> MultiPoly:
-    """S(form * z) truncated at z^order, for a polynomial ``form`` in other variables."""
-    vs = form.variables if z_var in form.variables else form.variables + (z_var,)
-    trunc = dict(form.truncation) if form.truncation else {}
-    trunc[z_var] = order
-    out = MultiPoly.const(1, vs, trunc)
-    z = MultiPoly.var(z_var, vs, trunc)
-    f2z2 = (form.with_variables(vs) * z) ** 2
-    power = MultiPoly.const(1, vs, trunc)
-    l = 1
-    while 2 * l <= order:
-        power = power * f2z2
-        if power.is_zero():
-            break
-        out = out + power * Fraction(1, 4**l * factorial(2 * l + 1))
-        l += 1
-    return out
-
-
-def series_inverse(p: MultiPoly, var: str, order: int) -> MultiPoly:
-    """q with p*q == 1 modulo var^(order+1).
-
-    The coefficient of var^0 in p must be a nonzero constant.
-    """
-    c0 = p.coeff_of_var_power(var, 0)
-    if c0.degree() > 0:
+def _scalar(c) -> GaussRat:
+    """The value of a constant layer; ValueError if the layer is not constant."""
+    if isinstance(c, (int, Fraction, GaussRat)):
+        return GaussRat.of(c)
+    if any(any(e) for e in c.terms):
         raise ValueError("constant term in the series variable is not a scalar")
-    u = c0.coeff_extract({})
+    return next(iter(c.terms.values()), GaussRat(0))
+
+
+def _dot(xs, ys, zero):
+    """sum of x * y over paired layers, skipping zero layers."""
+    acc = None
+    for x, y in zip(xs, ys):
+        if _is_zero(x) or _is_zero(y):
+            continue
+        p = x * y
+        acc = p if acc is None else acc + p
+    return zero if acc is None else acc
+
+
+def _order(a: list, b: list) -> int:
+    if len(a) != len(b):
+        raise ValueError(f"series of orders {len(a) - 1} and {len(b) - 1} do not combine")
+    return len(a) - 1
+
+
+def series_layer(a: list, b: list, k: int):
+    """Layer k of the product a * b, from the pairs i + j == k alone."""
+    _order(a, b)
+    return _dot(a[:k + 1], b[k::-1], a[0] * b[0] * 0)
+
+
+def series_product(a: list, b: list) -> list:
+    """The product a * b to the common order of its factors."""
+    zero = a[0] * b[0] * 0
+    return [_dot(a[:k + 1], b[k::-1], zero) for k in range(_order(a, b) + 1)]
+
+
+def series_inverse(a: list) -> list:
+    """q with a * q == 1 to the order of a; layer 0 must be a nonzero constant."""
+    u = _scalar(a[0])
     if not u:
         raise ValueError("zero constant term is not invertible")
-    trunc = dict(p.truncation) if p.truncation else {}
-    trunc[var] = order
-    layers = [p.coeff_of_var_power(var, k) for k in range(order + 1)]
-    inv_layers: List[MultiPoly] = [MultiPoly.const(GaussRat(1) / u, layers[0].variables)]
-    for n in range(1, order + 1):
-        acc = MultiPoly((), {})
-        for j in range(1, n + 1):
-            if layers[j].is_zero():
-                continue
-            acc = acc + layers[j] * inv_layers[n - j]
-        inv_layers.append(acc * (GaussRat(-1) / u))
-    vs = p.variables if var in p.variables else p.variables + (var,)
-    out = MultiPoly(vs, {}, trunc, _normalized=True)
-    zvar = MultiPoly.var(var, vs, trunc)
-    zpow = MultiPoly.const(1, vs, trunc)
-    for n in range(order + 1):
-        if not inv_layers[n].is_zero():
-            out = out + inv_layers[n] * zpow
-        zpow = zpow * zvar
-    return out
+    w = GaussRat(1) / u
+    inv = [a[0] * (w * w)]
+    zero = inv[0] * 0
+    for n in range(1, len(a)):
+        inv.append(_dot(a[1:n + 1], inv[::-1], zero) * -w)
+    return inv
 
 
-def s_quotient_series(names: Tuple[str, ...], order: int) -> MultiPoly:
-    """prod_i S(x_i z) / S(z) truncated at z^order, over the variables names + ("z",)."""
-    vs = names + ("z",)
-    prod = series_inverse(s_series(order), "z", order).with_variables(vs)
-    for name in names:
-        prod = prod * s_series_of(MultiPoly.var(name, vs), "z", order)
-    return prod
+def series_exp_log(a: list, mode: str) -> list:
+    """exp (layer 0 zero) or log (layer 0 one) of a, to its order.
 
-
-def series_exp_log(p: MultiPoly, var: str, order: int, mode: str) -> MultiPoly:
-    """Truncated exp/log along ``var``; exp needs zero constant term, log needs 1."""
+    Both come from f' = a' f (exp) and a' = f' a (log), read layer by layer:
+    n f_n = sum_{k=1..n} k a_k f_(n-k), and
+    f_n = a_n - (1/n) sum_{k=1..n-1} k f_k a_(n-k).
+    """
     if mode not in ("exp", "log"):
         raise ValueError("mode must be 'exp' or 'log'")
-    c0 = p.coeff_of_var_power(var, 0)
-    trunc = dict(p.truncation) if p.truncation else {}
-    trunc[var] = order
-    vs = p.variables if var in p.variables else p.variables + (var,)
-    p = MultiPoly(vs, p._remap(vs), trunc)
+    zero = a[0] * 0
     if mode == "exp":
-        if not c0.is_zero():
+        if not _is_zero(a[0]):
             raise ValueError("exp needs zero constant term in the series variable")
-        out = MultiPoly.const(1, vs, trunc)
-        power = MultiPoly.const(1, vs, trunc)
-        for n in range(1, order + 1):
-            power = power * p
-            if power.is_zero():
-                break
-            out = out + power * Fraction(1, factorial(n))
+        ka = [x * k for k, x in enumerate(a)]
+        out = [a[0] + 1]
+        for n in range(1, len(a)):
+            out.append(_dot(ka[1:n + 1], out[::-1], zero) * Fraction(1, n))
         return out
-    if c0 != MultiPoly.const(1, c0.variables):
+    if not _is_zero(a[0] - 1):
         raise ValueError("log needs constant term 1 in the series variable")
-    u = p - 1
-    out = MultiPoly(vs, {}, trunc, _normalized=True)
-    power = MultiPoly.const(1, vs, trunc)
-    for n in range(1, order + 1):
-        power = power * u
-        if power.is_zero():
-            break
-        out = out + power * Fraction((-1) ** (n + 1), n)
+    out = [a[0] - 1]
+    kf = [zero]
+    for n in range(1, len(a)):
+        out.append(a[n] - _dot(kf[1:], a[n - 1:0:-1], zero) * Fraction(1, n))
+        kf.append(out[n] * n)
     return out
+
+
+def s_series_of(form, order: int) -> list:
+    """S(form * z) to z^order, for a polynomial or rational ``form``."""
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    f2 = form * form
+    power = form ** 0
+    out = [power]
+    for k in range(1, order + 1):
+        if k % 2:
+            out.append(form * 0)
+            continue
+        power = power * f2
+        l = k // 2
+        out.append(power * Fraction(1, 4**l * factorial(2 * l + 1)))
+    return out
+
+
+def s_series(order: int) -> list:
+    """S(z) to z^order as rationals; even, constant term 1."""
+    return s_series_of(Fraction(1), order)
+
+
+def s_quotient_series(names: Tuple[str, ...], order: int) -> list:
+    """prod_i S(x_i z) / S(z) to z^order, with layers over the variables ``names``."""
+    prod = [MultiPoly.const(c, names) for c in series_inverse(s_series(order))]
+    for name in names:
+        prod = series_product(prod, s_series_of(MultiPoly.var(name, names), order))
+    return prod
 
 
 # ----------------------------------------------------------------------

@@ -62,7 +62,7 @@ def make_term(grade: int, m: int, coeff, blocks: Optional[Sequence[int]] = None)
     if not isinstance(coeff, MultiPoly):
         coeff = MultiPoly.const(coeff, slot_names(m))
     else:
-        coeff = coeff.with_variables(slot_names(m)).drop_truncation()
+        coeff = coeff.with_variables(slot_names(m))
     if blocks is None:
         blocks = (1,) * m
     return SymbolTerm(grade, m, coeff, tuple(b for b in blocks if b))

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from qwk.algebra import GaussRat, I, MultiPoly, rat_str
+from qwk.special import series_layer, series_product
 
 
 def random_gauss(rng):
@@ -13,12 +14,12 @@ def random_gauss(rng):
                     Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
 
 
-def random_poly(rng, variables, max_deg=3, max_terms=4, truncation=None):
+def random_poly(rng, variables, max_deg=3, max_terms=4):
     terms = {}
     for _ in range(rng.randint(0, max_terms)):
         e = tuple(rng.randint(0, max_deg) for _ in variables)
         terms[e] = random_gauss(rng)
-    return MultiPoly(variables, terms, truncation)
+    return MultiPoly(variables, terms)
 
 
 def test_gaussrat_basics():
@@ -74,17 +75,15 @@ def test_mul_by_zero_absorbs():
 
 
 def test_truncated_product_example():
-    # (1 - z^2/24) * (1 + z^2/24 + z^4/1920) truncated at z^4
-    z2 = MultiPoly(("z",), {(2,): 1}, {"z": 4})
-    z4 = MultiPoly(("z",), {(4,): 1}, {"z": 4})
-    lhs = (MultiPoly.const(1, ("z",), {"z": 4}) - z2 * Fraction(1, 24))
-    rhs = (MultiPoly.const(1, ("z",), {"z": 4}) + z2 * Fraction(1, 24)
-           + z4 * Fraction(1, 1920))
-    prod = lhs * rhs
-    assert prod.coeff_extract({"z": 0}) == 1
-    assert prod.coeff_extract({"z": 2}) == 0
+    # (1 - z^2/24) * (1 + z^2/24 + z^4/1920) truncated at z^4, as z-layers
+    lhs = [Fraction(1), 0, Fraction(-1, 24), 0, 0]
+    rhs = [Fraction(1), 0, Fraction(1, 24), 0, Fraction(1, 1920)]
+    prod = series_product(lhs, rhs)
+    assert prod[0] == 1
+    assert prod[2] == 0
     # 1/1920 - 1/576 = -7/5760, exact
-    assert prod.coeff_extract({"z": 4}) == GaussRat(Fraction(-7, 5760))
+    assert prod[4] == Fraction(-7, 5760)
+    assert len(prod) == 5
 
 
 def test_ring_axioms_randomized():
@@ -112,31 +111,38 @@ def test_product_coefficient_is_convolution():
             assert prod.coeff_extract({"x": k}) == direct
 
 
-def test_truncation_discards_never_rounds():
+def as_z_poly(layers):
+    """sum_k layers[k] z^k as one polynomial, with no truncation."""
+    z = MultiPoly.var("z", ("z", "w"))
+    out = MultiPoly(("z", "w"))
+    for k, layer in enumerate(layers):
+        out = out + layer * z ** k
+    return out
+
+
+def test_layered_product_is_the_cut_full_product():
+    # the layered product discards, never rounds: it equals the untruncated
+    # product cut at the order, layer for layer
     rng = random.Random(6)
     for _ in range(100):
-        a = random_poly(rng, ("z", "w"), max_deg=4)
-        b = random_poly(rng, ("z", "w"), max_deg=4)
-        trunc = {"z": 3}
-        ta = MultiPoly(a.variables, a.terms, trunc)
-        tb = MultiPoly(b.variables, b.terms, trunc)
-        full = a * b
-        kept = {e: c for e, c in full.terms.items()
-                if e[full.variables.index("z")] <= 3
-                and a.terms and b.terms}
-        # truncated product == exact product followed by truncation, on the
-        # part of the inputs that survived their own truncation
-        expect = MultiPoly(full.variables,
-                           {e: c for e, c in (ta.drop_truncation() * tb.drop_truncation()).terms.items()
-                            if e[full.variables.index("z")] <= 3})
-        assert ta * tb == expect
+        order = rng.randint(0, 4)
+        a = [random_poly(rng, ("w",), max_deg=4) for _ in range(order + 1)]
+        b = [random_poly(rng, ("w",), max_deg=4) for _ in range(order + 1)]
+        full = as_z_poly(a) * as_z_poly(b)
+        prod = series_product(a, b)
+        assert len(prod) == order + 1
+        for k in range(order + 1):
+            assert prod[k] == full.coeff_of_var_power("z", k)
+            assert series_layer(a, b, k) == prod[k]
 
 
-def test_incompatible_truncations_rejected():
-    a = MultiPoly(("z",), {(1,): 1}, {"z": 3})
-    b = MultiPoly(("z",), {(1,): 1}, {"z": 5})
+def test_layers_of_different_orders_rejected():
+    a = [MultiPoly.const(1), MultiPoly.const(1), MultiPoly(()), MultiPoly(())]
+    b = a + [MultiPoly(()), MultiPoly(())]
     with pytest.raises(ValueError):
-        a * b
+        series_product(a, b)
+    with pytest.raises(ValueError):
+        series_layer(a, b, 3)
 
 
 def test_substitute_linear_examples():

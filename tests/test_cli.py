@@ -169,6 +169,13 @@ def test_empty_verification_grid_exits_2():
         assert "nothing to verify" in err and bound in err, err
 
 
+def test_hurwitz_oracle_degree_cap_above_count_cap_exits_2():
+    # a cap above DEFAULT_DEGREE_CAP would walk every partition up to it
+    code, out, err = run_cli("verify", "hurwitz-oracle", "--degree-cap", "21")
+    assert code == 2 and out == ""
+    assert "factorization-count cap 20" in err and '"degree_cap": 21' in err, err
+
+
 def test_bracket_oracle_cases_all_compare():
     code, out, _ = run_cli("verify", "bracket-oracle", "--cases", "3", "--modes", "3")
     assert code == 0

@@ -2,63 +2,113 @@
 
 import itertools
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
-from qwk.algebra import GaussRat, MultiPoly
+from qwk.algebra import MultiPoly
+from qwk.hurwitz import _s_quotient, mu_names
+from qwk.qkdv import hamiltonian_density
 from qwk.special import (ehrhart_brute_force, ehrhart_convolution,
                          eulerian_number, eulerian_polynomial, s_series,
-                         series_exp_log, series_inverse)
+                         series_exp_log, series_inverse, series_product)
+from qwk.symbols import slot_names
 
 
 def test_s_series_coefficients():
     s = s_series(16)
+    assert len(s) == 17
     for l in range(9):
-        assert s.coeff_extract({"z": 2 * l}) == GaussRat(
-            Fraction(1, 4**l * factorial(2 * l + 1)))
+        assert s[2 * l] == Fraction(1, 4**l * factorial(2 * l + 1))
         if 2 * l + 1 <= 16:
-            assert s.coeff_extract({"z": 2 * l + 1}) == 0
-    assert s_series(4) == MultiPoly(
-        ("z",), {(0,): 1, (2,): Fraction(1, 24), (4,): Fraction(1, 1920)}, {"z": 4})
-    assert s_series(0) == MultiPoly.const(1, ("z",), {"z": 0})
+            assert s[2 * l + 1] == 0
+    assert s_series(4) == [1, 0, Fraction(1, 24), 0, Fraction(1, 1920)]
+    assert s_series(0) == [1]
 
 
 def test_series_inverse_of_s():
-    inv = series_inverse(s_series(4), "z", 4)
-    assert inv.coeff_extract({"z": 0}) == 1
-    assert inv.coeff_extract({"z": 2}) == GaussRat(Fraction(-1, 24))
-    assert inv.coeff_extract({"z": 4}) == GaussRat(Fraction(7, 5760))
-    assert s_series(6) * series_inverse(s_series(6), "z", 6) == \
-        MultiPoly.const(1, ("z",), {"z": 6})
+    inv = series_inverse(s_series(4))
+    assert inv[0] == 1
+    assert inv[2] == Fraction(-1, 24)
+    assert inv[4] == Fraction(7, 5760)
+    assert series_product(s_series(6), series_inverse(s_series(6))) == [1, 0, 0, 0, 0, 0, 0]
 
 
 def test_series_inverse_geometric():
-    one_minus_t = MultiPoly(("t",), {(0,): 1, (1,): -1}, {"t": 3})
-    inv = series_inverse(one_minus_t, "t", 3)
-    assert inv == MultiPoly(("t",), {(0,): 1, (1,): 1, (2,): 1, (3,): 1}, {"t": 3})
-    assert series_inverse(MultiPoly.const(1, ("t",)), "t", 2) == \
-        MultiPoly.const(1, ("t",), {"t": 2})
+    assert series_inverse([1, -1, 0, 0]) == [1, 1, 1, 1]
+    assert series_inverse([1, 0, 0]) == [1, 0, 0]
     with pytest.raises(ValueError):
-        series_inverse(MultiPoly.var("t"), "t", 2)
+        series_inverse([0, 1, 0])
+    with pytest.raises(ValueError):
+        series_inverse([MultiPoly.var("t"), MultiPoly.const(1, ("t",))])
 
 
 def test_series_exp_log():
-    z = MultiPoly.var("z", ("z",), {"z": 3})
-    e = series_exp_log(z, "z", 3, "exp")
-    assert e == MultiPoly(("z",), {(0,): 1, (1,): 1, (2,): Fraction(1, 2),
-                                   (3,): Fraction(1, 6)}, {"z": 3})
-    minus_t = -MultiPoly.var("t", ("t",), {"t": 3})
-    log_val = series_exp_log(MultiPoly.const(1, ("t",), {"t": 3}) + minus_t, "t", 3, "log")
-    assert log_val == MultiPoly(("t",), {(1,): -1, (2,): Fraction(-1, 2),
-                                         (3,): Fraction(-1, 3)}, {"t": 3})
+    assert series_exp_log([0, 1, 0, 0], "exp") == [1, 1, Fraction(1, 2), Fraction(1, 6)]
+    assert series_exp_log([1, -1, 0, 0], "log") == [0, -1, Fraction(-1, 2), Fraction(-1, 3)]
     # exp(log(S)) round trip
     s = s_series(4)
-    assert series_exp_log(series_exp_log(s, "z", 4, "log"), "z", 4, "exp") == s
+    assert series_exp_log(series_exp_log(s, "log"), "exp") == s
     with pytest.raises(ValueError):
-        series_exp_log(MultiPoly.const(2, ("z",)), "z", 2, "log")
+        series_exp_log([2, 0, 0], "log")
     with pytest.raises(ValueError):
-        series_exp_log(MultiPoly.const(1, ("z",)), "z", 2, "exp")
+        series_exp_log([1, 0, 0], "exp")
+
+
+# ----------------------------------------------------------------------
+# untruncated oracle for prod_i S(x_i z) S(w z) / S(z)
+
+def _bernoulli(n):
+    b = [Fraction(1)]
+    for m in range(1, n + 1):
+        b.append(-sum(comb(m + 1, k) * b[k] for k in range(m)) / (m + 1))
+    return b
+
+
+def _explicit_product_top(names, g, with_total):
+    """[z^(2g)] of prod_i S(x_i z) (times S((x_1+..+x_m) z)) / S(z).
+
+    Every factor is an explicit polynomial in z up to z^(2g): S(xz) from its
+    Taylor coefficients, 1/S(z) = sum (2 - 2^(2l)) B_(2l) z^(2l) / (4^l (2l)!)
+    from the Bernoulli numbers.  The factors are multiplied in full, with no
+    truncation, and the sum x_1+..+x_m enters as a variable w that is
+    substituted after the z^(2g) coefficient is taken.
+    """
+    vs = tuple(names) + ("w", "z")
+    z = MultiPoly.var("z", vs)
+    bern = _bernoulli(2 * g)
+    prod = MultiPoly(vs)
+    for l in range(g + 1):
+        prod = prod + z ** (2 * l) * Fraction((2 - 4**l) * bern[2 * l], 4**l * factorial(2 * l))
+    for x in names + (("w",) if with_total else ()):
+        xz = MultiPoly.var(x, vs) * z
+        prod = prod * sum((xz ** (2 * l) * Fraction(1, 4**l * factorial(2 * l + 1))
+                           for l in range(g + 1)), MultiPoly(vs))
+    top = prod.coeff_of_var_power("z", 2 * g)
+    total = sum((MultiPoly.var(x, names) for x in names), MultiPoly(names))
+    return top.substitute("w", total)
+
+
+def test_densities_match_untruncated_product():
+    for d in range(-1, 11):
+        terms = {t.grade: t for t in hamiltonian_density(d, max_grade=3).terms}
+        for g in range(0, 4):
+            m = d + 2 - 2 * g
+            if m < 0:
+                assert g not in terms
+                continue
+            expect = _explicit_product_top(slot_names(m), g, True) * Fraction(1, factorial(m))
+            if expect.is_zero():
+                assert g not in terms, (d, g)
+                continue
+            assert terms[g].m == m and terms[g].blocks == ((m,) if m else ())
+            assert terms[g].coeff == expect, (d, g)
+
+
+def test_s_quotient_matches_untruncated_product():
+    for g in range(0, 4):
+        for n in range(1, 6):
+            assert _s_quotient(g, n) == _explicit_product_top(mu_names(n), g, False), (g, n)
 
 
 def brute_descents(n):
