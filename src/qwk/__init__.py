@@ -21,9 +21,9 @@ from .correlators import (CorrelatorKey, CorrelatorTable, constant_term,
                           series_coefficient, vanishes_by_level)
 from .hurwitz import (Partition, aut_factor, factorization_count,
                       hurwitz_correlator, one_part_number, one_part_polynomial)
-from .qkdv import (BracketBudget, bracket, hamiltonian_density,
-                   integrate_hamiltonian, nested_bracket)
-from .special import (EhrhartPoly, ehrhart_brute_force, ehrhart_convolution,
+from .qkdv import (bracket, hamiltonian_density, integrate_hamiltonian,
+                   nested_bracket)
+from .special import (ehrhart_brute_force, ehrhart_convolution,
                       eulerian_polynomial, s_series, series_exp_log,
                       series_inverse, series_product)
 from .symbols import (DiffPoly, FourierSymbol, SymbolTerm, d_dp0, d_x,

@@ -374,7 +374,7 @@ class MultiPoly:
         return total
 
     # ------------------------------------------------------------------
-    # substitution and renaming
+    # substitution
 
     def substitute(self, var: str, replacement: Union["MultiPoly", Scalar]) -> "MultiPoly":
         """Substitute a polynomial (or constant) for ``var``, exactly.
@@ -404,17 +404,6 @@ class MultiPoly:
                 result = result * replacement ** (last - k) + layer
             last = k
         return result * replacement ** last
-
-    def rename_vars(self, mapping: Mapping[str, str]) -> "MultiPoly":
-        vs = tuple(mapping.get(v, v) for v in self.variables)
-        if len(set(vs)) != len(vs):
-            raise ValueError("renaming collides")
-        return MultiPoly(vs, self.terms, _normalized=True)
-
-    def with_variables(self, vs: Iterable[str]) -> "MultiPoly":
-        """Reindex onto the given variable tuple (a superset of the support)."""
-        vs = tuple(vs)
-        return MultiPoly(vs, self._remap(vs), _normalized=True)
 
     # ------------------------------------------------------------------
 

@@ -13,7 +13,8 @@ marked approximation and never replaces the exact value.  Exit codes: 0 on
 success, 1 on any verification failure or oracle mismatch, 2 on usage errors,
 which include an empty verification grid (also --cases or --modes below 1,
 and a bracket-oracle case whose redraws all compare nothing), negative table
-bounds and a non-integer QWK_JOBS.
+bounds, a negative genus grade or insertion, a hurwitz --cap above the
+factorization-count cap and a non-integer QWK_JOBS.
 Verification grids run on a worker pool sized by --jobs (default from
 QWK_JOBS, else 1); output ordering is deterministic regardless of
 scheduling.
@@ -41,7 +42,7 @@ from .hurwitz import (DEFAULT_DEGREE_CAP, Partition, aut_factor,
 from .identities import (check_carlitz, check_eulerian_generating,
                          check_products_of_exponentials, check_sh_lemmas,
                          check_sinh_formula, check_variational)
-from .qkdv import (BracketBudget, bracket, monomial_mode_sum, symbol_to_weyl,
+from .qkdv import (bracket, monomial_mode_sum, symbol_to_weyl,
                    weyl_commutator_over_hbar)
 from .symbols import (DENSITY, INTEGRATED, FourierSymbol, make_term,
                       slot_names, symmetrize)
@@ -107,6 +108,9 @@ def cmd_correlator(args) -> int:
 
 
 def cmd_hurwitz(args) -> int:
+    if args.cap > DEFAULT_DEGREE_CAP:
+        raise ValueError(
+            f"--cap {args.cap} above the factorization-count cap {DEFAULT_DEGREE_CAP}")
     record: dict = {"kind": "hurwitz", "g": args.g}
     exit_code = 0
     if args.mu:
@@ -357,9 +361,9 @@ def _bracket_oracle_draw(rng: random.Random, modes: int) -> Optional[dict]:
     right = _random_symbol(rng, INTEGRATED)
     if left.is_zero() or right.is_zero():
         return None
-    budget = left.max_grade() + right.max_grade() + min(
+    max_grade = left.max_grade() + right.max_grade() + min(
         max(t.m for t in left.terms), max(t.m for t in right.terms))
-    sym = bracket(left, right, BracketBudget(budget))
+    sym = bracket(left, right, max_grade)
     direct = weyl_commutator_over_hbar(
         symbol_to_weyl(left, modes), symbol_to_weyl(right, modes), modes)
     via_symbol = symbol_to_weyl(sym, modes)
@@ -452,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle", action="store_true",
                    help="with --mu: compare against the factorization count")
     p.add_argument("--cap", type=int, default=DEFAULT_DEGREE_CAP,
-                   help="degree cap for the count")
+                   help=f"degree cap for the count, at most {DEFAULT_DEGREE_CAP}")
     p.add_argument("--decimal", action="store_true")
     p.set_defaults(func=cmd_hurwitz)
 

@@ -98,6 +98,8 @@ def one_part_number(g: int, mu: Partition) -> Rat:
 def hurwitz_correlator(d: Sequence[int], g: int) -> Rat:
     """Signed mu-coefficient of H_g/(r! d); 0 outside the level interval/parity."""
     d = tuple(d)
+    if g < 0 or any(x < 0 for x in d):
+        raise ValueError("negative genus grade or insertion")
     n = len(d)
     if 2 * g - 3 + n < 0:
         raise ValueError("need 2g-3+n >= 0")

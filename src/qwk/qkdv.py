@@ -19,6 +19,18 @@ single polynomial E_fwd because C^r has pure parity, and the engine asserts
 the gluing for every term (BracketBranchError on violation) instead of
 assuming it.
 
+The right operand is symmetrized on entry.  That is exact, because an
+integrated symbol's operator sees only its symmetrization, and free for a
+Hamiltonian, whose terms are already one symmetric block (m_r,).  A strike of
+q slots against a left term with blocks (b_1..b_k) is then a tuple of
+per-left-block counts (v_1..v_k) with sum q: left block i strikes its last
+v_i slots, the right operand strikes its last q slots, and the t-th struck
+left slot (blocks in order) meets right slot m_r-q+t through the mode k_t.
+The prefactor perm(m_r, q) * prod_i perm(b_i, v_i)/v_i! counts the ordered
+slot choices over the orderings of the modes within one left block.  The
+survivors keep their order: left blocks (b_i - v_i), then the right block
+(m_r - q).
+
 Each strike works on exponent tuples: both operands' terms are split into
 (strike-mode exponents, survivor exponents, coefficient) triples, and one
 double loop multiplies the splits grouped by strike-mode exponents, once per
@@ -31,7 +43,6 @@ are dropped eagerly, which keeps nested commutators desk-sized.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, perm
@@ -41,22 +52,11 @@ from .algebra import GaussRat, MultiPoly
 from .special import (ehrhart_convolution, power_of_sum, s_quotient_series,
                       s_series_of, series_layer)
 from .symbols import (DENSITY, INTEGRATED, FourierSymbol, SymbolTerm,
-                      eval_string_point, make_term, slot_names)
+                      eval_string_point, make_term, slot_names, symmetrize)
 
 
 class BracketBranchError(AssertionError):
     """Forward and reverse Ehrhart branches failed to glue into one polynomial."""
-
-
-@dataclass(frozen=True)
-class BracketBudget:
-    """Drop every term whose hbar grade exceeds ``max_hbar_grade``."""
-
-    max_hbar_grade: int
-
-    def __post_init__(self):
-        if self.max_hbar_grade < 0:
-            raise ValueError("budget must be >= 0")
 
 
 # ----------------------------------------------------------------------
@@ -109,59 +109,43 @@ def integrate_hamiltonian(h: FourierSymbol) -> FourierSymbol:
 # ----------------------------------------------------------------------
 # the commutator engine
 
-def _strike_matrices(row_caps: Tuple[int, ...], col_caps: Tuple[int, ...], q: int):
-    """All nonnegative len(rows) x len(cols) matrices with given total and margins capped."""
-    cells = [(i, j) for i in range(len(row_caps)) for j in range(len(col_caps))]
-
-    def rec(idx: int, remaining: int, rows: List[int], cols: List[int], acc: List[int]):
-        if idx == len(cells):
-            if remaining == 0:
-                yield tuple(acc)
-            return
-        i, j = cells[idx]
-        cap = min(remaining, row_caps[i] - rows[i], col_caps[j] - cols[j])
-        for v in range(cap + 1):
-            rows[i] += v
-            cols[j] += v
-            acc.append(v)
-            yield from rec(idx + 1, remaining - v, rows, cols, acc)
-            acc.pop()
-            rows[i] -= v
-            cols[j] -= v
-
-    yield from rec(0, q, [0] * len(row_caps), [0] * len(col_caps), [])
+def _strike_counts(caps: Tuple[int, ...], q: int):
+    """Every (v_1..v_k) with 0 <= v_i <= caps[i] and v_1+..+v_k = q, lexicographically."""
+    if not caps:
+        if q == 0:
+            yield ()
+        return
+    for v in range(min(caps[0], q) + 1):
+        for rest in _strike_counts(caps[1:], q - v):
+            yield (v,) + rest
 
 
-def bracket(left: FourierSymbol, right: FourierSymbol, budget: BracketBudget) -> FourierSymbol:
-    """(left * right - right * left) / hbar_u as a density symbol."""
+def bracket(left: FourierSymbol, right: FourierSymbol, max_grade: int) -> FourierSymbol:
+    """(left * right - right * left) / hbar_u as a density symbol, to hbar grade max_grade."""
     if left.kind != DENSITY:
         raise ValueError("left operand must be a density")
     if right.kind != INTEGRATED:
         raise ValueError("right operand must be integrated")
-    gmax = budget.max_hbar_grade
+    if max_grade < 0:
+        raise ValueError("max_grade must be >= 0")
+    rights = [tr for tr in symmetrize(right).terms if tr.m]
     merged: Dict[Tuple[int, Tuple[int, ...]], Dict[tuple, GaussRat]] = {}
 
     for tl in left.terms:
         if tl.m == 0:
             continue
-        phi = tl.coeff.with_variables(slot_names(tl.m)).terms
-        for tr in right.terms:
-            if tr.m == 0:
-                continue
-            psi = tr.coeff.with_variables(slot_names(tr.m)).terms
-            q_cap = min(tl.m, tr.m, gmax + 1 - tl.grade - tr.grade)
+        for tr in rights:
+            q_cap = min(tl.m, tr.m, max_grade + 1 - tl.grade - tr.grade)
             for q in range(1, q_cap + 1):
-                grade = tl.grade + tr.grade + q - 1
-                for mat in _strike_matrices(tl.blocks, tr.blocks, q):
-                    _bracket_piece(merged, tl, tr, q, grade, mat, phi, psi)
+                for counts in _strike_counts(tl.blocks, q):
+                    _bracket_piece(merged, tl, tr, tl.grade + tr.grade + q - 1, counts)
 
     out_terms = []
     for (grade, blocks), terms in merged.items():
-        m = sum(blocks)
-        poly = MultiPoly(slot_names(m), terms)
-        if poly.is_zero():
-            continue
-        out_terms.append(SymbolTerm(grade, m, poly, blocks))
+        if terms:
+            m = sum(blocks)
+            out_terms.append(
+                SymbolTerm(grade, m, MultiPoly(slot_names(m), terms, _normalized=True), blocks))
     out_terms.sort(key=lambda t: (t.grade, t.m, t.blocks))
     return FourierSymbol(DENSITY, tuple(out_terms))
 
@@ -199,45 +183,31 @@ def _product_by_k(left, right) -> Dict[Tuple[int, ...], Dict[tuple, GaussRat]]:
     return {k: bucket for k, bucket in out.items() if bucket}
 
 
-def _bracket_piece(merged, tl, tr, q, grade, mat, phi, psi):
-    nrows = len(tl.blocks)
-    ncols = len(tr.blocks)
-    rowsum = [0] * nrows
-    colsum = [0] * ncols
-    cell_count: Dict[Tuple[int, int], int] = {}
-    for idx, v in enumerate(mat):
-        if not v:
-            continue
-        i, j = divmod(idx, ncols)
-        rowsum[i] += v
-        colsum[j] += v
-        cell_count[(i, j)] = v
+def _bracket_piece(merged, tl: SymbolTerm, tr: SymbolTerm, grade: int,
+                   counts: Tuple[int, ...]):
+    """Add the strike of counts[i] slots of each left block i against tr's one block."""
+    q = sum(counts)
+    m_r = tr.m
+    # prefactor: ordered slot choices within each block, over the orderings of
+    # the modes struck from one left block
+    pref = Fraction(perm(m_r, q))
+    for b, v in zip(tl.blocks, counts):
+        pref *= Fraction(perm(b, v), factorial(v))
 
-    # prefactor: ordered position choices within blocks / cell multiplicities
-    pref = Fraction(1)
-    for i in range(nrows):
-        pref *= perm(tl.blocks[i], rowsum[i])
-    for j in range(ncols):
-        pref *= perm(tr.blocks[j], colsum[j])
-    for v in cell_count.values():
-        pref /= factorial(v)
-
-    # each block strikes its last rowsum/colsum slots; the cells take the
-    # modes k_1..k_q in row-major order, so struck_l[t] and struck_r[t] are
-    # the left and right slots struck against each other by k_t
-    next_l = [sum(tl.blocks[:i + 1]) - rowsum[i] for i in range(nrows)]
-    next_r = [sum(tr.blocks[:j + 1]) - colsum[j] for j in range(ncols)]
+    # left block i strikes its last counts[i] slots, block by block, and the
+    # right operand its last q slots, so struck_l[t] meets right slot m_r-q+t
+    # through the mode k_t
     struck_l: List[int] = []
-    struck_r: List[int] = []
-    for (i, j), v in cell_count.items():
-        for _ in range(v):
-            struck_l.append(next_l[i])
-            struck_r.append(next_r[j])
-            next_l[i] += 1
-            next_r[j] += 1
+    end = 0
+    for b, v in zip(tl.blocks, counts):
+        end += b
+        struck_l.extend(range(end - v, end))
     kept_l = [p for p in range(tl.m) if p not in struck_l]
-    kept_r = [p for p in range(tr.m) if p not in struck_r]
+    struck_r = list(range(m_r - q, m_r))
+    kept_r = list(range(m_r - q))
 
+    phi = tl.coeff.terms
+    psi = tr.coeff.terms
     fwd = _product_by_k(_split(phi, struck_l, kept_l, 1), _split(psi, struck_r, kept_r, -1))
     if not fwd:
         return
@@ -257,8 +227,7 @@ def _bracket_piece(merged, tl, tr, q, grade, mat, phi, psi):
     left_zeros = (0,) * len(kept_l)
     acc: Dict[tuple, GaussRat] = {}
     for k_exps, bucket in fwd.items():
-        c_poly = ehrhart_convolution(k_exps).poly  # univariate in N
-        for (n_exp,), cn in c_poly.terms.items():
+        for (n_exp,), cn in ehrhart_convolution(k_exps).terms.items():
             n_terms = [(left_zeros + e2, c2) for e2, c2 in
                        power_of_sum(slot_names(len(kept_r)), n_exp).terms.items()]
             for rest, c in bucket.items():
@@ -279,9 +248,9 @@ def _bracket_piece(merged, tl, tr, q, grade, mat, phi, psi):
     # survivors, each in slot order, which is exactly the canonical slot order
     # of new_blocks, so terms with equal (grade, blocks) merge by plain
     # exponent addition
-    new_blocks = tuple(b for b in
-                       [tl.blocks[i] - rowsum[i] for i in range(nrows)] +
-                       [tr.blocks[j] - colsum[j] for j in range(ncols)] if b)
+    new_blocks = tuple(b - v for b, v in zip(tl.blocks, counts) if b > v)
+    if m_r > q:
+        new_blocks += (m_r - q,)
     bucket = merged.setdefault((grade, new_blocks), {})
     for e, c in acc.items():
         v = c * pref
@@ -308,11 +277,10 @@ def nested_bracket(d_list: Sequence[int], g: int) -> Dict[int, GaussRat]:
         raise ValueError("insertions must be >= 0")
     if g < 0:
         raise ValueError("genus grade must be >= 0")
-    budget = BracketBudget(g)
     current = hamiltonian_density(d_list[0] - 1, max_grade=g)
     for d in d_list[1:]:
         right = integrate_hamiltonian(hamiltonian_density(d, max_grade=g))
-        current = bracket(current, right, budget)
+        current = bracket(current, right, g)
     return eval_string_point(current)
 
 
@@ -409,11 +377,10 @@ def symbol_to_weyl(s: FourierSymbol, mode_bound: int) -> WeylPoly:
     out: WeylPoly = {}
     for t in s.terms:
         vs = slot_names(t.m)
-        coeff = t.coeff.with_variables(vs)
         for assign in itertools.product(range(-mode_bound, mode_bound + 1), repeat=t.m):
             if s.kind == INTEGRATED and sum(assign) != 0:
                 continue
-            val = coeff.evaluate(dict(zip(vs, assign)))
+            val = t.coeff.evaluate(dict(zip(vs, assign)))
             if not val:
                 continue
             e = [0] * width

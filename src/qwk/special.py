@@ -24,7 +24,6 @@ engine's single-polynomial representation rests on them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -176,20 +175,8 @@ def eulerian_polynomial(n: int, var: str = "t") -> MultiPoly:
 # ----------------------------------------------------------------------
 # Ehrhart power-sum convolution
 
-@dataclass(frozen=True)
-class EhrhartPoly:
-    """Polynomial in N equal to the composition power sum for all integers N >= q."""
-
-    poly: MultiPoly          # univariate in ``N``
-    arity: int               # q, number of composition parts
-    exponents: Tuple[int, ...]
-
-    def __call__(self, n: int) -> GaussRat:
-        return self.poly.evaluate({"N": n})
-
-
 @lru_cache(maxsize=None)
-def _ehrhart_cached(r: Tuple[int, ...]) -> EhrhartPoly:
+def _ehrhart_cached(r: Tuple[int, ...]) -> MultiPoly:
     q = len(r)
     total = sum(r)
     degree = q - 1 + total
@@ -218,18 +205,20 @@ def _ehrhart_cached(r: Tuple[int, ...]) -> EhrhartPoly:
         for (e,), _c in acc.terms.items():
             if (e - degree) % 2 != 0:
                 raise AssertionError(f"Ehrhart parity violated at N^{e} for r={r}")
-    return EhrhartPoly(acc, q, r)
+    return acc
 
 
-def ehrhart_convolution(r: Sequence[int]) -> EhrhartPoly:
-    """The unique polynomial matching sum_{k_1+..+k_q=N, k_i>=1} prod k_i^{r_i} for N >= q."""
+def ehrhart_convolution(r: Sequence[int]) -> MultiPoly:
+    """The polynomial in N matching sum_{k_1+..+k_q=N, k_i>=1} prod k_i^{r_i} for N >= q.
+
+    It is symmetric in r, so one memo entry serves every ordering.
+    """
     r = tuple(r)
     if not r:
         raise ValueError("empty exponent list")
     if any(x < 0 for x in r):
         raise ValueError("negative exponent")
-    canon = _ehrhart_cached(tuple(sorted(r)))
-    return EhrhartPoly(canon.poly, canon.arity, r)
+    return _ehrhart_cached(tuple(sorted(r)))
 
 
 def ehrhart_brute_force(r: Sequence[int], n: int) -> Rat:
@@ -250,13 +239,9 @@ def ehrhart_brute_force(r: Sequence[int], n: int) -> Rat:
     return rec(0, n)
 
 
-def power_of_sum(variables: Tuple[str, ...], power: int) -> MultiPoly:
-    """(x_1 + ... + x_m)^power, cached for the bracket engine."""
-    return _power_of_sum_cached(variables, power)
-
-
 @lru_cache(maxsize=None)
-def _power_of_sum_cached(variables: Tuple[str, ...], power: int) -> MultiPoly:
+def power_of_sum(variables: Tuple[str, ...], power: int) -> MultiPoly:
+    """(x_1 + ... + x_m)^power; memoized, since the bracket engine asks for few distinct powers."""
     if not variables:
         return MultiPoly((), {(): GaussRat(1)} if power == 0 else {})
     s = MultiPoly(variables, {tuple(1 if i == j else 0 for i in range(len(variables))): GaussRat(1)

@@ -15,7 +15,10 @@ within each block.  Fully symmetric coefficients are the single-block case.
 Deferring full symmetrization keeps the commutator engine polynomial-sized;
 ``symmetrize`` canonicalizes when equality of symbols actually matters.
 
-Slot variables are always named a1..am, block by block, left to right.
+A term's coefficient is always a polynomial over exactly the slot variables
+a1..am, in that order (``SymbolTerm`` refuses anything else), so exponent
+tuples are positional: entry j is the exponent of slot j, block by block,
+left to right.
 """
 
 from __future__ import annotations
@@ -51,18 +54,17 @@ class SymbolTerm:
             raise ValueError("grade and slot count must be >= 0")
         if sum(self.blocks) != self.m:
             raise ValueError("blocks must partition the slots")
-        extra = set(self.coeff.variables) - set(slot_names(self.m))
-        if extra:
-            raise ValueError(f"coefficient uses non-slot variables {sorted(extra)}")
+        if self.coeff.variables != slot_names(self.m):
+            raise ValueError(f"coefficient variables {self.coeff.variables} "
+                             f"are not the slots a1..a{self.m}")
 
 
 def make_term(grade: int, m: int, coeff, blocks: Optional[Sequence[int]] = None) -> SymbolTerm:
-    """Build a term.  ``blocks`` promises within-block symmetry of the coefficient;
-    when omitted, no symmetry is assumed (singleton blocks)."""
+    """Build a term from a scalar or a polynomial over a1..am.  ``blocks`` promises
+    within-block symmetry of the coefficient; when omitted, no symmetry is
+    assumed (singleton blocks)."""
     if not isinstance(coeff, MultiPoly):
         coeff = MultiPoly.const(coeff, slot_names(m))
-    else:
-        coeff = coeff.with_variables(slot_names(m))
     if blocks is None:
         blocks = (1,) * m
     return SymbolTerm(grade, m, coeff, tuple(b for b in blocks if b))
@@ -179,17 +181,15 @@ def symmetrize_term(t: SymbolTerm) -> SymbolTerm:
     if t.m <= 1 or t.blocks == (t.m,):
         return SymbolTerm(t.grade, t.m, t.coeff, (t.m,) if t.m else ())
     cosets = _block_cosets(t.blocks)
-    vs = slot_names(t.m)
     acc: dict = {}
-    coeff = t.coeff.with_variables(vs)
     for perm in cosets:
-        for e, c in _apply_position_map(coeff, t.m, perm).items():
+        for e, c in _apply_position_map(t.coeff, t.m, perm).items():
             if e in acc:
                 acc[e] = acc[e] + c
             else:
                 acc[e] = c
     scale = Fraction(1, len(cosets))
-    poly = MultiPoly(vs, {e: c * scale for e, c in acc.items()})
+    poly = MultiPoly(t.coeff.variables, {e: c * scale for e, c in acc.items()})
     return SymbolTerm(t.grade, t.m, poly, (t.m,))
 
 
@@ -222,22 +222,14 @@ def d_x(s: FourierSymbol) -> FourierSymbol:
         vs = slot_names(t.m)
         total = MultiPoly(vs, {tuple(1 if i == j else 0 for i in range(t.m)): I
                                for j in range(t.m)})
-        out.append(SymbolTerm(t.grade, t.m, t.coeff.with_variables(vs) * total, t.blocks))
+        out.append(SymbolTerm(t.grade, t.m, t.coeff * total, t.blocks))
     return FourierSymbol(DENSITY, _merge_terms(tuple(out)))
 
 
-def _drop_slot(coeff: MultiPoly, m: int, pos: int, value) -> MultiPoly:
-    """Substitute slot ``pos`` (0-based) and rename the remaining slots canonically."""
-    vs = slot_names(m)
-    p = coeff.with_variables(vs).substitute(vs[pos], value)
-    mapping = {}
-    new = 1
-    for i in range(m):
-        if i == pos:
-            continue
-        mapping[vs[i]] = f"a{new}"
-        new += 1
-    return p.rename_vars(mapping).with_variables(slot_names(m - 1))
+def _drop_slot(coeff: MultiPoly, pos: int, value) -> MultiPoly:
+    """Substitute slot ``pos`` (0-based); the other slots keep their order as a1..a(m-1)."""
+    p = coeff.substitute(coeff.variables[pos], value)
+    return MultiPoly(slot_names(len(coeff.variables) - 1), p.terms)
 
 
 def _blocks_minus_one(blocks: Tuple[int, ...], bi: int) -> Tuple[int, ...]:
@@ -255,7 +247,7 @@ def d_dp0(s: FourierSymbol) -> FourierSymbol:
         start = 0
         for bi, size in enumerate(t.blocks):
             pos = start + size - 1
-            coeff = _drop_slot(t.coeff, t.m, pos, 0) * size
+            coeff = _drop_slot(t.coeff, pos, 0) * size
             out.append(SymbolTerm(t.grade, t.m - 1, coeff, _blocks_minus_one(t.blocks, bi)))
             start += size
     return FourierSymbol(s.kind, _merge_terms(tuple(out)))
@@ -267,10 +259,9 @@ def eval_string_point(s: FourierSymbol) -> Dict[int, GaussRat]:
         raise ValueError("string-point evaluation applies to density symbols")
     out: Dict[int, GaussRat] = {}
     for t in s.terms:
-        mono = {v: 1 for v in slot_names(t.m)}
-        c = t.coeff.coeff_extract(mono) * (-I) ** t.m
-        if c:
-            out[t.grade] = out.get(t.grade, GaussRat(0)) + c
+        c = t.coeff.terms.get((1,) * t.m)
+        if c is not None:
+            out[t.grade] = out.get(t.grade, GaussRat(0)) + c * (-I) ** t.m
     return {g: c for g, c in out.items() if c}
 
 
@@ -294,7 +285,7 @@ def mode_derivative_zero_mode(s: FourierSymbol) -> FourierSymbol:
                 others,
                 {tuple(1 if i == j else 0 for i in range(t.m - 1)): GaussRat(-1)
                  for j in range(t.m - 1)})
-            coeff = _drop_slot(t.coeff, t.m, pos, minus_others) * size
+            coeff = _drop_slot(t.coeff, pos, minus_others) * size
             out.append(SymbolTerm(t.grade, t.m - 1, coeff, _blocks_minus_one(t.blocks, bi)))
             start += size
     return FourierSymbol(DENSITY, _merge_terms(tuple(out)))
@@ -418,14 +409,13 @@ def to_diff_poly(s: FourierSymbol) -> DiffPoly:
         raise ValueError("conversion applies to density symbols")
     out = DiffPoly()
     for t in symmetrize(s).terms:
-        coeff = t.coeff.with_variables(slot_names(t.m))
         done = set()
-        for exps in coeff.terms:
+        for exps in t.coeff.terms:
             canon = tuple(sorted(exps))
             if canon in done:
                 continue
             done.add(canon)
-            gamma = coeff.terms[canon]  # symmetric: any orbit member carries gamma
+            gamma = t.coeff.terms[canon]  # symmetric: any orbit member carries gamma
             arrangements = Fraction(factorial(t.m))
             for v in set(canon):
                 arrangements /= factorial(canon.count(v))

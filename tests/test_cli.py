@@ -176,6 +176,22 @@ def test_hurwitz_oracle_degree_cap_above_count_cap_exits_2():
     assert "factorization-count cap 20" in err and '"degree_cap": 21' in err, err
 
 
+def test_hurwitz_negative_genus_or_insertion_exits_2():
+    for argv in (("--g", "1", "--d=-1,2"), ("--g", "-1", "--d", "0,0,0,0,0")):
+        code, out, err = run_cli("hurwitz", *argv)
+        assert code == 2 and out == "", argv
+        assert "negative genus grade or insertion" in err, err
+
+
+def test_hurwitz_cap_above_count_cap_exits_2():
+    # refused before any work, so a larger cap cannot lift the cost guard
+    code, out, err = run_cli("hurwitz", "--g", "1", "--mu", "3", "--oracle", "--cap", "30")
+    assert code == 2 and out == ""
+    assert "--cap 30 above the factorization-count cap 20" in err, err
+    code, out, _ = run_cli("hurwitz", "--g", "1", "--mu", "3", "--oracle", "--cap", "20")
+    assert code == 0 and json.loads(out)["match"] is True
+
+
 def test_bracket_oracle_cases_all_compare():
     code, out, _ = run_cli("verify", "bracket-oracle", "--cases", "3", "--modes", "3")
     assert code == 0

@@ -98,7 +98,7 @@ def test_one_part_divisibility():
             minus = MultiPoly(names[:-1],
                               {tuple(1 if i == j else 0 for i in range(n - 1)): -1
                                for j in range(n - 1)})
-            assert poly.with_variables(names).substitute(names[-1], minus).is_zero()
+            assert poly.substitute(names[-1], minus).is_zero()
 
 
 def test_hurwitz_correlator_examples():
@@ -107,6 +107,13 @@ def test_hurwitz_correlator_examples():
     assert hurwitz_correlator([1, 2], 1) == Fraction(1, 24)
     with pytest.raises(ValueError):
         hurwitz_correlator([1], 0)
+
+
+def test_hurwitz_correlator_refuses_negative_genus_or_insertion():
+    # like correlator: these used to fall outside the level interval and read 0
+    for d, g in (([-1, 2], 1), ([0, 0, 0, 0, 0], -1), ([3, -2, 0], 2)):
+        with pytest.raises(ValueError, match="negative genus grade or insertion"):
+            hurwitz_correlator(d, g)
 
 
 def test_hurwitz_tau0_examples():

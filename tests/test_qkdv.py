@@ -6,13 +6,13 @@ from fractions import Fraction
 import pytest
 
 from qwk.algebra import GaussRat, I, MultiPoly
-from qwk.qkdv import (BracketBudget, bracket, hamiltonian_density,
+from qwk.qkdv import (bracket, hamiltonian_density,
                       integrate_hamiltonian, monomial_mode_sum,
                       nested_bracket, symbol_to_weyl,
                       weyl_commutator_over_hbar)
 from qwk.symbols import (DENSITY, INTEGRATED, FourierSymbol, d_dp0, d_x,
-                         make_term, slot_names, symbols_equal, symmetrize,
-                         u0_symbol)
+                         density, make_term, slot_names, symbols_equal,
+                         symmetrize, u0_symbol)
 
 
 def test_hamiltonian_minus_one_is_u0():
@@ -54,8 +54,7 @@ def test_integrate_flags_kind():
 
 
 def test_bracket_h_minus1_hbar0():
-    out = bracket(hamiltonian_density(-1), integrate_hamiltonian(hamiltonian_density(0)),
-                  BracketBudget(0))
+    out = bracket(hamiltonian_density(-1), integrate_hamiltonian(hamiltonian_density(0)), 0)
     assert len(out.terms) == 1
     t = out.terms[0]
     assert (t.grade, t.m) == (0, 1)
@@ -65,14 +64,16 @@ def test_bracket_h_minus1_hbar0():
 def test_bracket_kind_checks():
     h = hamiltonian_density(0)
     with pytest.raises(ValueError):
-        bracket(h, h, BracketBudget(1))
+        bracket(h, h, 1)
     with pytest.raises(ValueError):
-        bracket(integrate_hamiltonian(h), integrate_hamiltonian(h), BracketBudget(1))
+        bracket(integrate_hamiltonian(h), integrate_hamiltonian(h), 1)
+    with pytest.raises(ValueError):
+        bracket(h, integrate_hamiltonian(h), -1)
 
 
 def test_bracket_with_hbar0_is_dx_over_i():
     # (1/h)[L, Hbar_0] == (1/i) d_x L for several densities L
-    budget = BracketBudget(3)
+    budget = 3
     hbar0 = integrate_hamiltonian(hamiltonian_density(0, max_grade=3))
     for d in range(-1, 4):
         left = hamiltonian_density(d, max_grade=2)
@@ -90,14 +91,14 @@ def test_nested_bracket_examples():
 
 
 def test_tau_symmetry():
-    budget = BracketBudget(3)
+    budget = 3
     for d1 in range(0, 5):
         for d2 in range(d1, 5):
-            left = bracket(hamiltonian_density(d1 - 1, max_grade=budget.max_hbar_grade),
-                           integrate_hamiltonian(hamiltonian_density(d2, max_grade=budget.max_hbar_grade)),
+            left = bracket(hamiltonian_density(d1 - 1, max_grade=budget),
+                           integrate_hamiltonian(hamiltonian_density(d2, max_grade=budget)),
                            budget)
-            right = bracket(hamiltonian_density(d2 - 1, max_grade=budget.max_hbar_grade),
-                            integrate_hamiltonian(hamiltonian_density(d1, max_grade=budget.max_hbar_grade)),
+            right = bracket(hamiltonian_density(d2 - 1, max_grade=budget),
+                            integrate_hamiltonian(hamiltonian_density(d1, max_grade=budget)),
                             budget)
             assert symbols_equal(left, right), (d1, d2)
 
@@ -119,18 +120,18 @@ def zero_mode_vanishes(sym: FourierSymbol) -> bool:
             tuple(vs[:-1]),
             {tuple(1 if i == j else 0 for i in range(m - 1)): GaussRat(-1)
              for j in range(m - 1)})
-        restricted = total.with_variables(vs).substitute(vs[-1], minus_others)
+        restricted = total.substitute(vs[-1], minus_others)
         if not restricted.is_zero():
             return False
     return True
 
 
 def test_quantum_integrability_zero_mode():
-    budget = BracketBudget(3)
+    budget = 3
     for d1 in range(0, 5):
         for d2 in range(d1, 5):
-            c = bracket(hamiltonian_density(d1, max_grade=budget.max_hbar_grade),
-                        integrate_hamiltonian(hamiltonian_density(d2, max_grade=budget.max_hbar_grade)),
+            c = bracket(hamiltonian_density(d1, max_grade=budget),
+                        integrate_hamiltonian(hamiltonian_density(d2, max_grade=budget)),
                         budget)
             assert zero_mode_vanishes(c), (d1, d2)
 
@@ -164,7 +165,7 @@ def test_bracket_against_weyl_oracle():
         trials += 1
         budget = left.max_grade() + right.max_grade() + min(
             max(t.m for t in left.terms), max(t.m for t in right.terms))
-        sym = bracket(left, right, BracketBudget(budget))
+        sym = bracket(left, right, budget)
         direct = weyl_commutator_over_hbar(
             symbol_to_weyl(left, modes), symbol_to_weyl(right, modes), modes)
         via = symbol_to_weyl(sym, modes)
@@ -183,7 +184,7 @@ def test_hamiltonian_bracket_against_weyl_oracle():
         left = hamiltonian_density(d1, max_grade=1)
         right = integrate_hamiltonian(hamiltonian_density(d2, max_grade=1))
         top = 1 + 1 + min(max(t.m for t in left.terms), max(t.m for t in right.terms))
-        sym = bracket(left, right, BracketBudget(top))
+        sym = bracket(left, right, top)
         direct = weyl_commutator_over_hbar(
             symbol_to_weyl(left, modes), symbol_to_weyl(right, modes), modes)
         via = symbol_to_weyl(sym, modes)
@@ -194,14 +195,14 @@ def test_hamiltonian_bracket_against_weyl_oracle():
 
 
 def test_multi_block_left_operand_against_weyl_oracle():
-    # a left operand with two-block terms, so some strike matrices have two
-    # nonzero rows: [H_1, Hbar_1] has blocks (2,2), (1,1) and (2)
+    # a left operand with two-block terms, so some strikes take slots from two
+    # left blocks: [H_1, Hbar_1] has blocks (2,2), (1,1) and (2)
     modes = 4
     left = bracket(hamiltonian_density(1, max_grade=1),
-                   integrate_hamiltonian(hamiltonian_density(1, max_grade=1)), BracketBudget(1))
+                   integrate_hamiltonian(hamiltonian_density(1, max_grade=1)), 1)
     assert {t.blocks for t in left.terms} == {(2, 2), (1, 1), (2,)}
     right = integrate_hamiltonian(hamiltonian_density(0, max_grade=1))
-    sym = bracket(left, right, BracketBudget(2))
+    sym = bracket(left, right, 2)
     direct = weyl_commutator_over_hbar(
         symbol_to_weyl(left, modes), symbol_to_weyl(right, modes), modes)
     via = symbol_to_weyl(sym, modes)
@@ -212,3 +213,46 @@ def test_multi_block_left_operand_against_weyl_oracle():
         comparisons += 1
         assert direct.get(key, GaussRat(0)) == via.get(key, GaussRat(0)), key
     assert comparisons == 52
+
+
+def unsymmetrized_integrated(rng, max_grade=1):
+    """An integrated operand with m = 2..3 slots and singleton blocks."""
+    terms = []
+    for _ in range(rng.randint(1, 2)):
+        m = rng.randint(2, 3)
+        exps = {}
+        for _ in range(rng.randint(1, 3)):
+            e = tuple(rng.randint(0, 1) for _ in range(m))
+            exps[e] = GaussRat(Fraction(rng.randint(-3, 3), rng.randint(1, 2)),
+                               Fraction(rng.randint(-1, 1)))
+        terms.append(make_term(rng.randint(0, max_grade), m, MultiPoly(slot_names(m), exps)))
+    return FourierSymbol(INTEGRATED, density(terms).terms)
+
+
+def test_unsymmetrized_right_operand_against_weyl_oracle():
+    # bracket symmetrizes its right operand on entry; feed it one that is not
+    rng = random.Random(7)
+    modes = 3
+    trials = nonzero = 0
+    comparisons = 0
+    while trials < 6:
+        left = random_symbol(rng, DENSITY)
+        right = unsymmetrized_integrated(rng)
+        if left.is_zero() or right.is_zero():
+            continue
+        trials += 1
+        assert all(t.blocks == (1,) * t.m for t in right.terms)
+        max_grade = left.max_grade() + right.max_grade() + min(
+            max(t.m for t in left.terms), max(t.m for t in right.terms))
+        sym = bracket(left, right, max_grade)
+        nonzero += not sym.is_zero()
+        assert symbols_equal(sym, bracket(left, symmetrize(right), max_grade))
+        direct = weyl_commutator_over_hbar(
+            symbol_to_weyl(left, modes), symbol_to_weyl(right, modes), modes)
+        via = symbol_to_weyl(sym, modes)
+        for key in set(direct) | set(via):
+            if monomial_mode_sum(key[1], modes) > modes:
+                continue
+            comparisons += 1
+            assert direct.get(key, GaussRat(0)) == via.get(key, GaussRat(0)), key
+    assert nonzero >= 4 and comparisons > 50

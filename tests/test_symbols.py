@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 
 from qwk.algebra import GaussRat, I, MultiPoly
-from qwk.symbols import (INTEGRATED, DiffPoly, FourierSymbol, d_dp0,
-                         d_x, density, eval_string_point, from_diff_poly,
+from qwk.symbols import (INTEGRATED, DiffPoly, FourierSymbol, SymbolTerm,
+                         d_dp0, d_x, density, eval_string_point, from_diff_poly,
                          make_term, mode_derivative_zero_mode, slot_names,
                          symbols_equal, symmetrize, to_diff_poly, u0_symbol,
                          variational_derivative)
@@ -41,6 +41,16 @@ def test_symmetrize_examples():
     # antisymmetric part dies
     t = make_term(0, 2, MultiPoly(slot_names(2), {(1, 0): 1, (0, 1): -1}))
     assert symmetrize(sym_of_terms(t)).is_zero()
+
+
+def test_coefficient_must_be_over_the_slots_in_order():
+    for variables in (("a1",), ("a2", "a1"), ("x", "y"), ("a1", "a2", "a3")):
+        poly = MultiPoly(variables, {(1,) * len(variables): 1})
+        with pytest.raises(ValueError):
+            SymbolTerm(0, 2, poly, (2,))
+        with pytest.raises(ValueError):
+            make_term(0, 2, poly)
+    assert make_term(0, 2, MultiPoly(slot_names(2), {(1, 0): 1})).blocks == (1, 1)
 
 
 def test_symmetrize_idempotent():
@@ -153,7 +163,7 @@ def brute_full_symmetrization(poly, m):
     acc = {}
     perms = list(itertools.permutations(range(m)))
     for perm in perms:
-        for e, c in poly.with_variables(vs).terms.items():
+        for e, c in poly.terms.items():
             key = [0] * m
             for i, x in enumerate(e):
                 key[perm[i]] = x
