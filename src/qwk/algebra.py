@@ -3,12 +3,15 @@
 Everything downstream is built on two types:
 
   GaussRat   a + b*i with a, b arbitrary-precision rationals (i**2 = -1)
-  MultiPoly  sparse polynomial over GaussRat with named variables
+  MultiPoly  sparse (Laurent) polynomial over GaussRat with named variables
 
 A polynomial is a dict mapping exponent tuples (aligned with the ``variables``
 tuple) to nonzero GaussRat coefficients.  The zero polynomial is the empty
-dict.  Values are immutable by convention: no operation mutates its inputs,
-so polynomials can be shared freely between workers.
+dict.  Exponents may be negative, so sums, products and comparisons also serve
+Laurent polynomials (the lattice sums of ``qwk.identities``), while
+``__pow__``, ``substitute``, ``degree`` and ``evaluate`` stay
+polynomial-only.  Values are immutable by convention: no operation mutates
+its inputs, so polynomials can be shared freely between workers.
 
 Truncated power series are not a MultiPoly feature: they are lists of
 coefficient layers, one per power of the series variable, and their kernels
@@ -20,6 +23,7 @@ No floating point is used anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 from typing import Iterable, Mapping, Optional, Union
 
 Rat = Fraction
@@ -142,12 +146,8 @@ ZERO = GaussRat(0)
 ONE = GaussRat(1)
 
 
-def _coerce(x: Scalar) -> GaussRat:
-    return x if isinstance(x, GaussRat) else GaussRat(x)
-
-
 class MultiPoly:
-    """Sparse multivariate polynomial over GaussRat.
+    """Sparse multivariate (Laurent) polynomial over GaussRat.
 
     ``variables`` fixes the exponent-tuple layout.
     """
@@ -165,14 +165,12 @@ class MultiPoly:
         clean: dict = {}
         if terms:
             for exps, c in terms.items():
-                g = _coerce(c)
+                g = GaussRat.of(c)
                 if not g:
                     continue
                 e = tuple(exps)
                 if len(e) != len(vs):
                     raise ValueError("exponent tuple length mismatch")
-                if any(x < 0 for x in e):
-                    raise ValueError("negative exponent")
                 if e in clean:
                     s = clean[e] + g
                     if s:
@@ -192,7 +190,7 @@ class MultiPoly:
     @staticmethod
     def const(c: Scalar, variables: Iterable[str] = ()) -> "MultiPoly":
         vs = tuple(variables)
-        g = _coerce(c)
+        g = GaussRat.of(c)
         terms = {(0,) * len(vs): g} if g else {}
         return MultiPoly(vs, terms, _normalized=True)
 
@@ -271,7 +269,7 @@ class MultiPoly:
 
     def __mul__(self, other: Union["MultiPoly", Scalar]) -> "MultiPoly":
         if not isinstance(other, MultiPoly):
-            c = _coerce(other)
+            c = GaussRat.of(other)
             if not c:
                 return MultiPoly(self.variables, {}, _normalized=True)
             return MultiPoly(self.variables,
@@ -363,15 +361,9 @@ class MultiPoly:
 
     def evaluate(self, assignment: Mapping[str, Scalar]) -> GaussRat:
         """Evaluate at a point; every variable must be assigned."""
-        vals = [_coerce(assignment[v]) for v in self.variables]
-        total = GaussRat(0)
-        for exps, c in self.terms.items():
-            t = c
-            for v, x in zip(vals, exps):
-                if x:
-                    t = t * v ** x
-            total = total + t
-        return total
+        vals = [assignment[v] for v in self.variables]
+        return sum((c * prod(v ** x for v, x in zip(vals, exps) if x)
+                    for exps, c in self.terms.items()), ZERO)
 
     # ------------------------------------------------------------------
     # substitution
@@ -413,7 +405,7 @@ class MultiPoly:
         parts = []
         for exps in sorted(self.terms, key=lambda e: (sum(e), e)):
             c = self.terms[exps]
-            mono = "*".join(f"{v}^{x}" if x > 1 else v
+            mono = "*".join(f"{v}^{x}" if x != 1 else v
                             for v, x in zip(self.variables, exps) if x)
             cs = c.to_str()
             if mono:

@@ -84,6 +84,8 @@ def one_part_number(g: int, mu: Partition) -> Rat:
     Unlike one_part_polynomial this also covers r = 0 (g = 0 with a single
     part), where d^(r-1) is the rational 1/d.
     """
+    if g < 0:
+        raise ValueError("negative genus grade")
     n = len(mu)
     r = 2 * g - 1 + n
     if r < 0:
@@ -151,6 +153,8 @@ def factorization_count(g: int, mu: Partition, cap: int = DEFAULT_DEGREE_CAP) ->
     The tuples are counted by cycle type of the partial product, starting
     from the type (d,) of sigma_0.
     """
+    if g < 0:
+        raise ValueError("negative genus grade")
     d = mu.degree
     if d > cap:
         raise ValueError(f"degree {d} above the factorization-count cap {cap}")

@@ -4,9 +4,10 @@ Every check returns an IdentityReport whose discrepancy is an exact rational;
 a pass is discrepancy exactly zero, never a tolerance.
 
 Hyperbolic identities are decided in the group algebra of half-integer
-linear forms: an ExpSum is a finite sum  c * e^(L/2)  with L an integer
-vector over a fixed basis, so sh and ch are two lattice terms and products
-never truncate.  Quotients like sh(k L)/sh(L) are eliminated exactly via
+linear forms: a finite sum  c * e^(L/2)  with L an integer vector over a
+fixed basis is a Laurent MultiPoly with exponent vector L, so sh and ch are
+two lattice terms and products never truncate.  Quotients like sh(k L)/sh(L)
+are eliminated exactly via
 
     sh(k L) / sh(L) = sum_{i=0..k-1} ch((k-1-2i) L).
 
@@ -14,8 +15,8 @@ Identities that are genuinely power series in an outer variable (the t-sums
 of the log/ratio lemmas, the exponential generating function of the Eulerian
 polynomials, the z-series of the products of exponentials) are checked
 coefficient-by-coefficient up to the requested order.  Such a series is a
-list of coefficient layers (rationals, MultiPoly or ExpSum), multiplied,
-inverted and exponentiated by the shared kernels of ``qwk.special``; powers
+list of coefficient layers (rationals or MultiPoly), multiplied, inverted
+and exponentiated by the shared kernels of ``qwk.special``; powers
 of 1/(1-t) ride along as an auxiliary symbol s that is eliminated exactly
 through the relation s*(1-t) = 1 at the end.
 """
@@ -26,7 +27,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .algebra import GaussRat, MultiPoly
 from .special import (eulerian_number, eulerian_polynomial, s_series_of,
@@ -67,75 +68,6 @@ def _series_minus(a: list, b: list) -> list:
 # ----------------------------------------------------------------------
 # exact exponential-lattice algebra
 
-class ExpSum:
-    """Finite sum of c * e^(L/2) over a fixed variable basis; L integer vectors."""
-
-    __slots__ = ("basis", "terms")
-
-    def __init__(self, basis: Tuple[str, ...], terms: Optional[dict] = None):
-        self.basis = basis
-        self.terms = {}
-        if terms:
-            for e, c in terms.items():
-                c = c if isinstance(c, GaussRat) else GaussRat(c)
-                if c:
-                    self.terms[e] = c
-
-    @staticmethod
-    def const(basis: Tuple[str, ...], c) -> "ExpSum":
-        return ExpSum(basis, {(0,) * len(basis): c})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ExpSum) and self.basis == other.basis and self.terms == other.terms
-
-    def __add__(self, other) -> "ExpSum":
-        if not isinstance(other, ExpSum):
-            other = ExpSum.const(self.basis, other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, GaussRat(0)) + c
-            if s:
-                out[e] = s
-            elif e in out:
-                del out[e]
-        r = ExpSum(self.basis)
-        r.terms = out
-        return r
-
-    def __neg__(self) -> "ExpSum":
-        r = ExpSum(self.basis)
-        r.terms = {e: -c for e, c in self.terms.items()}
-        return r
-
-    def __sub__(self, other) -> "ExpSum":
-        return self + (-other)
-
-    def __mul__(self, other) -> "ExpSum":
-        if not isinstance(other, ExpSum):
-            c = other if isinstance(other, GaussRat) else GaussRat(other)
-            r = ExpSum(self.basis)
-            if c:
-                r.terms = {e: v * c for e, v in self.terms.items()}
-            return r
-        out: dict = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                s = out.get(e, GaussRat(0)) + ca * cb
-                if s:
-                    out[e] = s
-                elif e in out:
-                    del out[e]
-        r = ExpSum(self.basis)
-        r.terms = out
-        return r
-
-    __rmul__ = __mul__
-
-
 def _form_vec(basis: Tuple[str, ...], form: Mapping[str, object]) -> Tuple[int, ...]:
     """Linear form as doubled-integer exponent vector (so halves are exact)."""
     out = []
@@ -147,21 +79,24 @@ def _form_vec(basis: Tuple[str, ...], form: Mapping[str, object]) -> Tuple[int, 
     return tuple(out)
 
 
-def sh(basis: Tuple[str, ...], form: Mapping[str, object]) -> ExpSum:
+# sh and ch add two one-term sums, so that for a zero form the two terms at
+# the zero vector combine (sh = 0, ch = 1) instead of one overwriting the other
+
+def sh(basis: Tuple[str, ...], form: Mapping[str, object]) -> MultiPoly:
     v = _form_vec(basis, form)
     half = Fraction(1, 2)
-    return ExpSum(basis, {v: half}) + ExpSum(basis, {tuple(-x for x in v): -half})
+    return MultiPoly(basis, {v: half}) + MultiPoly(basis, {tuple(-x for x in v): -half})
 
 
-def ch(basis: Tuple[str, ...], form: Mapping[str, object]) -> ExpSum:
+def ch(basis: Tuple[str, ...], form: Mapping[str, object]) -> MultiPoly:
     v = _form_vec(basis, form)
     half = Fraction(1, 2)
-    return ExpSum(basis, {v: half}) + ExpSum(basis, {tuple(-x for x in v): half})
+    return MultiPoly(basis, {v: half}) + MultiPoly(basis, {tuple(-x for x in v): half})
 
 
-def cheb_ratio(basis: Tuple[str, ...], k: int, form: Mapping[str, object]) -> ExpSum:
+def cheb_ratio(basis: Tuple[str, ...], k: int, form: Mapping[str, object]) -> MultiPoly:
     """sh(k*form)/sh(form) as a lattice element; 0 for k = 0."""
-    out = ExpSum(basis)
+    out = MultiPoly(basis)
     for i in range(k):
         scaled = {v: Fraction(form.get(v, 0)) * (k - 1 - 2 * i) for v in form}
         out = out + ch(basis, scaled)
@@ -261,7 +196,7 @@ def check_sh_lemmas(order: int) -> IdentityReport:
     # finite sum: sh(mu/2) * sum_{j=0..b} sh(mu j + nu) == sh(mu(b+1)/2) sh(mu b/2 + nu)
     bm = ("mu", "nu")
     for b in range(0, min(order, 6) + 1):
-        total = ExpSum(bm)
+        total = MultiPoly(bm)
         for j in range(b + 1):
             total = total + sh(bm, {"mu": j, "nu": 1})
         lhs = sh(bm, {"mu": Fraction(1, 2)}) * total
@@ -288,7 +223,7 @@ def check_sh_lemmas(order: int) -> IdentityReport:
     prod_all = shs["A1"] * shs["A2"] * shs["B"] * sh_all
     for a in range(0, 3):
         for b in range(0, 4):
-            lhs = ExpSum(b5)
+            lhs = MultiPoly(b5)
             for j in range(b + 1):
                 lhs = lhs + (sh(b5, {"A1": a + j, "A2": a + j, "X": 1})
                              * sh(b5, {"A1": b - j, "B": b - j})
@@ -306,7 +241,7 @@ def check_sh_lemmas(order: int) -> IdentityReport:
                 (ch(b5, {"A1": 1, "A2": 1, "B": 1}), shs["A1"] * shs["A2"] * shs["B"],
                  sh(b5, {"A1": b, "A2": b, "B": b}), sh(b5, {"A1": -a, "A2": -a - b, "X": -1})),
             ]
-            rhs = ExpSum(b5)
+            rhs = MultiPoly(b5)
             for c, rest, s1, s2 in pieces:
                 rhs = rhs + c * rest * s1 * s2
             record(f"main-lemma-a{a}-b{b}", _discrepancy(lhs - rhs))
@@ -321,11 +256,11 @@ def check_sh_lemmas(order: int) -> IdentityReport:
 
     # ratio lemma: sh(A+B) * (1-te^{A-B})(1-te^{B-A}) / ((1-te^{A+B})(1-te^{-A-B}))
     #            == sh(A+B) + 4 sh(A) sh(B) sum_k sh(k(A+B)) t^k
-    one = ExpSum.const(bab, 1)
+    one = MultiPoly.const(1, bab)
 
-    def quadratic(middle: ExpSum) -> List[ExpSum]:
+    def quadratic(middle: MultiPoly) -> List[MultiPoly]:
         """1 + middle * t + t^2 as a t-series to the order."""
-        return [one, middle, one] + [ExpSum(bab)] * (order - 2)
+        return [one, middle, one] + [MultiPoly(bab)] * (order - 2)
 
     ratio = series_product(quadratic(ch(bab, {"A": 1, "B": -1}) * Fraction(-2)),
                            series_inverse(quadratic(ch(bab, {"A": 1, "B": 1}) * Fraction(-2))))
@@ -338,7 +273,7 @@ def check_sh_lemmas(order: int) -> IdentityReport:
     half = Fraction(1, 2)
     ratio_h = series_product(quadratic(ch(bab, {"A": half, "B": -half}) * Fraction(-2)),
                              series_inverse(quadratic(ch(bab, {"A": half, "B": half}) * Fraction(-2))))
-    arg = [ExpSum(bab)] + [sh(bab, {"A": Fraction(k, 2)}) * sh(bab, {"B": Fraction(k, 2)}) * Fraction(4, k)
+    arg = [MultiPoly(bab)] + [sh(bab, {"A": Fraction(k, 2)}) * sh(bab, {"B": Fraction(k, 2)}) * Fraction(4, k)
                            for k in range(1, order + 1)]
     record("eulerian-fin-1", _discrepancy(_series_minus(series_exp_log(arg, "exp"), ratio_h)))
 
@@ -371,8 +306,8 @@ def check_sinh_formula(n: int, a: Sequence[int], b: int, order: int) -> Identity
     basis = tuple(f"A{i}" for i in range(1, n + 1)) + ("B",) + tuple(f"X{i}" for i in range(2, n + 1))
     a_of = {i: a[i - 2] for i in range(2, n + 1)}
 
-    def phi_factor(i_of: Dict[int, int]) -> ExpSum:
-        out = ExpSum.const(basis, 1)
+    def phi_factor(i_of: Dict[int, int]) -> MultiPoly:
+        out = MultiPoly.const(1, basis)
         for r in range(2, n + 1):
             form: Dict[str, Fraction] = {f"X{r}": Fraction(1)}
             for j in range(1, r + 1):
@@ -381,7 +316,7 @@ def check_sinh_formula(n: int, a: Sequence[int], b: int, order: int) -> Identity
             out = out * sh(basis, form)
         return out
 
-    lhs = ExpSum(basis)
+    lhs = MultiPoly(basis)
     subsets = [T for T in _subsets(range(1, n + 1)) if T]
     for T in subsets:
         for js in _compositions(b, len(T)):
@@ -459,21 +394,21 @@ def check_products_of_exponentials(n: int, a_vals: Sequence[int], order: int) ->
     def s_int(c: int) -> list:
         return s_series_of(Fraction(c), order)
 
-    def unit() -> List[ExpSum]:
-        return [ExpSum.const(basis, 1)] + [ExpSum(basis)] * order
+    def unit() -> List[MultiPoly]:
+        return [MultiPoly.const(1, basis)] + [MultiPoly(basis)] * order
 
     # the product runs over i of (prod_{j<i} exp(pair term) - 1)
     laurent = unit()
     for i in range(2, n + 1):
         group = unit()
         for j in range(1, i):
-            arg = [ExpSum(basis)] * (order + 1)
+            arg = [MultiPoly(basis)] * (order + 1)
             for k in range(1, k_max + 1):
                 vec = [0] * (n - 1)
                 vec[i - 2] += 2 * k
                 if j >= 2:
                     vec[j - 2] -= 2 * k
-                t_pow = ExpSum(basis, {tuple(vec): a_vals[i - 1] * a_vals[j - 1] * k})
+                t_pow = MultiPoly(basis, {tuple(vec): a_vals[i - 1] * a_vals[j - 1] * k})
                 pair = series_product(s_int(k * a_vals[i - 1]), s_int(k * a_vals[j - 1]))
                 for l in range(2, order + 1):  # the pair term carries z^2
                     arg[l] = arg[l] + t_pow * pair[l - 2]

@@ -34,7 +34,9 @@ survivors keep their order: left blocks (b_i - v_i), then the right block
 Each strike works on exponent tuples: both operands' terms are split into
 (strike-mode exponents, survivor exponents, coefficient) triples, and one
 double loop multiplies the splits grouped by strike-mode exponents, once per
-branch with the signs swapped.
+branch with the signs swapped.  The Ehrhart expansion of the forward product,
+with the prefactor folded into the Ehrhart coefficients, lands straight in the
+output term of the strike's (grade, blocks).
 
 Budget-based truncation by hbar grade is mandatory: terms above the budget
 are dropped eagerly, which keeps nested commutators desk-sized.
@@ -67,8 +69,6 @@ def _hamiltonian_term(d: int, g: int) -> Optional[SymbolTerm]:
     m = d + 2 - 2 * g
     if m < 0:
         return None
-    if g == 0:
-        return make_term(0, m, Fraction(1, factorial(m)), blocks=(m,) if m else ())
     order = 2 * g
     slots = slot_names(m)
     prod = s_quotient_series(slots, order)
@@ -223,11 +223,19 @@ def _bracket_piece(merged, tl: SymbolTerm, tr: SymbolTerm, grade: int,
                 raise BracketBranchError(
                     f"branch mismatch at k-exponents {k_exps}: {ca} vs {cb}")
 
-    # E_fwd(N) with N := sum of surviving right slots, via the Ehrhart convolution
+    # E_fwd(N) with N := sum of surviving right slots, via the Ehrhart
+    # convolution.  Survivor exponents are laid out as the left survivors,
+    # then the right survivors, each in slot order, which is exactly the
+    # canonical slot order of new_blocks, so every expanded term is added
+    # straight into the output term of (grade, new_blocks), prefactor included
+    new_blocks = tuple(b - v for b, v in zip(tl.blocks, counts) if b > v)
+    if m_r > q:
+        new_blocks += (m_r - q,)
+    out = merged.setdefault((grade, new_blocks), {})
     left_zeros = (0,) * len(kept_l)
-    acc: Dict[tuple, GaussRat] = {}
     for k_exps, bucket in fwd.items():
         for (n_exp,), cn in ehrhart_convolution(k_exps).terms.items():
+            cn = cn * pref
             n_terms = [(left_zeros + e2, c2) for e2, c2 in
                        power_of_sum(slot_names(len(kept_r)), n_exp).terms.items()]
             for rest, c in bucket.items():
@@ -235,31 +243,12 @@ def _bracket_piece(merged, tl: SymbolTerm, tr: SymbolTerm, grade: int,
                 for e2, c2 in n_terms:
                     e = tuple(a + b for a, b in zip(rest, e2))
                     v = base * c2
-                    prev = acc.get(e)
+                    prev = out.get(e)
                     s = prev + v if prev is not None else v
                     if s:
-                        acc[e] = s
+                        out[e] = s
                     elif prev is not None:
-                        del acc[e]
-    if not acc:
-        return
-
-    # survivor exponents are laid out as the left survivors, then the right
-    # survivors, each in slot order, which is exactly the canonical slot order
-    # of new_blocks, so terms with equal (grade, blocks) merge by plain
-    # exponent addition
-    new_blocks = tuple(b - v for b, v in zip(tl.blocks, counts) if b > v)
-    if m_r > q:
-        new_blocks += (m_r - q,)
-    bucket = merged.setdefault((grade, new_blocks), {})
-    for e, c in acc.items():
-        v = c * pref
-        prev = bucket.get(e)
-        s = prev + v if prev is not None else v
-        if s:
-            bucket[e] = s
-        elif prev is not None:
-            del bucket[e]
+                        del out[e]
 
 
 # ----------------------------------------------------------------------

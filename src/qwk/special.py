@@ -6,7 +6,7 @@ Contents:
     which carries every intersection-number coefficient in the engine;
   * truncated power series as lists of coefficient layers: layer k is the
     coefficient of z^k, for k up to the order len(layers) - 1, and a layer is
-    a MultiPoly, an identities.ExpSum or a plain rational.  The kernels for
+    a MultiPoly (Laurent ones included) or a plain rational.  The kernels for
     product, inverse, exp and log are the only truncated-series arithmetic in
     the package; a product forms only the layer pairs i + j <= order, so
     nothing above the cutoff is ever computed.  The series

@@ -74,6 +74,15 @@ def test_mul_by_zero_absorbs():
     assert (p * zero).is_zero()
 
 
+def test_laurent_exponents():
+    x = MultiPoly(("x",), {(1,): 1})
+    x_inv = MultiPoly(("x",), {(-1,): 1})
+    assert x * x_inv == 1
+    assert (x + x_inv) * (x - x_inv) == MultiPoly(("x",), {(2,): 1, (-2,): -1})
+    with pytest.raises(ValueError, match="negative power"):
+        x ** -1
+
+
 def test_truncated_product_example():
     # (1 - z^2/24) * (1 + z^2/24 + z^4/1920) truncated at z^4, as z-layers
     lhs = [Fraction(1), 0, Fraction(-1, 24), 0, 0]

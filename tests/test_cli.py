@@ -183,6 +183,13 @@ def test_hurwitz_negative_genus_or_insertion_exits_2():
         assert "negative genus grade or insertion" in err, err
 
 
+def test_hurwitz_negative_genus_partition_exits_2():
+    for argv in (("--mu", "1,1,1,1"), ("--mu", "1,1,1,1", "--oracle")):
+        code, out, err = run_cli("hurwitz", "--g", "-1", *argv)
+        assert code == 2 and out == "", argv
+        assert "negative genus grade" in err, err
+
+
 def test_hurwitz_cap_above_count_cap_exits_2():
     # refused before any work, so a larger cap cannot lift the cost guard
     code, out, err = run_cli("hurwitz", "--g", "1", "--mu", "3", "--oracle", "--cap", "30")

@@ -116,6 +116,15 @@ def test_hurwitz_correlator_refuses_negative_genus_or_insertion():
             hurwitz_correlator(d, g)
 
 
+def test_one_part_number_and_count_refuse_negative_genus():
+    # at g = -1 with four parts r = 1, so neither call refused before
+    mu = Partition((1, 1, 1, 1))
+    with pytest.raises(ValueError, match="negative genus grade"):
+        one_part_number(-1, mu)
+    with pytest.raises(ValueError, match="negative genus grade"):
+        factorization_count(-1, mu)
+
+
 def test_hurwitz_tau0_examples():
     assert hurwitz_correlator([0, 3], 1) == Fraction(1, 24)
     assert hurwitz_correlator([0, 0, 0], 0) == 1

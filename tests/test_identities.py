@@ -37,8 +37,12 @@ def test_sh_lemmas():
         assert report.ok, report.params
 
 
-def test_expsum_helpers():
+def test_lattice_helpers():
     basis = ("x",)
+    # a zero form: sh(0) == 0 and ch(0) == 1, the two zero-vector terms combine
+    assert sh(basis, {"x": 0}).is_zero()
+    assert ch(basis, {"x": 0}) == 1
+    assert ch(basis, {}) == 1
     # sh(2x)/sh(x) == 2 ch(x)
     assert cheb_ratio(basis, 2, {"x": 1}) == ch(basis, {"x": 1}) * Fraction(2)
     assert cheb_ratio(basis, 0, {"x": 1}).is_zero()
