@@ -8,8 +8,9 @@ Everything downstream is built on two types:
 A polynomial is a dict mapping exponent tuples (aligned with the ``variables``
 tuple) to nonzero GaussRat coefficients.  The zero polynomial is the empty
 dict.  Exponents may be negative, so sums, products and comparisons also serve
-Laurent polynomials (the lattice sums of ``qwk.identities``), while
-``__pow__``, ``substitute``, ``degree`` and ``evaluate`` stay
+Laurent polynomials (the lattice sums of ``qwk.identities``), and
+``evaluate`` takes a negative power of a value exactly (zero raises
+ZeroDivisionError), while ``__pow__``, ``substitute`` and ``degree`` stay
 polynomial-only.  Values are immutable by convention: no operation mutates
 its inputs, so polynomials can be shared freely between workers.
 
@@ -362,7 +363,8 @@ class MultiPoly:
     def evaluate(self, assignment: Mapping[str, Scalar]) -> GaussRat:
         """Evaluate at a point; every variable must be assigned."""
         vals = [assignment[v] for v in self.variables]
-        return sum((c * prod(v ** x for v, x in zip(vals, exps) if x)
+        return sum((c * prod(v ** x if x > 0 else GaussRat.of(v) ** x
+                             for v, x in zip(vals, exps) if x)
                     for exps, c in self.terms.items()), ZERO)
 
     # ------------------------------------------------------------------

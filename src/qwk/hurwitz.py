@@ -5,7 +5,10 @@ branch points) is
 
     H_g(mu) = r! * (mu_1+..+mu_n)^(r-1) * [z^(2g)] prod_i S(mu_i z) / S(z),
 
-a polynomial in the parts.  A Hurwitz correlator extracts one monomial:
+a polynomial in the parts.  The quotient is ``special.s_quotient``, the one
+the Hamiltonian densities are built from, so the polynomials here are over
+its slot variables a1..an: part mu_i is slot a_i.  A Hurwitz correlator
+extracts one monomial:
 
     <<tau_{d_1}..tau_{d_n}>>_g = (-1)^((4g-3+n-sum d)/2) [mu^d] ( H_g / (r! d) ),
 
@@ -28,12 +31,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial
 from typing import Dict, Iterator, Sequence, Tuple
 
 from .algebra import MultiPoly, Rat
-from .special import power_of_sum, s_quotient_series
+from .special import power_of_sum, s_quotient, slot_names
 
 DEFAULT_DEGREE_CAP = 20
 
@@ -57,25 +59,12 @@ class Partition:
         return len(self.parts)
 
 
-def mu_names(n: int) -> Tuple[str, ...]:
-    return tuple(f"mu{i}" for i in range(1, n + 1))
-
-
-@lru_cache(maxsize=None)
-def _s_quotient(g: int, n: int) -> MultiPoly:
-    """[z^(2g)] of prod_i S(mu_i z) / S(z), a polynomial in mu_1..mu_n."""
-    return s_quotient_series(mu_names(n), 2 * g)[2 * g]
-
-
 def one_part_polynomial(g: int, n: int) -> MultiPoly:
-    """r! * (sum mu)^(r-1) * [z^(2g)] prod S(mu_i z)/S(z), with r = 2g-1+n."""
+    """r! * (sum a)^(r-1) * [z^(2g)] prod S(a_i z)/S(z) over a1..an, with r = 2g-1+n."""
     r = 2 * g - 1 + n
     if r - 1 < 0:
         raise ValueError("need 2g-2+n >= 0")
-    poly = _s_quotient(g, n) * factorial(r)
-    if r - 1 > 0:
-        poly = poly * power_of_sum(mu_names(n), r - 1)
-    return poly
+    return s_quotient(g, n) * factorial(r) * power_of_sum(n, r - 1)
 
 
 def one_part_number(g: int, mu: Partition) -> Rat:
@@ -90,8 +79,7 @@ def one_part_number(g: int, mu: Partition) -> Rat:
     r = 2 * g - 1 + n
     if r < 0:
         raise ValueError("negative number of simple branch points")
-    base = _s_quotient(g, n)
-    v = base.evaluate(dict(zip(mu_names(n), mu.parts)))
+    v = s_quotient(g, n).evaluate(dict(zip(slot_names(n), mu.parts)))
     if not v.is_real():
         raise ArithmeticError("non-real Hurwitz value")
     return v.re * factorial(r) * Fraction(mu.degree) ** (r - 1)
@@ -110,12 +98,9 @@ def hurwitz_correlator(d: Sequence[int], g: int) -> Rat:
         return Fraction(0)
     if total < 2 * g - 3 + n or total > 4 * g - 3 + n:
         return Fraction(0)
-    # H/(r! d) = (sum mu)^(2g-3+n) [z^(2g)] prod S / S
-    poly = _s_quotient(g, n)
-    e = 2 * g - 3 + n
-    if e:
-        poly = poly * power_of_sum(mu_names(n), e)
-    c = poly.coeff_extract(dict(zip(mu_names(n), d)))
+    # H/(r! d) = (sum a)^(2g-3+n) [z^(2g)] prod S / S
+    poly = s_quotient(g, n) * power_of_sum(n, 2 * g - 3 + n)
+    c = poly.coeff_extract(dict(zip(slot_names(n), d)))
     sign = -1 if ((4 * g - 3 + n - total) // 2) % 2 else 1
     value = c * sign
     if not value.is_real():

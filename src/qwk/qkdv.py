@@ -3,11 +3,15 @@
 The density H_d carries one term per genus grade g with m = d+2-2g slots and
 coefficient
 
-    (1/m!) * [z^(2g)]  S(a_1 z) ... S(a_m z) S((a_1+..+a_m) z) / S(z),
+    (1/m!) * [z^(2g)]  S(a_1 z) ... S(a_m z) S((a_1+..+a_m) z) / S(z)
+        = Q_g(a_1, .., a_m, a_1+..+a_m) / m!,
 
-a symmetric polynomial of degree 2g in the slots.  The commutator engine
-computes (L*R - R*L)/hbar_u for a density L and an integrated R, where * is
-the normal-ordered star product
+a symmetric polynomial of degree 2g in the slots.  Q_g is the quotient
+``special.s_quotient`` that the one-part Hurwitz formula reads too: the term
+is Q_g on m+1 slots with its last slot set to the sum of the others.
+
+The commutator engine computes (L*R - R*L)/hbar_u for a density L and an
+integrated R, where * is the normal-ordered star product
 
     f * g = f exp( sum_{k>0} hbar_u k  d/dp_k(left) d/dp_{-k}(right) ) g.
 
@@ -51,10 +55,9 @@ from math import factorial, perm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import GaussRat, MultiPoly
-from .special import (ehrhart_convolution, power_of_sum, s_quotient_series,
-                      s_series_of, series_layer)
+from .special import ehrhart_convolution, power_of_sum, s_quotient, slot_names
 from .symbols import (DENSITY, INTEGRATED, FourierSymbol, SymbolTerm,
-                      eval_string_point, make_term, slot_names, symmetrize)
+                      eval_string_point, make_term, symmetrize)
 
 
 class BracketBranchError(AssertionError):
@@ -69,19 +72,10 @@ def _hamiltonian_term(d: int, g: int) -> Optional[SymbolTerm]:
     m = d + 2 - 2 * g
     if m < 0:
         return None
-    order = 2 * g
-    slots = slot_names(m)
-    prod = s_quotient_series(slots, order)
-    if m:
-        # only the z^(2g) layer of the product with S((a_1+..+a_m) z) is formed
-        total = MultiPoly(slots, {tuple(int(i == j) for i in range(m)): 1 for j in range(m)})
-        top = series_layer(prod, s_series_of(total, order), order)
-    else:
-        top = prod[order]
-    coeff = top * Fraction(1, factorial(m))
+    coeff = s_quotient(g, m + 1).substitute(f"a{m + 1}", power_of_sum(m, 1))
     if coeff.is_zero():
         return None
-    return make_term(g, m, coeff, blocks=(m,) if m else ())
+    return make_term(g, m, coeff * Fraction(1, factorial(m)), blocks=(m,))
 
 
 def hamiltonian_density(d: int, max_grade: Optional[int] = None) -> FourierSymbol:
@@ -90,6 +84,8 @@ def hamiltonian_density(d: int, max_grade: Optional[int] = None) -> FourierSymbo
         raise ValueError("d must be >= -1")
     g_top = (d + 2) // 2
     if max_grade is not None:
+        if max_grade < 0:
+            raise ValueError("max_grade must be >= 0")
         g_top = min(g_top, max_grade)
     terms = []
     for g in range(g_top + 1):
@@ -237,7 +233,7 @@ def _bracket_piece(merged, tl: SymbolTerm, tr: SymbolTerm, grade: int,
         for (n_exp,), cn in ehrhart_convolution(k_exps).terms.items():
             cn = cn * pref
             n_terms = [(left_zeros + e2, c2) for e2, c2 in
-                       power_of_sum(slot_names(len(kept_r)), n_exp).terms.items()]
+                       power_of_sum(len(kept_r), n_exp).terms.items()]
             for rest, c in bucket.items():
                 base = c * cn
                 for e2, c2 in n_terms:

@@ -9,8 +9,13 @@ Contents:
     a MultiPoly (Laurent ones included) or a plain rational.  The kernels for
     product, inverse, exp and log are the only truncated-series arithmetic in
     the package; a product forms only the layer pairs i + j <= order, so
-    nothing above the cutoff is ever computed.  The series
-    prod_i S(x_i z) / S(z) is shared by the densities and the Hurwitz formula;
+    nothing above the cutoff is ever computed;
+  * the quotient Q_g(a_1..a_n) = [z^(2g)] prod_i S(a_i z) / S(z) over the
+    slots a1..an, memoized as ``s_quotient(g, n)``.  Both routes read it: a
+    density term is Q_g(a_1..a_m, a_1+..+a_m) / m!, and the one-part Hurwitz
+    formula is Q_g(mu_1..mu_n) times a power of the degree;
+  * ``power_of_sum(n, power)`` = (a_1+..+a_n)^power over the same slots,
+    memoized by slot count;
   * Eulerian polynomials E_n(t) via the descent recurrence;
   * the power-sum convolution C^r(N) = sum over compositions
     k_1+...+k_q = N (k_i >= 1) of prod k_i^(r_i), expanded as an exact
@@ -60,12 +65,6 @@ def _order(a: list, b: list) -> int:
     if len(a) != len(b):
         raise ValueError(f"series of orders {len(a) - 1} and {len(b) - 1} do not combine")
     return len(a) - 1
-
-
-def series_layer(a: list, b: list, k: int):
-    """Layer k of the product a * b, from the pairs i + j == k alone."""
-    _order(a, b)
-    return _dot(a[:k + 1], b[k::-1], a[0] * b[0] * 0)
 
 
 def series_product(a: list, b: list) -> list:
@@ -137,12 +136,19 @@ def s_series(order: int) -> list:
     return s_series_of(Fraction(1), order)
 
 
-def s_quotient_series(names: Tuple[str, ...], order: int) -> list:
-    """prod_i S(x_i z) / S(z) to z^order, with layers over the variables ``names``."""
-    prod = [MultiPoly.const(c, names) for c in series_inverse(s_series(order))]
-    for name in names:
-        prod = series_product(prod, s_series_of(MultiPoly.var(name, names), order))
-    return prod
+def slot_names(n: int) -> Tuple[str, ...]:
+    """The slot variables a1..an."""
+    return tuple(f"a{i}" for i in range(1, n + 1))
+
+
+@lru_cache(maxsize=None)
+def s_quotient(g: int, n: int) -> MultiPoly:
+    """Q_g(a_1..a_n) = [z^(2g)] prod_i S(a_i z) / S(z), a symmetric polynomial in the slots."""
+    slots = slot_names(n)
+    prod = [MultiPoly.const(c, slots) for c in series_inverse(s_series(2 * g))]
+    for name in slots:
+        prod = series_product(prod, s_series_of(MultiPoly.var(name, slots), 2 * g))
+    return prod[2 * g]
 
 
 # ----------------------------------------------------------------------
@@ -240,10 +246,10 @@ def ehrhart_brute_force(r: Sequence[int], n: int) -> Rat:
 
 
 @lru_cache(maxsize=None)
-def power_of_sum(variables: Tuple[str, ...], power: int) -> MultiPoly:
-    """(x_1 + ... + x_m)^power; memoized, since the bracket engine asks for few distinct powers."""
-    if not variables:
-        return MultiPoly((), {(): GaussRat(1)} if power == 0 else {})
-    s = MultiPoly(variables, {tuple(1 if i == j else 0 for i in range(len(variables))): GaussRat(1)
-                              for j in range(len(variables))})
-    return s ** power
+def power_of_sum(n: int, power: int) -> MultiPoly:
+    """(a_1 + ... + a_n)^power over the slots a1..an.
+
+    Memoized, since the bracket engine asks for few distinct powers.
+    """
+    return MultiPoly(slot_names(n), {tuple(int(i == j) for i in range(n)): 1
+                                     for j in range(n)}) ** power

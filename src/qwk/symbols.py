@@ -31,13 +31,10 @@ from math import factorial
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 from .algebra import GaussRat, I, MultiPoly
+from .special import power_of_sum, slot_names
 
 DENSITY = "density"
 INTEGRATED = "integrated"
-
-
-def slot_names(m: int) -> Tuple[str, ...]:
-    return tuple(f"a{i}" for i in range(1, m + 1))
 
 
 @dataclass(frozen=True)
@@ -219,10 +216,7 @@ def d_x(s: FourierSymbol) -> FourierSymbol:
     for t in s.terms:
         if t.m == 0:
             continue
-        vs = slot_names(t.m)
-        total = MultiPoly(vs, {tuple(1 if i == j else 0 for i in range(t.m)): I
-                               for j in range(t.m)})
-        out.append(SymbolTerm(t.grade, t.m, t.coeff * total, t.blocks))
+        out.append(SymbolTerm(t.grade, t.m, t.coeff * (power_of_sum(t.m, 1) * I), t.blocks))
     return FourierSymbol(DENSITY, _merge_terms(tuple(out)))
 
 

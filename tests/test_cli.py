@@ -183,6 +183,14 @@ def test_hurwitz_negative_genus_or_insertion_exits_2():
         assert "negative genus grade or insertion" in err, err
 
 
+def test_correlator_negative_genus_or_insertion_exits_2():
+    # the library's refusal, the same message as hurwitz --d
+    for argv in (("--g", "-1", "--d", "1"), ("--g", "1", "--d=-1,2")):
+        code, out, err = run_cli("correlator", *argv)
+        assert code == 2 and out == "", argv
+        assert "negative genus grade or insertion" in err, err
+
+
 def test_hurwitz_negative_genus_partition_exits_2():
     for argv in (("--mu", "1,1,1,1"), ("--mu", "1,1,1,1", "--oracle")):
         code, out, err = run_cli("hurwitz", "--g", "-1", *argv)

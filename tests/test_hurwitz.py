@@ -14,8 +14,9 @@ from hypothesis import strategies as st
 
 from qwk.algebra import MultiPoly
 from qwk.hurwitz import (DEFAULT_DEGREE_CAP, Partition, aut_factor,
-                         factorization_count, hurwitz_correlator, mu_names,
+                         factorization_count, hurwitz_correlator,
                          one_part_number, one_part_polynomial, partitions_of)
+from qwk.special import slot_names
 
 
 def _cycle_type(p):
@@ -65,15 +66,15 @@ def _count_by_permutations(g, mu, left_to_right=True):
 
 
 def test_one_part_polynomial_examples():
-    assert one_part_polynomial(0, 2) == MultiPoly.const(1, mu_names(2))
+    assert one_part_polynomial(0, 2) == MultiPoly.const(1, slot_names(2))
     p = one_part_polynomial(0, 3)
-    total = sum((MultiPoly.var(v, mu_names(3)) for v in mu_names(3)),
+    total = sum((MultiPoly.var(v, slot_names(3)) for v in slot_names(3)),
                 MultiPoly((), {}))
     assert p == total * 2
     p = one_part_polynomial(1, 1)
     # mu(mu^2 - 1)/12
-    assert p * 12 == MultiPoly(("mu1",), {(3,): 1, (1,): -1})
-    assert p.evaluate({"mu1": 3}) == 2 == one_part_number(1, Partition((3,)))
+    assert p * 12 == MultiPoly(("a1",), {(3,): 1, (1,): -1})
+    assert p.evaluate({"a1": 3}) == 2 == one_part_number(1, Partition((3,)))
     with pytest.raises(ValueError):
         one_part_polynomial(0, 1)
 
@@ -89,7 +90,7 @@ def test_one_part_divisibility():
             poly = one_part_polynomial(g, n)
             if poly.is_zero():
                 continue
-            names = mu_names(n)
+            names = slot_names(n)
             if n == 1:
                 # divisibility by mu^(r-1): no monomial below that degree
                 assert all(e[0] >= r - 1 for e in poly.terms)

@@ -71,6 +71,13 @@ def test_bracket_kind_checks():
         bracket(h, integrate_hamiltonian(h), -1)
 
 
+def test_density_refuses_negative_grade():
+    # like bracket and nested_bracket, instead of an empty symbol
+    for d in (-1, 0, 4):
+        with pytest.raises(ValueError, match="max_grade must be >= 0"):
+            hamiltonian_density(d, max_grade=-1)
+
+
 def test_bracket_with_hbar0_is_dx_over_i():
     # (1/h)[L, Hbar_0] == (1/i) d_x L for several densities L
     budget = 3

@@ -7,12 +7,11 @@ from math import comb, factorial
 import pytest
 
 from qwk.algebra import MultiPoly
-from qwk.hurwitz import _s_quotient, mu_names
 from qwk.qkdv import hamiltonian_density
 from qwk.special import (ehrhart_brute_force, ehrhart_convolution,
-                         eulerian_number, eulerian_polynomial, s_series,
-                         series_exp_log, series_inverse, series_product)
-from qwk.symbols import slot_names
+                         eulerian_number, eulerian_polynomial, s_quotient,
+                         s_series, series_exp_log, series_inverse,
+                         series_product, slot_names)
 
 
 def test_s_series_coefficients():
@@ -108,7 +107,7 @@ def test_densities_match_untruncated_product():
 def test_s_quotient_matches_untruncated_product():
     for g in range(0, 4):
         for n in range(1, 6):
-            assert _s_quotient(g, n) == _explicit_product_top(mu_names(n), g, False), (g, n)
+            assert s_quotient(g, n) == _explicit_product_top(slot_names(n), g, False), (g, n)
 
 
 def brute_descents(n):
