@@ -100,6 +100,8 @@ def constant_term(g: int) -> Rat:
 
 def vanishes_by_level(d: Sequence[int], g: int, l: int) -> bool:
     """Level-structure vanishing: sum d > 4g-3+n-l or sum d = n-l (mod 2)."""
+    if l < 0:
+        raise ValueError("level index must be >= 0")
     if l > g:
         raise ValueError("level index exceeds genus grade")
     n = len(d)

@@ -42,8 +42,32 @@ branch with the signs swapped.  The Ehrhart expansion of the forward product,
 with the prefactor folded into the Ehrhart coefficients, lands straight in the
 output term of the strike's (grade, blocks).
 
-Budget-based truncation by hbar grade is mandatory: terms above the budget
-are dropped eagerly, which keeps nested commutators desk-sized.
+Terms above the hbar-grade budget are dropped eagerly.  Inside a nested
+commutator, ``bracket`` also takes the number of brackets still to come after
+it, and then keeps only the terms that can still reach the string point, whose
+value reads the one coefficient with every slot exponent exactly 1.  Three
+facts make this pruning a linear projection, hence exact at every grade up to
+the budget: a left survivor's exponent never changes (it can only be struck
+later), a right survivor's exponent only grows (through the N-power), and a
+strike of q slots adds q - 1 grades, so L later brackets under the budget g
+strike at most g - grade + L of a term's slots in all.
+
+  * Rule A, last bracket: a left split term counts only if its survivor
+    exponents are all 1, a right split term only if its survivor exponents
+    are all 0 or 1, and of the N-power expansion only the all-ones monomial
+    is kept: N^n gives it the coefficient n! when n is the number of zero
+    right survivors, and nothing otherwise.
+  * Rule B, L >= 1 brackets after this one: with allowed = g - grade + L,
+    a left split term with more than ``allowed`` survivor exponents other
+    than 1, or a right split term with more than ``allowed`` survivor
+    exponents of 2 or more, can never become multilinear and is dropped
+    before the product.
+
+Both rules count survivor exponents, which is symmetric under permuting the
+slots of a block, so every output term stays one symmetric term per block
+layout; both branches of the gluing check see the same pruned splits, so the
+check still holds term by term.  Without that argument ``bracket`` is the
+full commutator.
 """
 
 from __future__ import annotations
@@ -116,14 +140,22 @@ def _strike_counts(caps: Tuple[int, ...], q: int):
             yield (v,) + rest
 
 
-def bracket(left: FourierSymbol, right: FourierSymbol, max_grade: int) -> FourierSymbol:
-    """(left * right - right * left) / hbar_u as a density symbol, to hbar grade max_grade."""
+def bracket(left: FourierSymbol, right: FourierSymbol, max_grade: int,
+            brackets_left: Optional[int] = None) -> FourierSymbol:
+    """(left * right - right * left) / hbar_u as a density symbol, to hbar grade max_grade.
+
+    With ``brackets_left`` given, only the terms that can still reach the
+    string point after that many further brackets under the same budget are
+    kept (rules A and B of the module docstring); without it, all of them.
+    """
     if left.kind != DENSITY:
         raise ValueError("left operand must be a density")
     if right.kind != INTEGRATED:
         raise ValueError("right operand must be integrated")
     if max_grade < 0:
         raise ValueError("max_grade must be >= 0")
+    if brackets_left is not None and brackets_left < 0:
+        raise ValueError("brackets_left must be >= 0")
     rights = [tr for tr in symmetrize(right).terms if tr.m]
     merged: Dict[Tuple[int, Tuple[int, ...]], Dict[tuple, GaussRat]] = {}
 
@@ -133,8 +165,12 @@ def bracket(left: FourierSymbol, right: FourierSymbol, max_grade: int) -> Fourie
         for tr in rights:
             q_cap = min(tl.m, tr.m, max_grade + 1 - tl.grade - tr.grade)
             for q in range(1, q_cap + 1):
+                grade = tl.grade + tr.grade + q - 1
+                # survivor exponents off target that later strikes can still remove
+                allowed = None if brackets_left is None else (
+                    max_grade - grade + brackets_left if brackets_left else 0)
                 for counts in _strike_counts(tl.blocks, q):
-                    _bracket_piece(merged, tl, tr, tl.grade + tr.grade + q - 1, counts)
+                    _bracket_piece(merged, tl, tr, grade, counts, allowed)
 
     out_terms = []
     for (grade, blocks), terms in merged.items():
@@ -162,6 +198,13 @@ def _split(terms: Dict[tuple, GaussRat], struck: List[int], kept: List[int],
     return out
 
 
+def _within(terms: Dict[tuple, GaussRat], kept: List[int], target: Tuple[int, ...],
+            allowed: int) -> Dict[tuple, GaussRat]:
+    """The terms with at most ``allowed`` survivor exponents outside ``target``."""
+    return {exps: c for exps, c in terms.items()
+            if sum(exps[p] not in target for p in kept) <= allowed}
+
+
 def _product_by_k(left, right) -> Dict[Tuple[int, ...], Dict[tuple, GaussRat]]:
     """The product of two splits times k_1...k_q, grouped by k-exponents."""
     out: Dict[Tuple[int, ...], Dict[tuple, GaussRat]] = {}
@@ -180,8 +223,12 @@ def _product_by_k(left, right) -> Dict[Tuple[int, ...], Dict[tuple, GaussRat]]:
 
 
 def _bracket_piece(merged, tl: SymbolTerm, tr: SymbolTerm, grade: int,
-                   counts: Tuple[int, ...]):
-    """Add the strike of counts[i] slots of each left block i against tr's one block."""
+                   counts: Tuple[int, ...], allowed: Optional[int]):
+    """Add the strike of counts[i] slots of each left block i against tr's one block.
+
+    ``allowed`` is None for the full strike, 0 for rule A and the rule-B bound
+    otherwise, which is at least L >= 1 because grade never exceeds the budget.
+    """
     q = sum(counts)
     m_r = tr.m
     # prefactor: ordered slot choices within each block, over the orderings of
@@ -204,6 +251,10 @@ def _bracket_piece(merged, tl: SymbolTerm, tr: SymbolTerm, grade: int,
 
     phi = tl.coeff.terms
     psi = tr.coeff.terms
+    if allowed is not None:
+        # a left survivor's exponent is final, a right survivor's only grows
+        phi = _within(phi, kept_l, (1,), allowed)
+        psi = _within(psi, kept_r, (0, 1), allowed)
     fwd = _product_by_k(_split(phi, struck_l, kept_l, 1), _split(psi, struck_r, kept_r, -1))
     if not fwd:
         return
@@ -228,6 +279,26 @@ def _bracket_piece(merged, tl: SymbolTerm, tr: SymbolTerm, grade: int,
     if m_r > q:
         new_blocks += (m_r - q,)
     out = merged.setdefault((grade, new_blocks), {})
+    if allowed == 0:
+        # rule A: every survivor exponent is now 1 (left) or 0/1 (right), and
+        # N^n reaches the all-ones monomial, with coefficient n!, exactly when
+        # n is the number of zero survivors
+        v = GaussRat(0)
+        for k_exps, bucket in fwd.items():
+            conv = ehrhart_convolution(k_exps).terms
+            for rest, c in bucket.items():
+                n = rest.count(0)
+                cn = conv.get((n,))
+                if cn is not None:
+                    v += c * cn * factorial(n)
+        if v:
+            e = (1,) * (len(kept_l) + len(kept_r))
+            s = out.get(e, GaussRat(0)) + v * pref
+            if s:
+                out[e] = s
+            else:
+                out.pop(e, None)
+        return
     left_zeros = (0,) * len(kept_l)
     for k_exps, bucket in fwd.items():
         for (n_exp,), cn in ehrhart_convolution(k_exps).terms.items():
@@ -263,9 +334,9 @@ def nested_bracket(d_list: Sequence[int], g: int) -> Dict[int, GaussRat]:
     if g < 0:
         raise ValueError("genus grade must be >= 0")
     current = hamiltonian_density(d_list[0] - 1, max_grade=g)
-    for d in d_list[1:]:
+    for i, d in enumerate(d_list[1:], 2):
         right = integrate_hamiltonian(hamiltonian_density(d, max_grade=g))
-        current = bracket(current, right, g)
+        current = bracket(current, right, g, len(d_list) - i)
     return eval_string_point(current)
 
 

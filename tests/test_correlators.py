@@ -55,6 +55,11 @@ def test_vanishes_by_level_examples():
         vanishes_by_level([1], 0, 1)
 
 
+def test_vanishes_by_level_refuses_negative_level():
+    with pytest.raises(ValueError, match="level index must be >= 0"):
+        vanishes_by_level((1,), 1, -1)
+
+
 def test_level_structure_vanishing_on_grid():
     for g in range(3):
         for n in range(1, 4):

@@ -1,5 +1,6 @@
 """Hamiltonian densities, the commutator engine and its oracles."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -11,8 +12,8 @@ from qwk.qkdv import (bracket, hamiltonian_density,
                       nested_bracket, symbol_to_weyl,
                       weyl_commutator_over_hbar)
 from qwk.symbols import (DENSITY, INTEGRATED, FourierSymbol, d_dp0, d_x,
-                         density, make_term, slot_names, symbols_equal,
-                         symmetrize, u0_symbol)
+                         density, eval_string_point, make_term, slot_names,
+                         symbols_equal, symmetrize, u0_symbol)
 
 
 def test_hamiltonian_minus_one_is_u0():
@@ -95,6 +96,91 @@ def test_nested_bracket_examples():
     assert nested_bracket([3], 1) == {1: GaussRat(Fraction(-1, 24))}
     with pytest.raises(ValueError):
         nested_bracket([], 1)
+
+
+def demand_grid():
+    """Criterion 2's grid, unstable keys included, plus two genus-3 keys with n = 4.
+
+    Insertions run in descending order, as the correlators pass them.
+    """
+    for g in range(3):
+        for n in range(1, 4):
+            cap = 4 * g - 3 + n + 2
+            for d in itertools.combinations_with_replacement(range(max(cap, 0) + 1), n):
+                if sum(d) <= cap:
+                    yield d[::-1], g
+    # both nonzero at grades 2 and 3
+    yield (4, 2, 1, 1), 3
+    yield (5, 2, 2, 1), 3
+
+
+def test_demanded_nested_bracket_matches_full_chain():
+    # the oracle: the full commutator at every step, then the string point;
+    # full chains with a common prefix share their intermediate brackets
+    chains = {}
+
+    def full(d_list, g):
+        if (d_list, g) not in chains:
+            if len(d_list) == 1:
+                chains[d_list, g] = hamiltonian_density(d_list[0] - 1, max_grade=g)
+            else:
+                right = integrate_hamiltonian(hamiltonian_density(d_list[-1], max_grade=g))
+                chains[d_list, g] = bracket(full(d_list[:-1], g), right, g)
+        return chains[d_list, g]
+
+    keys = nonzero_below_top = 0
+    for d_list, g in demand_grid():
+        expected = eval_string_point(full(d_list, g))
+        assert nested_bracket(d_list, g) == expected, (d_list, g)
+        keys += 1
+        nonzero_below_top += any(grade < g for grade in expected)
+    assert keys == 155 and nonzero_below_top > 20
+    for d_list in ((4, 2, 1, 1), (5, 2, 2, 1)):
+        assert set(nested_bracket(d_list, 3)) == {2, 3}
+
+
+def test_demanded_last_bracket_keeps_only_all_ones():
+    budget = 2
+    hbar = {d: integrate_hamiltonian(hamiltonian_density(d, max_grade=budget))
+            for d in range(4)}
+    lefts = [hamiltonian_density(d, max_grade=budget) for d in range(-1, 4)]
+    # multi-block left operands, as a nested commutator produces them
+    lefts += [bracket(hamiltonian_density(2, max_grade=budget), hbar[1], budget),
+              bracket(hamiltonian_density(3, max_grade=budget), hbar[2], budget)]
+    nonzero = 0
+    for left, right in itertools.product(lefts, hbar.values()):
+        demanded = bracket(left, right, budget, 0)
+        for t in demanded.terms:
+            assert set(t.coeff.terms) == {(1,) * t.m}, t
+        value = eval_string_point(demanded)
+        assert value == eval_string_point(bracket(left, right, budget))
+        nonzero += bool(value)
+    assert nonzero > 10
+
+
+def test_demand_is_exact_on_random_left_operands():
+    # rules A and B rest only on how strikes move slot exponents: a random
+    # symmetric left operand through two Hamiltonian brackets agrees too
+    rng = random.Random(2)
+    trials = nonzero = 0
+    while trials < 12:
+        left = random_symbol(rng, DENSITY, max_m=3)
+        if left.is_zero():
+            continue
+        trials += 1
+        budget = rng.randint(1, 3)
+        r1, r2 = (integrate_hamiltonian(hamiltonian_density(rng.randint(0, 3), max_grade=budget))
+                  for _ in range(2))
+        value = eval_string_point(bracket(bracket(left, r1, budget, 1), r2, budget, 0))
+        assert value == eval_string_point(bracket(bracket(left, r1, budget), r2, budget))
+        nonzero += bool(value)
+    assert nonzero >= 6
+
+
+def test_bracket_refuses_negative_brackets_left():
+    h = hamiltonian_density(0)
+    with pytest.raises(ValueError, match="brackets_left must be >= 0"):
+        bracket(h, integrate_hamiltonian(h), 1, -1)
 
 
 def test_tau_symmetry():
