@@ -12,8 +12,15 @@ not change).
 Terms keep a *block* structure: the slot variables are grouped into
 consecutive blocks and the coefficient is only required to be symmetric
 within each block.  Fully symmetric coefficients are the single-block case.
-Deferring full symmetrization keeps the commutator engine polynomial-sized;
-``symmetrize`` canonicalizes when equality of symbols actually matters.
+Blocks let the commutator engine count its strikes per block (and let
+``d_dp0`` and ``mode_derivative_zero_mode`` drop one slot per block); the
+symmetric side never looks at them.  It reads a coefficient through its
+*orbit sums*, the coefficients summed per sorted exponent tuple.  A symmetric
+coefficient is fixed by them: they are its coordinates in the monomial
+symmetric basis m_lambda (Macdonald, ch. I), times the orbit sizes.  So
+``symmetrize`` spreads each sum evenly over its orbit, ``symbols_equal``
+compares the sums, and the u-representation conversions read or write one
+orbit per monomial u_{s_1}...u_{s_n}.  No step enumerates slot permutations.
 
 A term's coefficient is always a polynomial over exactly the slot variables
 a1..am, in that order (``SymbolTerm`` refuses anything else), so exponent
@@ -23,11 +30,7 @@ left to right.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
-from math import factorial
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 from .algebra import GaussRat, I, MultiPoly
@@ -82,11 +85,6 @@ class FourierSymbol:
     def max_grade(self) -> int:
         return max((t.grade for t in self.terms), default=-1)
 
-    def __add__(self, other: "FourierSymbol") -> "FourierSymbol":
-        if self.kind != other.kind:
-            raise ValueError("cannot add symbols of different kinds")
-        return FourierSymbol(self.kind, _merge_terms(self.terms + other.terms))
-
     def scale(self, c) -> "FourierSymbol":
         return FourierSymbol(self.kind,
                              tuple(SymbolTerm(t.grade, t.m, t.coeff * c, t.blocks)
@@ -136,58 +134,50 @@ def _merge_terms(terms: Tuple[SymbolTerm, ...]) -> Tuple[SymbolTerm, ...]:
 # ----------------------------------------------------------------------
 # symmetrization
 
-@lru_cache(maxsize=None)
-def _block_cosets(blocks: Tuple[int, ...]) -> Tuple[Tuple[int, ...], ...]:
-    """Position assignments realizing each coset of the block stabilizer.
+def _orbit_sums(terms: Iterable[SymbolTerm]) -> Dict[Tuple[int, Tuple[int, ...]], GaussRat]:
+    """Coefficients summed per (grade, sorted exponent tuple); zero sums dropped.
 
-    Each entry is a tuple ``perm`` with perm[slot_index] = target position,
-    enumerating the m!/prod(c_b!) ways to scatter the blocks over positions.
+    These sums are the coordinates of the symmetrized coefficients in the
+    monomial symmetric basis m_lambda, each scaled by its orbit size.
     """
-    m = sum(blocks)
-    positions = tuple(range(m))
-
-    def rec(remaining: Tuple[int, ...], bs: Tuple[int, ...]):
-        if not bs:
-            yield ()
-            return
-        for chosen in itertools.combinations(remaining, bs[0]):
-            rest = tuple(x for x in remaining if x not in chosen)
-            for tail in rec(rest, bs[1:]):
-                yield chosen + tail
-
-    return tuple(rec(positions, blocks))
+    acc: dict = {}
+    for t in terms:
+        for exps, c in t.coeff.terms.items():
+            key = (t.grade, tuple(sorted(exps)))
+            prev = acc.get(key)
+            acc[key] = prev + c if prev is not None else c
+    return {k: c for k, c in acc.items() if c}
 
 
-def _apply_position_map(coeff: MultiPoly, m: int, perm: Tuple[int, ...]) -> dict:
-    out = {}
-    for exps, c in coeff.terms.items():
-        e = [0] * m
-        for j, x in enumerate(exps):
-            if x:
-                e[perm[j]] = x
-        key = tuple(e)
-        if key in out:
-            out[key] = out[key] + c
-        else:
-            out[key] = c
-    return out
+def _rearrangements(canon: Tuple[int, ...]):
+    """The distinct rearrangements of a sorted tuple, each once."""
+    if not canon:
+        yield ()
+        return
+    for j, x in enumerate(canon):
+        if j and canon[j - 1] == x:
+            continue
+        for rest in _rearrangements(canon[:j] + canon[j + 1:]):
+            yield (x,) + rest
+
+
+def _spread(grade: int, m: int, sums: Mapping[Tuple[int, ...], GaussRat]) -> SymbolTerm:
+    """The fully symmetric term whose orbit sums are ``sums``."""
+    terms = {}
+    for canon, c in sums.items():
+        orbit = tuple(_rearrangements(canon))
+        share = c / len(orbit)
+        for e in orbit:
+            terms[e] = share
+    return SymbolTerm(grade, m, MultiPoly(slot_names(m), terms, _normalized=True),
+                      (m,) if m else ())
 
 
 def symmetrize_term(t: SymbolTerm) -> SymbolTerm:
-    """Average the coefficient over all slot permutations (via block cosets)."""
+    """Average the coefficient over all slot permutations (orbit by orbit)."""
     if t.m <= 1 or t.blocks == (t.m,):
         return SymbolTerm(t.grade, t.m, t.coeff, (t.m,) if t.m else ())
-    cosets = _block_cosets(t.blocks)
-    acc: dict = {}
-    for perm in cosets:
-        for e, c in _apply_position_map(t.coeff, t.m, perm).items():
-            if e in acc:
-                acc[e] = acc[e] + c
-            else:
-                acc[e] = c
-    scale = Fraction(1, len(cosets))
-    poly = MultiPoly(t.coeff.variables, {e: c * scale for e, c in acc.items()})
-    return SymbolTerm(t.grade, t.m, poly, (t.m,))
+    return _spread(t.grade, t.m, {canon: c for (_, canon), c in _orbit_sums((t,)).items()})
 
 
 def symmetrize(s: FourierSymbol) -> FourierSymbol:
@@ -196,13 +186,7 @@ def symmetrize(s: FourierSymbol) -> FourierSymbol:
 
 
 def symbols_equal(a: FourierSymbol, b: FourierSymbol) -> bool:
-    if a.kind != b.kind:
-        return False
-    ta = {(t.grade, t.m): t.coeff for t in symmetrize(a).terms}
-    tb = {(t.grade, t.m): t.coeff for t in symmetrize(b).terms}
-    if set(ta) != set(tb):
-        return False
-    return all(ta[k] == tb[k] for k in ta)
+    return a.kind == b.kind and _orbit_sums(a.terms) == _orbit_sums(b.terms)
 
 
 # ----------------------------------------------------------------------
@@ -377,45 +361,17 @@ class DiffPoly:
 
 def from_diff_poly(d: DiffPoly) -> FourierSymbol:
     """Fourier substitution u_s = sum (i a)^s p_a e^{iax}, symmetrized."""
-    terms = []
-    for (orders, g), c in d.terms.items():
-        m = len(orders)
-        vs = slot_names(m)
-        acc: dict = {}
-        perms = set(itertools.permutations(orders))
-        for p in perms:
-            e = tuple(p)
-            acc[e] = acc.get(e, GaussRat(0)) + c
-        # distinct arrangements carry weight (prod mult!)/m!; i^(sum s) from (ia)^s
-        weight = Fraction(1)
-        for s in set(orders):
-            weight *= factorial(orders.count(s))
-        weight = Fraction(weight, factorial(m)) if m else Fraction(1)
-        phase = I ** sum(orders)
-        poly = MultiPoly(vs, {e: v * weight * phase for e, v in acc.items()})
-        terms.append(SymbolTerm(g, m, poly, (m,) if m else ()))
-    return FourierSymbol(DENSITY, _merge_terms(tuple(terms)))
+    return FourierSymbol(DENSITY, _merge_terms(tuple(
+        _spread(g, len(orders), {orders: c * I ** sum(orders)})
+        for (orders, g), c in d.terms.items())))
 
 
 def to_diff_poly(s: FourierSymbol) -> DiffPoly:
     """Inverse of ``from_diff_poly`` on finitely supported symbols."""
     if s.kind != DENSITY:
         raise ValueError("conversion applies to density symbols")
-    out = DiffPoly()
-    for t in symmetrize(s).terms:
-        done = set()
-        for exps in t.coeff.terms:
-            canon = tuple(sorted(exps))
-            if canon in done:
-                continue
-            done.add(canon)
-            gamma = t.coeff.terms[canon]  # symmetric: any orbit member carries gamma
-            arrangements = Fraction(factorial(t.m))
-            for v in set(canon):
-                arrangements /= factorial(canon.count(v))
-            val = gamma * arrangements * (-I) ** sum(canon)
-            out = out + DiffPoly({(canon, t.grade): val})
-    return out
+    return DiffPoly({(canon, g): c * (-I) ** sum(canon)
+                     for (g, canon), c in _orbit_sums(s.terms).items()})
 
 
 def variational_derivative(d: DiffPoly) -> FourierSymbol:

@@ -1,11 +1,15 @@
 """Fourier-symbol operations: symmetrization, derivations, conversions."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qwk.algebra import GaussRat, I, MultiPoly
+from qwk.qkdv import bracket, hamiltonian_density, integrate_hamiltonian
 from qwk.symbols import (INTEGRATED, DiffPoly, FourierSymbol, SymbolTerm,
                          d_dp0, d_x, density, eval_string_point, from_diff_poly,
                          make_term, mode_derivative_zero_mode, slot_names,
@@ -115,8 +119,9 @@ def test_string_point_lemma_dx_vs_dp0():
 
 def test_diff_poly_roundtrip():
     rng = random.Random(2)
-    for _ in range(40):
-        d = random_diff_poly(rng)
+    many_factors = [DiffPoly({((1,) * 10, 0): GaussRat(3, -1)}),
+                    DiffPoly({((0,) * 4 + (1,) * 3 + (2,) * 3, 1): GaussRat(Fraction(-5, 7))})]
+    for d in [random_diff_poly(rng) for _ in range(40)] + many_factors:
         assert to_diff_poly(from_diff_poly(d)) == d
 
 
@@ -157,8 +162,6 @@ def test_debug_serialization_shape():
 
 
 def brute_full_symmetrization(poly, m):
-    import itertools
-    from fractions import Fraction as F
     vs = slot_names(m)
     acc = {}
     perms = list(itertools.permutations(range(m)))
@@ -169,15 +172,13 @@ def brute_full_symmetrization(poly, m):
                 key[perm[i]] = x
             key = tuple(key)
             acc[key] = acc.get(key, c * 0) + c
-    return MultiPoly(vs, {e: c * F(1, len(perms)) for e, c in acc.items()})
+    return MultiPoly(vs, {e: c * Fraction(1, len(perms)) for e, c in acc.items()})
 
 
-def test_block_coset_symmetrization_equals_brute_force():
-    # multi-block terms: the coset average must equal the full m! average
-    rng = random.Random(4)
+def random_block_terms(rng):
+    # block-symmetric polynomials: products of per-block power sums
     for _ in range(25):
         m = rng.randint(2, 5)
-        # split m into blocks
         blocks = []
         left = m
         while left:
@@ -185,7 +186,6 @@ def test_block_coset_symmetrization_equals_brute_force():
             blocks.append(b)
             left -= b
         vs = slot_names(m)
-        # block-symmetric polynomial: product of per-block power sums
         poly = MultiPoly.const(1, vs)
         start = 0
         for b in blocks:
@@ -196,7 +196,78 @@ def test_block_coset_symmetrization_equals_brute_force():
                 piece = piece + MultiPoly.var(v, vs) ** e
             poly = poly * piece
             start += b
-        term = make_term(0, m, poly, blocks=tuple(blocks))
-        coset = symmetrize(density([term])).terms[0].coeff
-        brute = brute_full_symmetrization(poly, m)
-        assert coset == brute, (blocks,)
+        yield make_term(0, m, poly, blocks=tuple(blocks))
+
+
+def bracket_block_terms():
+    # what the engine really emits: terms of several blocks, up to six slots
+    budget = 2
+    h = {d: hamiltonian_density(d, max_grade=budget) for d in range(1, 5)}
+    hbar = {d: integrate_hamiltonian(h[d]) for d in (1, 2)}
+    outputs = [bracket(h[2], hbar[2], budget), bracket(h[3], hbar[2], budget),
+               bracket(h[4], hbar[1], budget),
+               bracket(bracket(h[2], hbar[1], budget), hbar[1], budget)]
+    return [t for out in outputs for t in out.terms if len(t.blocks) > 1 and t.m <= 6]
+
+
+def test_block_symmetrization_equals_brute_force():
+    # multi-block terms: the orbit average must equal the full m! average
+    engine_terms = bracket_block_terms()
+    assert len(engine_terms) >= 15 and max(t.m for t in engine_terms) == 6
+    for term in list(random_block_terms(random.Random(4))) + engine_terms:
+        sym = symmetrize(density([term]))
+        brute = brute_full_symmetrization(term.coeff, term.m)
+        assert [t.coeff for t in sym.terms] == ([brute] if not brute.is_zero() else []), \
+            (term.blocks,)
+
+
+def orbit_sums(sym):
+    acc = {}
+    for t in sym.terms:
+        for e, c in t.coeff.terms.items():
+            key = (t.grade, tuple(sorted(e)))
+            acc[key] = acc.get(key, GaussRat(0)) + c
+    return {k: c for k, c in acc.items() if c}
+
+
+@st.composite
+def block_terms(draw):
+    """A term with a random block layout (m <= 8), symmetric within each block.
+
+    Singleton blocks promise nothing, so all-singleton layouts carry
+    coefficients that are not symmetric at all.
+    """
+    m = draw(st.integers(1, 8))
+    cuts = sorted(draw(st.sets(st.integers(1, m - 1), max_size=m - 1))) if m > 1 else []
+    blocks = tuple(b - a for a, b in zip([0] + cuts, cuts + [m]))
+    terms = {}
+    for _ in range(draw(st.integers(1, 3))):
+        e = draw(st.lists(st.integers(0, 3), min_size=m, max_size=m))
+        c = GaussRat(draw(st.integers(-4, 4)), draw(st.integers(-1, 1)))
+        parts, start = [], 0
+        for b in blocks:
+            parts.append(set(itertools.permutations(e[start:start + b])))
+            start += b
+        for pieces in itertools.product(*parts):
+            key = sum(pieces, ())
+            terms[key] = terms.get(key, GaussRat(0)) + c
+    return make_term(draw(st.integers(0, 2)), m, MultiPoly(slot_names(m), terms), blocks)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(terms=st.lists(block_terms(), min_size=1, max_size=3), data=st.data())
+def test_symmetrize_is_the_orbit_average(terms, data):
+    s = density(terms)
+    out = symmetrize(s)
+    for t in out.terms:
+        assert t.blocks == (t.m,)
+        for j in range(t.m - 1):
+            swapped = {e[:j] + (e[j + 1], e[j]) + e[j + 2:]: c for e, c in t.coeff.terms.items()}
+            assert MultiPoly(t.coeff.variables, swapped) == t.coeff
+    assert orbit_sums(out) == orbit_sums(s)
+    permuted = []
+    for t in s.terms:
+        p = data.draw(st.permutations(range(t.m)))
+        moved = {tuple(e[p[j]] for j in range(t.m)): c for e, c in t.coeff.terms.items()}
+        permuted.append(make_term(t.grade, t.m, MultiPoly(t.coeff.variables, moved)))
+    assert symbols_equal(s, density(permuted))
