@@ -13,7 +13,10 @@ extracts one monomial:
     <<tau_{d_1}..tau_{d_n}>>_g = (-1)^((4g-3+n-sum d)/2) [mu^d] ( H_g / (r! d) ),
 
 which vanishes unless sum d lies in [2g-3+n, 4g-3+n] with the parity
-opposite to n.
+opposite to n.  That monomial is read alone (``special.quotient_read``): with
+p = 2g-3+n, it is the sum over even beta <= d with |beta| = |d| - p of
+Q_g[beta] * p! / prod_i (d_i - beta_i)!, so no product with the power of the
+sum is formed.
 
 The independent oracle counts transposition factorizations: with sigma_0 the
 fixed cycle (1 2 .. d), it counts r-tuples of transpositions whose product
@@ -35,7 +38,7 @@ from math import factorial
 from typing import Dict, Iterator, Sequence, Tuple
 
 from .algebra import MultiPoly, Rat
-from .special import power_of_sum, s_quotient, slot_names
+from .special import power_of_sum, quotient_read, s_quotient, slot_names
 
 DEFAULT_DEGREE_CAP = 20
 
@@ -99,8 +102,7 @@ def hurwitz_correlator(d: Sequence[int], g: int) -> Rat:
     if total < 2 * g - 3 + n or total > 4 * g - 3 + n:
         return Fraction(0)
     # H/(r! d) = (sum a)^(2g-3+n) [z^(2g)] prod S / S
-    poly = s_quotient(g, n) * power_of_sum(n, 2 * g - 3 + n)
-    c = poly.coeff_extract(dict(zip(slot_names(n), d)))
+    c = quotient_read(s_quotient(g, n), d, 2 * g - 3 + n)
     sign = -1 if ((4 * g - 3 + n - total) // 2) % 2 else 1
     value = c * sign
     if not value.is_real():

@@ -8,7 +8,14 @@ coefficient
 
 a symmetric polynomial of degree 2g in the slots.  Q_g is the quotient
 ``special.s_quotient`` that the one-part Hurwitz formula reads too: the term
-is Q_g on m+1 slots with its last slot set to the sum of the others.
+is Q_g on m+1 slots with its last slot set to the sum of the others.  It is
+built orbit by orbit, with no polynomial product: for each sorted exponent
+tuple alpha of even total <= 2g, its coefficient is
+
+    (1/m!) * sum over even beta <= alpha of Q_g[beta, j] * j! / prod_i (alpha_i - beta_i)!,
+
+with j = |alpha| - |beta| (``special.quotient_read``), and that one value is
+written on every distinct rearrangement of alpha.
 
 The commutator engine computes (L*R - R*L)/hbar_u for a density L and an
 integrated R, where * is the normal-ordered star product
@@ -79,7 +86,8 @@ from math import factorial, perm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import GaussRat, MultiPoly
-from .special import ehrhart_convolution, power_of_sum, s_quotient, slot_names
+from .special import (ehrhart_convolution, power_of_sum, quotient_read, rearrangements,
+                      s_quotient, slot_names, sorted_exponents)
 from .symbols import (DENSITY, INTEGRATED, FourierSymbol, SymbolTerm,
                       eval_string_point, make_term, symmetrize)
 
@@ -96,10 +104,20 @@ def _hamiltonian_term(d: int, g: int) -> Optional[SymbolTerm]:
     m = d + 2 - 2 * g
     if m < 0:
         return None
-    coeff = s_quotient(g, m + 1).substitute(f"a{m + 1}", power_of_sum(m, 1))
-    if coeff.is_zero():
+    quotient = s_quotient(g, m + 1)
+    scale = Fraction(1, factorial(m))
+    terms = {}
+    for total in range(0, 2 * g + 1, 2):
+        for alpha in sorted_exponents(m, total):
+            c = sum((quotient_read(quotient, alpha, j, (j,)) for j in range(0, total + 1, 2)),
+                    GaussRat(0))
+            if c:
+                c = c * scale
+                for e in rearrangements(alpha):
+                    terms[e] = c
+    if not terms:
         return None
-    return make_term(g, m, coeff * Fraction(1, factorial(m)), blocks=(m,))
+    return make_term(g, m, MultiPoly(slot_names(m), terms, _normalized=True), blocks=(m,))
 
 
 def hamiltonian_density(d: int, max_grade: Optional[int] = None) -> FourierSymbol:

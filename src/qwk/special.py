@@ -11,9 +11,17 @@ Contents:
     the package; a product forms only the layer pairs i + j <= order, so
     nothing above the cutoff is ever computed;
   * the quotient Q_g(a_1..a_n) = [z^(2g)] prod_i S(a_i z) / S(z) over the
-    slots a1..an, memoized as ``s_quotient(g, n)``.  Both routes read it: a
-    density term is Q_g(a_1..a_m, a_1+..+a_m) / m!, and the one-part Hurwitz
-    formula is Q_g(mu_1..mu_n) times a power of the degree;
+    slots a1..an, memoized as ``s_quotient(g, n)``.  It is symmetric, and its
+    coefficient of a^(2 lambda) is sigma_(g-|lambda|) prod_i s_(lambda_i),
+    with s_l = 1/(4^l (2l+1)!) the coefficients of S and sigma_k those of
+    1/S.  So it is built orbit by orbit, with no series product: one value
+    per partition lambda (``sorted_exponents``), written on each distinct
+    rearrangement (``rearrangements``).  ``symbols`` and the densities use
+    the same two generators;
+  * ``quotient_read``, one coefficient of Q_g times a power of the slot sum.
+    Both routes read Q_g through it: a density term is
+    Q_g(a_1..a_m, a_1+..+a_m) / m!, and the one-part Hurwitz formula is
+    Q_g(mu_1..mu_n) times a power of the degree;
   * ``power_of_sum(n, power)`` = (a_1+..+a_n)^power over the same slots,
     memoized by slot count;
   * Eulerian polynomials E_n(t) via the descent recurrence;
@@ -141,14 +149,80 @@ def slot_names(n: int) -> Tuple[str, ...]:
     return tuple(f"a{i}" for i in range(1, n + 1))
 
 
+def rearrangements(canon: Tuple[int, ...]):
+    """The distinct rearrangements of a sorted tuple, each once."""
+    if not canon:
+        yield ()
+        return
+    for j, x in enumerate(canon):
+        if j and canon[j - 1] == x:
+            continue
+        for rest in rearrangements(canon[:j] + canon[j + 1:]):
+            yield (x,) + rest
+
+
+def sorted_exponents(n: int, total: int, low: int = 0):
+    """The ascending length-n tuples of integers >= low with the given total."""
+    if n == 0:
+        if total == 0:
+            yield ()
+        return
+    for x in range(low, total // n + 1):
+        for rest in sorted_exponents(n - 1, total - x, x):
+            yield (x,) + rest
+
+
 @lru_cache(maxsize=None)
 def s_quotient(g: int, n: int) -> MultiPoly:
-    """Q_g(a_1..a_n) = [z^(2g)] prod_i S(a_i z) / S(z), a symmetric polynomial in the slots."""
-    slots = slot_names(n)
-    prod = [MultiPoly.const(c, slots) for c in series_inverse(s_series(2 * g))]
-    for name in slots:
-        prod = series_product(prod, s_series_of(MultiPoly.var(name, slots), 2 * g))
-    return prod[2 * g]
+    """Q_g(a_1..a_n) = [z^(2g)] prod_i S(a_i z) / S(z), a symmetric polynomial in the slots.
+
+    Its coefficient of a^(2 lambda) is sigma_(g-|lambda|) prod_i s_(lambda_i),
+    written once per partition lambda on every rearrangement.
+    """
+    s = s_series(2 * g)
+    sigma = series_inverse(s)
+    terms = {}
+    for k in range(g + 1):
+        for lam in sorted_exponents(n, k):
+            c = sigma[2 * (g - k)]
+            for l in lam:
+                c = c * s[2 * l]
+            for e in rearrangements(tuple(2 * l for l in lam)):
+                terms[e] = c
+    return MultiPoly(slot_names(n), terms, _normalized=True)
+
+
+def _even_below(head: Tuple[int, ...], total: int):
+    """The tuples of even entries beta_i <= head_i with the given total."""
+    if not head:
+        if total == 0:
+            yield ()
+        return
+    for b in range(0, min(head[0], total) + 1, 2):
+        for rest in _even_below(head[1:], total - b):
+            yield (b,) + rest
+
+
+def quotient_read(quotient: MultiPoly, head: Tuple[int, ...], p: int,
+                  tail: Tuple[int, ...] = ()) -> GaussRat:
+    """[a^head] of (a_1+..+a_k)^p times the part of ``quotient`` whose last
+    slots have the exponents ``tail``, with k = len(head):
+
+        sum over even beta <= head, |beta| = |head| - p,
+        of quotient[beta + tail] * p! / prod_i (head_i - beta_i)!.
+
+    Only even beta count, because the quotient has only even exponents.
+    """
+    terms = quotient.terms
+    acc = GaussRat(0)
+    for beta in _even_below(head, sum(head) - p):
+        c = terms.get(beta + tail)
+        if c is not None:
+            ways = factorial(p)
+            for h, b in zip(head, beta):
+                ways //= factorial(h - b)
+            acc = acc + c * ways
+    return acc
 
 
 # ----------------------------------------------------------------------

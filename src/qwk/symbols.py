@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 from .algebra import GaussRat, I, MultiPoly
-from .special import power_of_sum, slot_names
+from .special import power_of_sum, rearrangements, slot_names
 
 DENSITY = "density"
 INTEGRATED = "integrated"
@@ -149,23 +149,11 @@ def _orbit_sums(terms: Iterable[SymbolTerm]) -> Dict[Tuple[int, Tuple[int, ...]]
     return {k: c for k, c in acc.items() if c}
 
 
-def _rearrangements(canon: Tuple[int, ...]):
-    """The distinct rearrangements of a sorted tuple, each once."""
-    if not canon:
-        yield ()
-        return
-    for j, x in enumerate(canon):
-        if j and canon[j - 1] == x:
-            continue
-        for rest in _rearrangements(canon[:j] + canon[j + 1:]):
-            yield (x,) + rest
-
-
 def _spread(grade: int, m: int, sums: Mapping[Tuple[int, ...], GaussRat]) -> SymbolTerm:
     """The fully symmetric term whose orbit sums are ``sums``."""
     terms = {}
     for canon, c in sums.items():
-        orbit = tuple(_rearrangements(canon))
+        orbit = tuple(rearrangements(canon))
         share = c / len(orbit)
         for e in orbit:
             terms[e] = share

@@ -136,12 +136,12 @@ def test_golden_tau1_tau6_from_permutation_counts():
     assert sign * coefficient == pinned == Fraction(1, 640)
 
 
-def theorem_grid():
-    for g in range(3):
+def theorem_grid(g_max=2, slack=2):
+    for g in range(g_max + 1):
         for n in range(1, 4):
             if 2 * g - 3 + n < 0:
                 continue
-            cap = 4 * g - 3 + n + 2  # includes keys outside the interval
+            cap = 4 * g - 3 + n + slack  # includes keys outside the interval
             for d in itertools.combinations_with_replacement(range(cap + 1), n):
                 if sum(d) <= cap:
                     yield d, g
@@ -155,6 +155,20 @@ def test_criterion_02_main_theorem():
         if lhs != rhs:
             failures.append((d, g, str(lhs), str(rhs)))
     finish(2, "main theorem: engine == closed Hurwitz formula on the grid", failures)
+
+
+def test_main_theorem_genus_3():
+    """Criterion 2 on the grid of ``qwk verify main-theorem --g-max 3``: 441 keys,
+    252 of them at genus grade 3."""
+    keys = list(theorem_grid(g_max=3, slack=3))
+    assert len(keys) == 441 and sum(g == 3 for _, g in keys) == 252
+    failures = []
+    for d, g in keys:
+        lhs = correlator(d, g)
+        rhs = hurwitz_correlator(d, g)
+        if lhs != rhs:
+            failures.append((d, g, str(lhs), str(rhs)))
+    assert not failures, failures
 
 
 def test_criterion_03_string_equation():

@@ -173,8 +173,8 @@ def test_bottom_level_multinomial_structure():
     # lambda_g structure: multinomial(2g-3+n; d) times the one-point value
     # c_g = (2^(2g-1) - 1)/2^(2g-1) * |B_2g|/(2g)!
     from math import factorial
-    bernoulli = {1: Fraction(1, 6), 2: Fraction(1, 30)}
-    for g in (1, 2):
+    bernoulli = {1: Fraction(1, 6), 2: Fraction(1, 30), 3: Fraction(1, 42)}
+    for g in (1, 2, 3):
         top = 2 ** (2 * g - 1)
         c_g = Fraction(top - 1, top) * bernoulli[g] / factorial(2 * g)
         for n in (1, 2, 3):
@@ -188,3 +188,17 @@ def test_bottom_level_multinomial_structure():
                 for x in d:
                     expected /= factorial(x)
                 assert correlator(d, g) == expected * c_g, (d, g)
+
+
+def test_top_level_one_point_values():
+    # on the top level sum d = 4g - 3 + n with n = 1 the value is the
+    # z^(2g) coefficient of S(z) = sh(z/2)/(z/2), 1/(4^g (2g+1)!): the top
+    # coefficient of the Goulden-Jackson-Vakil one-part polynomial (GJV 2005)
+    from math import factorial
+    from qwk.hurwitz import hurwitz_correlator
+    top = {1: Fraction(1, 24), 2: Fraction(1, 1920), 3: Fraction(1, 322560),
+           4: Fraction(1, 92897280)}
+    for g, value in top.items():
+        assert value == Fraction(1, 4 ** g * factorial(2 * g + 1))
+        assert correlator((4 * g - 2,), g) == value, g
+        assert hurwitz_correlator((4 * g - 2,), g) == value, g

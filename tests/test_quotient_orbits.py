@@ -1,0 +1,102 @@
+"""The orbit builds of the quotient, the densities and the Hurwitz read.
+
+``special.s_quotient``, ``qkdv._hamiltonian_term`` and
+``hurwitz.hurwitz_correlator`` write one closed-form coefficient per sorted
+exponent tuple.  The oracles below are the builds they replaced, kept here
+as the slow paths: the quotient as a product of truncated series, a density
+as the quotient with its last slot replaced by the sum of the others, and a
+Hurwitz correlator as one coefficient of the full product with the power of
+the sum.
+"""
+
+import itertools
+from fractions import Fraction
+from math import factorial
+
+from qwk.algebra import MultiPoly
+from qwk.hurwitz import hurwitz_correlator
+from qwk.qkdv import _hamiltonian_term
+from qwk.special import (_even_below, power_of_sum, rearrangements,
+                         s_quotient, s_series, s_series_of, series_inverse,
+                         series_product, slot_names, sorted_exponents)
+from qwk.symbols import make_term
+from test_acceptance import theorem_grid
+
+
+def _s_quotient_by_series_product(g, n):
+    """[z^(2g)] of 1/S(z) times S(a_i z) for each slot, one series product per slot."""
+    slots = slot_names(n)
+    prod = [MultiPoly.const(c, slots) for c in series_inverse(s_series(2 * g))]
+    for name in slots:
+        prod = series_product(prod, s_series_of(MultiPoly.var(name, slots), 2 * g))
+    return prod[2 * g]
+
+
+def _density_term_by_substitution(d, g):
+    """Q_g(a_1..a_m, a_1+..+a_m) / m! by substituting the sum into the last slot."""
+    m = d + 2 - 2 * g
+    if m < 0:
+        return None
+    coeff = _s_quotient_by_series_product(g, m + 1).substitute(f"a{m + 1}", power_of_sum(m, 1))
+    if coeff.is_zero():
+        return None
+    return make_term(g, m, coeff * Fraction(1, factorial(m)), blocks=(m,))
+
+
+def _hurwitz_correlator_by_product(d, g):
+    """The signed d-coefficient of Q_g times (sum a)^(2g-3+n), from the full product."""
+    n = len(d)
+    total = sum(d)
+    if (total - n) % 2 == 0 or not 2 * g - 3 + n <= total <= 4 * g - 3 + n:
+        return Fraction(0)
+    poly = s_quotient(g, n) * power_of_sum(n, 2 * g - 3 + n)
+    c = poly.coeff_extract(dict(zip(slot_names(n), d)))
+    assert c.is_real()
+    return c.re * (-1) ** ((4 * g - 3 + n - total) // 2)
+
+
+def test_orbit_primitive_against_brute_force():
+    for n in range(5):
+        for total in range(7):
+            expect = sorted({tuple(sorted(e))
+                             for e in itertools.product(range(total + 1), repeat=n)
+                             if sum(e) == total})
+            got = list(sorted_exponents(n, total))
+            assert got == expect, (n, total)
+            for canon in got:
+                orbit = list(rearrangements(canon))
+                assert len(orbit) == len(set(orbit))
+                assert set(orbit) == set(itertools.permutations(canon))
+    # the quotient has only even exponents, so a read enumerates only even beta
+    for head in itertools.product(range(5), repeat=3):
+        for total in range(13):
+            expect = [b for b in itertools.product(*(range(h + 1) for h in head))
+                      if sum(b) == total and not any(x % 2 for x in b)]
+            assert list(_even_below(head, total)) == expect, (head, total)
+
+
+def test_s_quotient_matches_series_product():
+    for g in range(5):
+        for n in range(9):
+            got, expect = s_quotient(g, n), _s_quotient_by_series_product(g, n)
+            assert got.variables == expect.variables, (g, n)
+            assert got.terms == expect.terms, (g, n)
+
+
+def test_density_terms_match_substitution():
+    keys = [(d, g) for d in range(-1, 13) for g in range(4)] + [(12, 4)]
+    for d, g in keys:
+        got, expect = _hamiltonian_term(d, g), _density_term_by_substitution(d, g)
+        if expect is None:
+            assert got is None, (d, g)
+            continue
+        assert (got.grade, got.m, got.blocks) == (expect.grade, expect.m, expect.blocks), (d, g)
+        assert got.coeff.variables == expect.coeff.variables, (d, g)
+        assert got.coeff.terms == expect.coeff.terms, (d, g)
+
+
+def test_hurwitz_correlator_matches_full_product():
+    keys = list(theorem_grid(g_max=3, slack=3))
+    assert len(keys) == 441
+    for d, g in keys:
+        assert hurwitz_correlator(d, g) == _hurwitz_correlator_by_product(d, g), (d, g)
