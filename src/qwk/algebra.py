@@ -18,7 +18,13 @@ Truncated power series are not a MultiPoly feature: they are lists of
 coefficient layers, one per power of the series variable, and their kernels
 live in ``qwk.special``.
 
-No floating point is used anywhere.
+Every coefficient the engine writes is real, so GaussRat keeps a real fast
+path: a real value's imaginary part is one shared ``Fraction(0)``, results are
+built from parts that are already Fractions without coercing them again,
+``+ * ==`` dispatch on ``type(x) is`` before any general coercion, and
+``+ * - == bool`` take a real path on an identity test.
+
+No floating point is used anywhere: a float part is refused with TypeError.
 """
 
 from __future__ import annotations
@@ -39,14 +45,32 @@ def rat_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+_ZERO = Fraction(0)
+
+
+def _part(x) -> Fraction:
+    """One exact part of a GaussRat; a float is refused rather than read as its binary value."""
+    if type(x) is Fraction:
+        return x
+    if isinstance(x, float):
+        raise TypeError(f"GaussRat takes exact parts, not the float {x!r}")
+    return Fraction(x)
+
+
 class GaussRat:
-    """Gaussian rational a + b*i, always in canonical (reduced) form."""
+    """Gaussian rational a + b*i, always in canonical (reduced) form.
+
+    A real value's imaginary part is the one shared ``Fraction(0)``, so the
+    arithmetic can take its real path on an identity test; every other path
+    stays exact for any parts.
+    """
 
     __slots__ = ("re", "im")
 
     def __init__(self, re: Union[int, Fraction] = 0, im: Union[int, Fraction] = 0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        im = _part(im)
+        _set_re(self, _part(re))
+        _set_im(self, im if im else _ZERO)
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussRat is immutable")
@@ -61,16 +85,16 @@ class GaussRat:
         return self.im == 0
 
     def conj(self) -> "GaussRat":
-        return GaussRat(self.re, -self.im)
+        return _gauss(self.re, -self.im)
 
     def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
+        return bool(self.re) or (self.im is not _ZERO and bool(self.im))
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            return self.im == 0 and self.re == other
-        if isinstance(other, GaussRat):
+        if type(other) is GaussRat:
             return self.re == other.re and self.im == other.im
+        if isinstance(other, (int, Fraction)):
+            return not self.im and self.re == other
         return NotImplemented
 
     def __hash__(self):
@@ -79,41 +103,45 @@ class GaussRat:
         return hash((self.re, self.im))
 
     def __add__(self, other: Scalar) -> "GaussRat":
-        o = GaussRat.of(other)
-        return GaussRat(self.re + o.re, self.im + o.im)
+        o = other if type(other) is GaussRat else GaussRat.of(other)
+        if self.im is _ZERO and o.im is _ZERO:
+            return _gauss(self.re + o.re)
+        return _gauss(self.re + o.re, self.im + o.im)
 
     __radd__ = __add__
 
     def __neg__(self) -> "GaussRat":
-        return GaussRat(-self.re, -self.im)
+        if self.im is _ZERO:
+            return _gauss(-self.re)
+        return _gauss(-self.re, -self.im)
 
     def __sub__(self, other: Scalar) -> "GaussRat":
-        o = GaussRat.of(other)
-        return GaussRat(self.re - o.re, self.im - o.im)
+        return self + -GaussRat.of(other)
 
     def __rsub__(self, other: Scalar) -> "GaussRat":
-        o = GaussRat.of(other)
-        return GaussRat(o.re - self.re, o.im - self.im)
+        return GaussRat.of(other) + -self
 
     def __mul__(self, other: Scalar) -> "GaussRat":
-        if isinstance(other, (int, Fraction)):
-            return GaussRat(self.re * other, self.im * other)
-        o = other
-        if self.im == 0 and o.im == 0:
-            return GaussRat(self.re * o.re)
-        return GaussRat(self.re * o.re - self.im * o.im,
-                        self.re * o.im + self.im * o.re)
+        t = type(other)
+        if t is GaussRat:
+            if self.im is _ZERO and other.im is _ZERO:
+                return _gauss(self.re * other.re)
+            return _gauss(self.re * other.re - self.im * other.im,
+                          self.re * other.im + self.im * other.re)
+        if t is int or t is Fraction:
+            if self.im is _ZERO:
+                return _gauss(self.re * other)
+            return _gauss(self.re * other, self.im * other)
+        return self * GaussRat.of(other)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: Scalar) -> "GaussRat":
-        if isinstance(other, (int, Fraction)):
-            return GaussRat(self.re / other, self.im / other)
-        o = other
+        o = GaussRat.of(other)
         n = o.re * o.re + o.im * o.im
         if n == 0:
             raise ZeroDivisionError("division by zero GaussRat")
-        return self * o.conj() / n
+        return self * o.conj() * (1 / n)
 
     def __pow__(self, n: int) -> "GaussRat":
         if n < 0:
@@ -140,6 +168,18 @@ class GaussRat:
 
     def __repr__(self):
         return f"GaussRat({self.to_str()})"
+
+
+_set_re = GaussRat.re.__set__
+_set_im = GaussRat.im.__set__
+
+
+def _gauss(re: Fraction, im: Fraction = _ZERO) -> GaussRat:
+    """re + im*i, from parts that are already Fractions."""
+    g = object.__new__(GaussRat)
+    _set_re(g, re)
+    _set_im(g, im if im is _ZERO or im else _ZERO)
+    return g
 
 
 I = GaussRat(0, 1)

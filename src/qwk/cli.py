@@ -33,6 +33,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import List, Optional, Sequence, Tuple
 
+from . import correlators as _correlators, qkdv as _qkdv, special as _special
 from .algebra import GaussRat, MultiPoly, rat_str
 from .correlators import (correlator, correlator_table, correlator_tau0,
                           series_coefficient, vanishes_by_level)
@@ -51,6 +52,16 @@ SUITES = ("main-theorem", "string", "levels", "identities",
           "hurwitz-oracle", "bracket-oracle")
 
 _UNSET = object()
+
+# every memo table of the engine; runtime_ms means little without their state
+_MEMO_TABLES = (_qkdv._hamiltonian_term, _special._euler_row, _special._ehrhart_cached,
+                _special.power_of_sum, _special.s_quotient,
+                _correlators._tau0_cached, _correlators._correlator_cached)
+
+
+def _memo_state() -> str:
+    """The memo state at command start: "cold" when every table is empty, else "warm"."""
+    return "warm" if any(t.cache_info().currsize for t in _MEMO_TABLES) else "cold"
 
 
 def _parse_int_list(text: str, what: str, allow_empty: bool = False) -> Tuple[int, ...]:
@@ -81,11 +92,13 @@ def _maybe_decimal(value: Fraction, want: bool) -> Optional[str]:
 
 def cmd_correlator(args) -> int:
     d = _parse_int_list(args.d, "--d")
+    memo = _memo_state()
     t0 = time.monotonic()
     value = correlator(d, args.g)
     record = {"kind": "correlator", "g": args.g, "d": sorted(d),
               "value": rat_str(value),
-              "metadata": {"runtime_ms": round(1000 * (time.monotonic() - t0), 3)}}
+              "metadata": {"runtime_ms": round(1000 * (time.monotonic() - t0), 3),
+                           "memo": memo}}
     if args.decimal:
         record["approx_decimal"] = _maybe_decimal(value, True)
     exit_code = 0
@@ -416,6 +429,7 @@ def cmd_verify(args) -> int:
         "hurwitz-oracle": _suite_hurwitz_oracle,
         "bracket-oracle": _suite_bracket_oracle,
     }
+    memo = _memo_state()
     t0 = time.monotonic()
     checks, bounds = runners[args.suite](args)
     if not checks:
@@ -423,7 +437,8 @@ def cmd_verify(args) -> int:
     ok = all(c["ok"] for c in checks)
     record = {"kind": "verdict", "suite": args.suite, "bounds": bounds,
               "ok": ok, "checks": checks,
-              "metadata": {"runtime_ms": round(1000 * (time.monotonic() - t0), 3)}}
+              "metadata": {"runtime_ms": round(1000 * (time.monotonic() - t0), 3),
+                           "memo": memo}}
     if not ok:
         record["first_failure"] = next(c for c in checks if not c["ok"])
     _emit(record)

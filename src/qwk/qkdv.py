@@ -68,7 +68,9 @@ strike at most g - grade + L of a term's slots in all.
     a left split term with more than ``allowed`` survivor exponents other
     than 1, or a right split term with more than ``allowed`` survivor
     exponents of 2 or more, can never become multilinear and is dropped
-    before the product.
+    before the product.  The same bound holds on the output: a monomial of
+    the N-power expansion with more than ``allowed`` exponents other than 1,
+    left and right survivors together, is never multiplied or written.
 
 Both rules count survivor exponents, which is symmetric under permuting the
 slots of a block, so every output term stays one symmetric term per block
@@ -85,7 +87,7 @@ from functools import lru_cache
 from math import factorial, perm
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .algebra import GaussRat, MultiPoly
+from .algebra import ZERO, GaussRat, MultiPoly
 from .special import (ehrhart_convolution, power_of_sum, quotient_read, rearrangements,
                       s_quotient, slot_names, sorted_exponents)
 from .symbols import (DENSITY, INTEGRATED, FourierSymbol, SymbolTerm,
@@ -282,8 +284,8 @@ def _bracket_piece(merged, tl: SymbolTerm, tr: SymbolTerm, grade: int,
         a = fwd.get(k_exps, {})
         b = rev.get(k_exps, {})
         for rest in set(a) | set(b):
-            ca = a.get(rest, GaussRat(0))
-            cb = b.get(rest, GaussRat(0))
+            ca = a.get(rest, ZERO)
+            cb = b.get(rest, ZERO)
             if ca != cb * sign:
                 raise BracketBranchError(
                     f"branch mismatch at k-exponents {k_exps}: {ca} vs {cb}")
@@ -301,7 +303,7 @@ def _bracket_piece(merged, tl: SymbolTerm, tr: SymbolTerm, grade: int,
         # rule A: every survivor exponent is now 1 (left) or 0/1 (right), and
         # N^n reaches the all-ones monomial, with coefficient n!, exactly when
         # n is the number of zero survivors
-        v = GaussRat(0)
+        v = ZERO
         for k_exps, bucket in fwd.items():
             conv = ehrhart_convolution(k_exps).terms
             for rest, c in bucket.items():
@@ -311,29 +313,50 @@ def _bracket_piece(merged, tl: SymbolTerm, tr: SymbolTerm, grade: int,
                     v += c * cn * factorial(n)
         if v:
             e = (1,) * (len(kept_l) + len(kept_r))
-            s = out.get(e, GaussRat(0)) + v * pref
+            s = out.get(e, ZERO) + v * pref
             if s:
                 out[e] = s
             else:
                 out.pop(e, None)
         return
-    left_zeros = (0,) * len(kept_l)
+    # rule B on the output: whether a term admits an N-power monomial depends
+    # on its left survivors only through their count off 1, and on each right
+    # survivor only through 0, 1 or >= 2, so the bound is checked once per
+    # such group, before any summed exponent tuple is built
+    n_left = len(kept_l)
+    left_zeros = (0,) * n_left
     for k_exps, bucket in fwd.items():
+        if allowed is None:
+            groups = {None: bucket.items()}
+        else:
+            groups = {}
+            for rest, c in bucket.items():
+                key = (allowed - sum(x != 1 for x in rest[:n_left]),
+                       tuple(min(x, 2) for x in rest[n_left:]))
+                groups.setdefault(key, []).append((rest, c))
         for (n_exp,), cn in ehrhart_convolution(k_exps).terms.items():
             cn = cn * pref
-            n_terms = [(left_zeros + e2, c2) for e2, c2 in
-                       power_of_sum(len(kept_r), n_exp).terms.items()]
-            for rest, c in bucket.items():
-                base = c * cn
-                for e2, c2 in n_terms:
-                    e = tuple(a + b for a, b in zip(rest, e2))
-                    v = base * c2
-                    prev = out.get(e)
-                    s = prev + v if prev is not None else v
-                    if s:
-                        out[e] = s
-                    elif prev is not None:
-                        del out[e]
+            n_power = power_of_sum(len(kept_r), n_exp).terms.items()
+            for key, items in groups.items():
+                if key is None:
+                    n_terms = [(left_zeros + e2, c2) for e2, c2 in n_power]
+                else:
+                    spare, right = key
+                    n_terms = [(left_zeros + e2, c2) for e2, c2 in n_power
+                               if sum(a + b != 1 for a, b in zip(right, e2)) <= spare]
+                if not n_terms:
+                    continue
+                for rest, c in items:
+                    base = c * cn
+                    for e2, c2 in n_terms:
+                        e = tuple(a + b for a, b in zip(rest, e2))
+                        v = base * c2
+                        prev = out.get(e)
+                        s = prev + v if prev is not None else v
+                        if s:
+                            out[e] = s
+                        elif prev is not None:
+                            del out[e]
 
 
 # ----------------------------------------------------------------------

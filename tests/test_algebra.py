@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qwk.algebra import GaussRat, I, MultiPoly, rat_str
 from qwk.special import series_product
@@ -51,6 +53,83 @@ def test_gaussrat_text_roundtrip():
     assert GaussRat(0, -5).to_str() == "0-5*i"
     assert rat_str(Fraction(7, 1)) == "7"
     assert rat_str(Fraction(-7, 3)) == "-7/3"
+
+
+def test_gaussrat_refuses_floats():
+    # a float part would be read as its binary value: GaussRat(0.1) is not 1/10
+    for parts in ((0.1,), (1, 0.5), (0.0,), (Fraction(1, 2), -0.0)):
+        with pytest.raises(TypeError, match="float"):
+            GaussRat(*parts)
+    for op in (lambda z: z + 0.5, lambda z: 0.5 + z, lambda z: z * 0.5,
+               lambda z: 0.5 * z, lambda z: z - 0.5, lambda z: z / 0.5):
+        with pytest.raises(TypeError, match="float"):
+            op(GaussRat(1, 1))
+    assert GaussRat("1/10") == Fraction(1, 10)
+
+
+# operands drawn as (re, im) Fraction pairs: real, purely imaginary and mixed;
+# a right operand may also be an int or a Fraction
+_PARTS = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+_PAIRS = st.one_of(_PARTS.map(lambda a: (a, Fraction(0))),
+                   _PARTS.map(lambda b: (Fraction(0), b)),
+                   st.tuples(_PARTS, _PARTS))
+_GAUSS = _PAIRS.map(lambda p: (GaussRat(*p), p))
+_RIGHT = st.one_of(_GAUSS,
+                   st.integers(-20, 20).map(lambda n: (n, (Fraction(n), Fraction(0)))),
+                   _PARTS.map(lambda x: (x, (x, Fraction(0)))))
+
+
+def _pair_mul(x, y):
+    (a, b), (c, d) = x, y
+    return a * c - b * d, a * d + b * c
+
+
+def _pair_pow(x, n):
+    out = (Fraction(1), Fraction(0))
+    for _ in range(abs(n)):
+        out = _pair_mul(out, x)
+    if n >= 0:
+        return out
+    a, b = out
+    norm = a * a + b * b
+    return a / norm, -b / norm
+
+
+def _assert_pair(z, pair):
+    assert type(z) is GaussRat
+    assert type(z.re) is Fraction and type(z.im) is Fraction
+    assert (z.re, z.im) == pair
+    if pair[1] == 0:
+        assert z.im == 0 and z.is_real()
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(left=_GAUSS, right=_RIGHT, n=st.integers(-3, 4))
+def test_gaussrat_fast_paths_match_pair_arithmetic(left, right, n):
+    (x, (a, b)), (y, (c, d)) = left, right
+    _assert_pair(x + y, (a + c, b + d))
+    _assert_pair(y + x, (a + c, b + d))
+    _assert_pair(x - y, (a - c, b - d))
+    _assert_pair(y - x, (c - a, d - b))
+    _assert_pair(-x, (-a, -b))
+    _assert_pair(x * y, _pair_mul((a, b), (c, d)))
+    _assert_pair(y * x, _pair_mul((a, b), (c, d)))
+    norm = c * c + d * d
+    if norm:
+        _assert_pair(x / y, ((a * c + b * d) / norm, (b * c - a * d) / norm))
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x / y
+    if n < 0 and (a, b) == (0, 0):
+        with pytest.raises(ZeroDivisionError):
+            x ** n
+    else:
+        _assert_pair(x ** n, _pair_pow((a, b), n))
+    assert (x == y) == (y == x) == ((a, b) == (c, d))
+    assert bool(x) == ((a, b) != (0, 0))
+    assert hash(x) == (hash(a) if b == 0 else hash((a, b)))
+    if x == y:
+        assert hash(x) == hash(y)
 
 
 def test_binomial_square():

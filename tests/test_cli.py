@@ -10,6 +10,7 @@ from qwk import cli
 from qwk.algebra import MultiPoly
 from qwk.cli import main
 from qwk.symbols import DENSITY, FourierSymbol, make_term, slot_names
+from test_memo_tables import MEMO_TABLES
 
 
 def run_cli(*argv):
@@ -144,6 +145,20 @@ def test_main_entry_point_in_process(capsys):
     assert main(["correlator", "--g", "1", "--d", "2"]) == 0
     record = json.loads(capsys.readouterr().out)
     assert record["value"] == "1/24"
+
+
+def test_metadata_says_whether_memo_tables_were_warm(capsys):
+    # runtime_ms mixes cold and warm runs; metadata.memo tells them apart
+    assert {(t.__module__, t.__qualname__) for t in cli._MEMO_TABLES} == MEMO_TABLES
+    code, out, _ = run_cli("correlator", "--g", "2", "--d", "1,2")
+    assert code == 0 and json.loads(out)["metadata"]["memo"] == "cold"
+    for argv in (["correlator", "--g", "2", "--d", "1,2"],
+                 ["verify", "levels", "--g-max", "1", "--n-max", "2"]):
+        for table in cli._MEMO_TABLES:
+            table.cache_clear()
+        for memo in ("cold", "warm"):
+            assert main(argv) == 0
+            assert json.loads(capsys.readouterr().out)["metadata"]["memo"] == memo, argv
 
 
 def test_hurwitz_genus_zero_single_part():

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qwk.algebra import GaussRat, I, MultiPoly
 from qwk.qkdv import (bracket, hamiltonian_density,
@@ -137,6 +139,47 @@ def test_demanded_nested_bracket_matches_full_chain():
     assert keys == 155 and nonzero_below_top > 20
     for d_list in ((4, 2, 1, 1), (5, 2, 2, 1)):
         assert set(nested_bracket(d_list, 3)) == {2, 3}
+
+
+def test_demanded_intermediate_brackets_obey_rule_b():
+    # later brackets strike at most g - grade + L slots, and every unstruck
+    # slot must end at 1, so a demanded bracket with L >= 1 brackets after it
+    # writes no monomial with more exponents off 1 than that
+    monomials = 0
+    for d_list, g in demand_grid():
+        current = hamiltonian_density(d_list[0] - 1, max_grade=g)
+        for i, d in enumerate(d_list[1:-1], 2):
+            brackets_left = len(d_list) - i
+            right = integrate_hamiltonian(hamiltonian_density(d, max_grade=g))
+            current = bracket(current, right, g, brackets_left)
+            for t in current.terms:
+                for e in t.coeff.terms:
+                    assert sum(x != 1 for x in e) <= g - t.grade + brackets_left, (d_list, g, e)
+                    monomials += 1
+    assert monomials > 1000
+
+
+@st.composite
+def keys_with_permuted_tail(draw):
+    """(g, d_list, a permutation of d_list[1:]) with g <= 2 and n = 3 or 4.
+
+    Sum d runs over n-2 .. 4g-2+n, where most string-point values are nonzero.
+    """
+    g = draw(st.integers(0, 2))
+    n = draw(st.integers(3, 4))
+    total = draw(st.integers(n - 2, 4 * g - 2 + n))
+    cuts = sorted(draw(st.lists(st.integers(0, total), min_size=n - 1, max_size=n - 1)))
+    d_list = [b - a for a, b in zip([0, *cuts], [*cuts, total])]
+    return g, d_list, draw(st.permutations(d_list[1:]))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(key=keys_with_permuted_tail())
+def test_nested_bracket_symmetric_in_later_insertions(key):
+    # the Hbar_d commute, so by the Jacobi identity the order of the brackets
+    # after the first does not change the nested commutator
+    g, d_list, tail = key
+    assert nested_bracket(d_list, g) == nested_bracket([d_list[0], *tail], g)
 
 
 def test_demanded_last_bracket_keeps_only_all_ones():
