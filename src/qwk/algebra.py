@@ -12,7 +12,8 @@ Laurent polynomials (the lattice sums of ``qwk.identities``), and
 ``evaluate`` takes a negative power of a value exactly (zero raises
 ZeroDivisionError), while ``__pow__``, ``substitute`` and ``degree`` stay
 polynomial-only.  Values are immutable by convention: no operation mutates
-its inputs, so polynomials can be shared freely between workers.
+its inputs, so polynomials can be shared freely between workers; both types
+copy and pickle by rebuilding through their constructors.
 
 Truncated power series are not a MultiPoly feature: they are lists of
 coefficient layers, one per power of the series variable, and their kernels
@@ -22,7 +23,12 @@ Every coefficient the engine writes is real, so GaussRat keeps a real fast
 path: a real value's imaginary part is one shared ``Fraction(0)``, results are
 built from parts that are already Fractions without coercing them again,
 ``+ * ==`` dispatch on ``type(x) is`` before any general coercion, and
-``+ * - == bool`` take a real path on an identity test.
+``+ * - == bool`` take a real path on an identity test.  GaussRat is the
+coefficient type at symbol boundaries; between them the commutator kernel
+reads a real value as its plain Fraction (``plain``), computes with
+Fractions and its integer structure constants, and wraps each output value
+in a GaussRat once.  A non-real value stays a GaussRat along the same code,
+which mixes the two through the reflected operators.
 
 No floating point is used anywhere: a float part is refused with TypeError.
 """
@@ -74,6 +80,10 @@ class GaussRat:
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussRat is immutable")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, which never sets an attribute
+        return GaussRat, (self.re, self.im)
 
     @staticmethod
     def of(x: Scalar) -> "GaussRat":
@@ -143,6 +153,9 @@ class GaussRat:
             raise ZeroDivisionError("division by zero GaussRat")
         return self * o.conj() * (1 / n)
 
+    def __rtruediv__(self, other: Scalar) -> "GaussRat":
+        return GaussRat.of(other) / self
+
     def __pow__(self, n: int) -> "GaussRat":
         if n < 0:
             return (GaussRat(1) / self) ** (-n)
@@ -180,6 +193,11 @@ def _gauss(re: Fraction, im: Fraction = _ZERO) -> GaussRat:
     _set_re(g, re)
     _set_im(g, im if im is _ZERO or im else _ZERO)
     return g
+
+
+def plain(c: GaussRat) -> Scalar:
+    """A real GaussRat as its Fraction, any other as itself."""
+    return c.re if c.im is _ZERO else c
 
 
 I = GaussRat(0, 1)
@@ -224,6 +242,9 @@ class MultiPoly:
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
+
+    def __reduce__(self):
+        return MultiPoly, (self.variables, self.terms, True)
 
     # ------------------------------------------------------------------
     # constructors

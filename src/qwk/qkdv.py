@@ -37,10 +37,10 @@ q slots against a left term with blocks (b_1..b_k) is then a tuple of
 per-left-block counts (v_1..v_k) with sum q: left block i strikes its last
 v_i slots, the right operand strikes its last q slots, and the t-th struck
 left slot (blocks in order) meets right slot m_r-q+t through the mode k_t.
-The prefactor perm(m_r, q) * prod_i perm(b_i, v_i)/v_i! counts the ordered
-slot choices over the orderings of the modes within one left block.  The
-survivors keep their order: left blocks (b_i - v_i), then the right block
-(m_r - q).
+The prefactor is the integer perm(m_r, q) * prod_i comb(b_i, v_i): the
+ordered slot choices over the orderings of the modes within one left block,
+since perm(b, v)/v! = comb(b, v).  The survivors keep their order: left
+blocks (b_i - v_i), then the right block (m_r - q).
 
 Each strike works on exponent tuples: both operands' terms are split into
 (strike-mode exponents, survivor exponents, coefficient) triples, and one
@@ -48,6 +48,13 @@ double loop multiplies the splits grouped by strike-mode exponents, once per
 branch with the signs swapped.  The Ehrhart expansion of the forward product,
 with the prefactor folded into the Ehrhart coefficients, lands straight in the
 output term of the strike's (grade, blocks).
+
+Symbols carry GaussRat coefficients, but the values between those boundaries
+are plain: ``_split`` reads a real coefficient as its Fraction, the Ehrhart
+coefficients and the multinomials of the N-power (closed-form tables from
+``special``) are read as Fractions, and ``bracket`` wraps each output value
+in a GaussRat once.  A non-real coefficient, as in a random test symbol,
+travels as a GaussRat through the same code.
 
 Terms above the hbar-grade budget are dropped eagerly.  Inside a nested
 commutator, ``bracket`` also takes the number of brackets still to come after
@@ -84,10 +91,11 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, perm
-from typing import Dict, List, Optional, Sequence, Tuple
+from math import comb, factorial, perm
+from operator import itemgetter
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .algebra import ZERO, GaussRat, MultiPoly
+from .algebra import GaussRat, MultiPoly, Scalar, plain
 from .special import (ehrhart_convolution, power_of_sum, quotient_read, rearrangements,
                       s_quotient, slot_names, sorted_exponents)
 from .symbols import (DENSITY, INTEGRATED, FourierSymbol, SymbolTerm,
@@ -177,7 +185,7 @@ def bracket(left: FourierSymbol, right: FourierSymbol, max_grade: int,
     if brackets_left is not None and brackets_left < 0:
         raise ValueError("brackets_left must be >= 0")
     rights = [tr for tr in symmetrize(right).terms if tr.m]
-    merged: Dict[Tuple[int, Tuple[int, ...]], Dict[tuple, GaussRat]] = {}
+    merged: Dict[Tuple[int, Tuple[int, ...]], Dict[tuple, Scalar]] = {}
 
     for tl in left.terms:
         if tl.m == 0:
@@ -196,38 +204,58 @@ def bracket(left: FourierSymbol, right: FourierSymbol, max_grade: int,
     for (grade, blocks), terms in merged.items():
         if terms:
             m = sum(blocks)
+            coeff = {e: GaussRat.of(c) for e, c in terms.items()}
             out_terms.append(
-                SymbolTerm(grade, m, MultiPoly(slot_names(m), terms, _normalized=True), blocks))
+                SymbolTerm(grade, m, MultiPoly(slot_names(m), coeff, _normalized=True), blocks))
     out_terms.sort(key=lambda t: (t.grade, t.m, t.blocks))
     return FourierSymbol(DENSITY, tuple(out_terms))
 
 
+def _picker(slots: List[int]) -> Callable[[tuple], tuple]:
+    """The map from an exponent tuple to its entries at ``slots``, as a tuple."""
+    if len(slots) == 1:
+        p, = slots
+        return lambda exps: (exps[p],)
+    return itemgetter(*slots) if slots else lambda exps: ()
+
+
 def _split(terms: Dict[tuple, GaussRat], struck: List[int], kept: List[int],
-           sign: int) -> List[Tuple[Tuple[int, ...], tuple, GaussRat]]:
-    """(k-exponents, survivor exponents, coefficient) per term.
+           sign: int) -> List[Tuple[Tuple[int, ...], tuple, Scalar]]:
+    """(k-exponents, survivor exponents, plain coefficient) per term.
 
     Struck slot ``struck[t]`` becomes the strike mode k_t, i.e. is replaced by
-    ``sign * k_t``; the slots in ``kept`` survive in order.
+    ``sign * k_t``; the slots in ``kept`` survive in order.  A real
+    coefficient is read as its Fraction.
     """
+    k_of, rest_of = _picker(struck), _picker(kept)
     out = []
     for exps, c in terms.items():
-        k_exps = tuple(exps[p] for p in struck)
+        c = plain(c)
+        k_exps = k_of(exps)
         if sign < 0 and sum(k_exps) % 2:
             c = -c
-        out.append((k_exps, tuple(exps[p] for p in kept), c))
+        out.append((k_exps, rest_of(exps), c))
     return out
 
 
 def _within(terms: Dict[tuple, GaussRat], kept: List[int], target: Tuple[int, ...],
             allowed: int) -> Dict[tuple, GaussRat]:
     """The terms with at most ``allowed`` survivor exponents outside ``target``."""
+    if len(kept) <= allowed:
+        return terms
+    survivors = _picker(kept)
+    need = len(kept) - allowed      # survivor exponents that must be on target
+    if len(target) == 1:
+        t, = target
+        return {exps: c for exps, c in terms.items() if survivors(exps).count(t) >= need}
+    t0, t1 = target
     return {exps: c for exps, c in terms.items()
-            if sum(exps[p] not in target for p in kept) <= allowed}
+            if (on := survivors(exps)).count(t0) + on.count(t1) >= need}
 
 
-def _product_by_k(left, right) -> Dict[Tuple[int, ...], Dict[tuple, GaussRat]]:
+def _product_by_k(left, right) -> Dict[Tuple[int, ...], Dict[tuple, Scalar]]:
     """The product of two splits times k_1...k_q, grouped by k-exponents."""
-    out: Dict[Tuple[int, ...], Dict[tuple, GaussRat]] = {}
+    out: Dict[Tuple[int, ...], Dict[tuple, Scalar]] = {}
     for kl, rest_l, cl in left:
         for kr, rest_r, cr in right:
             bucket = out.setdefault(tuple(a + b + 1 for a, b in zip(kl, kr)), {})
@@ -252,10 +280,10 @@ def _bracket_piece(merged, tl: SymbolTerm, tr: SymbolTerm, grade: int,
     q = sum(counts)
     m_r = tr.m
     # prefactor: ordered slot choices within each block, over the orderings of
-    # the modes struck from one left block
-    pref = Fraction(perm(m_r, q))
+    # the modes struck from one left block, perm(b, v) / v! = comb(b, v)
+    pref = perm(m_r, q)
     for b, v in zip(tl.blocks, counts):
-        pref *= Fraction(perm(b, v), factorial(v))
+        pref *= comb(b, v)
 
     # left block i strikes its last counts[i] slots, block by block, and the
     # right operand its last q slots, so struck_l[t] meets right slot m_r-q+t
@@ -284,17 +312,19 @@ def _bracket_piece(merged, tl: SymbolTerm, tr: SymbolTerm, grade: int,
         a = fwd.get(k_exps, {})
         b = rev.get(k_exps, {})
         for rest in set(a) | set(b):
-            ca = a.get(rest, ZERO)
-            cb = b.get(rest, ZERO)
+            ca = a.get(rest, 0)
+            cb = b.get(rest, 0)
             if ca != cb * sign:
                 raise BracketBranchError(
                     f"branch mismatch at k-exponents {k_exps}: {ca} vs {cb}")
 
     # E_fwd(N) with N := sum of surviving right slots, via the Ehrhart
-    # convolution.  Survivor exponents are laid out as the left survivors,
-    # then the right survivors, each in slot order, which is exactly the
-    # canonical slot order of new_blocks, so every expanded term is added
-    # straight into the output term of (grade, new_blocks), prefactor included
+    # convolution, whose coefficients (like the multinomials of the N-power)
+    # are real and read as Fractions.  Survivor exponents are laid out as the
+    # left survivors, then the right survivors, each in slot order, which is
+    # exactly the canonical slot order of new_blocks, so every expanded term
+    # is added straight into the output term of (grade, new_blocks),
+    # prefactor included
     new_blocks = tuple(b - v for b, v in zip(tl.blocks, counts) if b > v)
     if m_r > q:
         new_blocks += (m_r - q,)
@@ -303,17 +333,17 @@ def _bracket_piece(merged, tl: SymbolTerm, tr: SymbolTerm, grade: int,
         # rule A: every survivor exponent is now 1 (left) or 0/1 (right), and
         # N^n reaches the all-ones monomial, with coefficient n!, exactly when
         # n is the number of zero survivors
-        v = ZERO
+        v = 0
         for k_exps, bucket in fwd.items():
             conv = ehrhart_convolution(k_exps).terms
             for rest, c in bucket.items():
                 n = rest.count(0)
                 cn = conv.get((n,))
                 if cn is not None:
-                    v += c * cn * factorial(n)
+                    v += c * cn.re * factorial(n)
         if v:
             e = (1,) * (len(kept_l) + len(kept_r))
-            s = out.get(e, ZERO) + v * pref
+            s = out.get(e, 0) + v * pref
             if s:
                 out[e] = s
             else:
@@ -335,14 +365,14 @@ def _bracket_piece(merged, tl: SymbolTerm, tr: SymbolTerm, grade: int,
                        tuple(min(x, 2) for x in rest[n_left:]))
                 groups.setdefault(key, []).append((rest, c))
         for (n_exp,), cn in ehrhart_convolution(k_exps).terms.items():
-            cn = cn * pref
+            cn = cn.re * pref
             n_power = power_of_sum(len(kept_r), n_exp).terms.items()
             for key, items in groups.items():
                 if key is None:
-                    n_terms = [(left_zeros + e2, c2) for e2, c2 in n_power]
+                    n_terms = [(left_zeros + e2, c2.re) for e2, c2 in n_power]
                 else:
                     spare, right = key
-                    n_terms = [(left_zeros + e2, c2) for e2, c2 in n_power
+                    n_terms = [(left_zeros + e2, c2.re) for e2, c2 in n_power
                                if sum(a + b != 1 for a, b in zip(right, e2)) <= spare]
                 if not n_terms:
                     continue

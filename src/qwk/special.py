@@ -16,19 +16,24 @@ Contents:
     with s_l = 1/(4^l (2l+1)!) the coefficients of S and sigma_k those of
     1/S.  So it is built orbit by orbit, with no series product: one value
     per partition lambda (``sorted_exponents``), written on each distinct
-    rearrangement (``rearrangements``).  ``symbols`` and the densities use
-    the same two generators;
+    rearrangement (``rearrangements``, an iterative next-permutation in
+    lexicographic order).  ``symbols``, the densities and ``power_of_sum``
+    use the same two generators;
   * ``quotient_read``, one coefficient of Q_g times a power of the slot sum.
     Both routes read Q_g through it: a density term is
     Q_g(a_1..a_m, a_1+..+a_m) / m!, and the one-part Hurwitz formula is
     Q_g(mu_1..mu_n) times a power of the degree;
   * ``power_of_sum(n, power)`` = (a_1+..+a_n)^power over the same slots,
-    memoized by slot count;
+    written in closed form, one multinomial power!/prod_i e_i! per sorted
+    exponent tuple e, and memoized;
   * Eulerian polynomials E_n(t) via the descent recurrence;
   * the power-sum convolution C^r(N) = sum over compositions
     k_1+...+k_q = N (k_i >= 1) of prod k_i^(r_i), expanded as an exact
     polynomial in N through the Carlitz identity
         sum_{k>=1} k^d t^k = t E_d(t) / (1-t)^(d+1).
+    The Eulerian numerator prod_i t E_(r_i)(t) is a polynomial product; the
+    sum of its coefficients against binomials in N is kept as integer
+    coefficient lists over the one denominator (D-1)!, D = q + sum(r).
 
 C^r(N) has degree q-1+sum(r) and all its monomials share the parity of that
 degree; both facts are asserted at construction because the commutator
@@ -150,15 +155,25 @@ def slot_names(n: int) -> Tuple[str, ...]:
 
 
 def rearrangements(canon: Tuple[int, ...]):
-    """The distinct rearrangements of a sorted tuple, each once."""
-    if not canon:
-        yield ()
-        return
-    for j, x in enumerate(canon):
-        if j and canon[j - 1] == x:
-            continue
-        for rest in rearrangements(canon[:j] + canon[j + 1:]):
-            yield (x,) + rest
+    """The distinct rearrangements of a sorted tuple, each once, in lexicographic order.
+
+    Each step is the next permutation: find the last ascent a[i] < a[i+1],
+    swap a[i] with the last entry above it, and reverse the tail after i.
+    """
+    a = list(canon)
+    n = len(a)
+    while True:
+        yield tuple(a)
+        i = n - 2
+        while i >= 0 and a[i] >= a[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = n - 1
+        while a[j] <= a[i]:
+            j -= 1
+        a[i], a[j] = a[j], a[i]
+        a[i + 1:] = a[:i:-1]
 
 
 def sorted_exponents(n: int, total: int, low: int = 0):
@@ -266,26 +281,31 @@ def _ehrhart_cached(r: Tuple[int, ...]) -> MultiPoly:
     for ri in r:
         num = num * t * eulerian_polynomial(ri)
     d_total = q + total
-    # [t^N] num/(1-t)^D = sum_j num_j * binom(N-j+D-1, D-1), a polynomial in N
-    n_var = MultiPoly.var("N")
-    acc = MultiPoly(("N",), {})
-    fact = Fraction(1, factorial(d_total - 1))
+    # [t^N] num/(1-t)^D = sum_j num_j * binom(N-j+D-1, D-1), a polynomial in N:
+    # integer coefficients acc[e] of N^e over the one denominator (D-1)!
+    acc = [0] * d_total
     for (j,), cj in num.terms.items():
-        prod = MultiPoly.const(cj * fact, ("N",))
+        rising = [1]            # prod_{i < D-1} (N + D-1-j-i), lowest power first
         for i in range(d_total - 1):
-            prod = prod * (n_var + (d_total - 1 - j - i))
-        acc = acc + prod
-    got_deg = acc.degree()
+            shift = d_total - 1 - j - i
+            rising = [shift * a + b for a, b in zip(rising + [0], [0] + rising)]
+        cj = int(cj.re)
+        for e, a in enumerate(rising):
+            acc[e] += cj * a
+    fact = factorial(d_total - 1)
+    poly = MultiPoly(("N",), {(e,): GaussRat(Fraction(a, fact)) for e, a in enumerate(acc) if a},
+                     _normalized=True)
+    got_deg = poly.degree()
     if got_deg != degree:
         raise AssertionError(f"Ehrhart degree {got_deg} != {degree} for r={r}")
     # pure parity holds under the lemma's hypothesis (all exponents positive);
     # the commutator engine's branch gluing rests on it, and only ever uses
     # exponents >= 1 because of the k_1...k_q prefactor
     if all(x >= 1 for x in r):
-        for (e,), _c in acc.terms.items():
+        for (e,), _c in poly.terms.items():
             if (e - degree) % 2 != 0:
                 raise AssertionError(f"Ehrhart parity violated at N^{e} for r={r}")
-    return acc
+    return poly
 
 
 def ehrhart_convolution(r: Sequence[int]) -> MultiPoly:
@@ -323,7 +343,19 @@ def ehrhart_brute_force(r: Sequence[int], n: int) -> Rat:
 def power_of_sum(n: int, power: int) -> MultiPoly:
     """(a_1 + ... + a_n)^power over the slots a1..an.
 
-    Memoized, since the bracket engine asks for few distinct powers.
+    The multinomial power! / prod_i e_i! is written once per sorted exponent
+    tuple e, on each of its rearrangements.  Memoized, since the bracket
+    engine asks for few distinct powers.
     """
-    return MultiPoly(slot_names(n), {tuple(int(i == j) for i in range(n)): 1
-                                     for j in range(n)}) ** power
+    if n < 0 or power < 0:
+        raise ValueError("slot count and power must be >= 0")
+    terms = {}
+    top = factorial(power)
+    for canon in sorted_exponents(n, power):
+        ways = top
+        for e in canon:
+            ways //= factorial(e)
+        c = GaussRat(ways)
+        for e in rearrangements(canon):
+            terms[e] = c
+    return MultiPoly(slot_names(n), terms, _normalized=True)

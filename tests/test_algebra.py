@@ -1,5 +1,7 @@
 """Ring axioms and exact-arithmetic properties of the coefficient layer."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qwk.algebra import GaussRat, I, MultiPoly, rat_str
+from qwk.algebra import ZERO, GaussRat, I, MultiPoly, rat_str
 from qwk.special import series_product
 
 
@@ -61,14 +63,15 @@ def test_gaussrat_refuses_floats():
         with pytest.raises(TypeError, match="float"):
             GaussRat(*parts)
     for op in (lambda z: z + 0.5, lambda z: 0.5 + z, lambda z: z * 0.5,
-               lambda z: 0.5 * z, lambda z: z - 0.5, lambda z: z / 0.5):
+               lambda z: 0.5 * z, lambda z: z - 0.5, lambda z: z / 0.5,
+               lambda z: 0.5 / z):
         with pytest.raises(TypeError, match="float"):
             op(GaussRat(1, 1))
     assert GaussRat("1/10") == Fraction(1, 10)
 
 
 # operands drawn as (re, im) Fraction pairs: real, purely imaginary and mixed;
-# a right operand may also be an int or a Fraction
+# a right operand may also be an int or a Fraction, and is the left one of y / x
 _PARTS = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 _PAIRS = st.one_of(_PARTS.map(lambda a: (a, Fraction(0))),
                    _PARTS.map(lambda b: (Fraction(0), b)),
@@ -120,6 +123,12 @@ def test_gaussrat_fast_paths_match_pair_arithmetic(left, right, n):
     else:
         with pytest.raises(ZeroDivisionError):
             x / y
+    norm = a * a + b * b
+    if norm:
+        _assert_pair(y / x, ((c * a + d * b) / norm, (d * a - c * b) / norm))
+    else:
+        with pytest.raises(ZeroDivisionError):
+            y / x
     if n < 0 and (a, b) == (0, 0):
         with pytest.raises(ZeroDivisionError):
             x ** n
@@ -130,6 +139,23 @@ def test_gaussrat_fast_paths_match_pair_arithmetic(left, right, n):
     assert hash(x) == (hash(a) if b == 0 else hash((a, b)))
     if x == y:
         assert hash(x) == hash(y)
+
+
+@pytest.mark.parametrize("roundtrip", [copy.copy, copy.deepcopy,
+                                       lambda v: pickle.loads(pickle.dumps(v))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_copy_and_pickle_rebuild_through_the_constructor(roundtrip):
+    real, mixed = GaussRat(Fraction(-3, 7)), GaussRat(Fraction(1, 2), -2)
+    poly = MultiPoly(("a1", "a2"), {(1, 0): real, (0, 2): mixed, (3, 1): 5})
+    for value in (real, mixed, poly):
+        got = roundtrip(value)
+        assert type(got) is type(value) and got == value
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(got, "terms" if type(got) is MultiPoly else "re", None)
+    got = roundtrip(real)
+    # a real value keeps the shared zero imaginary part that its fast paths test
+    assert got.im == 0 and got.im is ZERO.im and got.is_real()
+    assert roundtrip(poly).terms[(3, 1)].im is ZERO.im
 
 
 def test_binomial_square():

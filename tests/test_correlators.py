@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qwk.correlators import (CorrelatorKey, _correlator_cached, constant_term,
                              correlator, correlator_table, correlator_tau0,
@@ -168,15 +170,27 @@ def test_classical_genus_zero_values():
             assert correlator(d, 0) == expected, d
 
 
-def test_bottom_level_multinomial_structure():
-    # on the minimal level sum d = 2g - 3 + n the values follow the
-    # lambda_g structure: multinomial(2g-3+n; d) times the one-point value
-    # c_g = (2^(2g-1) - 1)/2^(2g-1) * |B_2g|/(2g)!
+def bottom_level_value(d, g):
+    """The lambda_g value on the minimal level sum d = 2g - 3 + n:
+    multinomial(2g-3+n; d) times the one-point value b_g, with b_0 = 1 and
+    b_g = (2^(2g-1) - 1)/2^(2g-1) * |B_2g|/(2g)! for g = 1..3."""
     from math import factorial
     bernoulli = {1: Fraction(1, 6), 2: Fraction(1, 30), 3: Fraction(1, 42)}
-    for g in (1, 2, 3):
+    if g:
         top = 2 ** (2 * g - 1)
-        c_g = Fraction(top - 1, top) * bernoulli[g] / factorial(2 * g)
+        b_g = Fraction(top - 1, top) * bernoulli[g] / factorial(2 * g)
+    else:
+        b_g = Fraction(1)
+    value = Fraction(factorial(sum(d))) * b_g
+    for x in d:
+        value /= factorial(x)
+    return value
+
+
+def test_bottom_level_multinomial_structure():
+    # on the minimal level sum d = 2g - 3 + n the values follow the
+    # lambda_g structure (see bottom_level_value)
+    for g in (1, 2, 3):
         for n in (1, 2, 3):
             total = 2 * g - 3 + n
             if total < 0:
@@ -184,10 +198,28 @@ def test_bottom_level_multinomial_structure():
             for d in itertools.combinations_with_replacement(range(total + 1), n):
                 if sum(d) != total:
                     continue
-                expected = Fraction(factorial(total))
-                for x in d:
-                    expected /= factorial(x)
-                assert correlator(d, g) == expected * c_g, (d, g)
+                assert correlator(d, g) == bottom_level_value(d, g), (d, g)
+
+
+@st.composite
+def bottom_level_keys(draw):
+    """(d, g) with sum d = 2g - 3 + n, for n <= 6 at g <= 2 and n <= 4 at g = 3."""
+    g = draw(st.integers(0, 3))
+    n = draw(st.integers(max(1, 3 - 2 * g), 6 if g <= 2 else 4))
+    total = 2 * g - 3 + n
+    # k nonzero insertions, so that a key nests as deep as its total allows
+    k = draw(st.integers(min(1, total), min(n, total)))
+    cuts = sorted(draw(st.permutations(range(1, total)))[:k - 1])
+    parts = [b - a for a, b in zip([0, *cuts], [*cuts, total])] if k else []
+    return tuple(draw(st.permutations(parts + [0] * (n - k)))), g
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(key=bottom_level_keys())
+def test_bottom_level_on_random_deep_keys(key):
+    # more insertions than any grid key, so the engine nests deeper
+    d, g = key
+    assert correlator(d, g) == bottom_level_value(d, g)
 
 
 def test_top_level_one_point_values():

@@ -288,6 +288,22 @@ def random_symbol(rng, kind, max_m=2, max_deg=2, max_grade=1):
     return sym
 
 
+def weyl_comparisons(left, right, sym, modes, max_grade=None):
+    """Assert that ``sym`` is the Weyl-algebra commutator of left and right on every
+    monomial of mode sum <= modes (and hbar grade <= max_grade); return the count."""
+    direct = weyl_commutator_over_hbar(
+        symbol_to_weyl(left, modes), symbol_to_weyl(right, modes), modes)
+    via = symbol_to_weyl(sym, modes)
+    comparisons = 0
+    for key in set(direct) | set(via):
+        if monomial_mode_sum(key[1], modes) > modes or (
+                max_grade is not None and key[0] > max_grade):
+            continue
+        comparisons += 1
+        assert direct.get(key, GaussRat(0)) == via.get(key, GaussRat(0)), key
+    return comparisons
+
+
 def test_bracket_against_weyl_oracle():
     rng = random.Random(99)
     modes = 5
@@ -301,33 +317,60 @@ def test_bracket_against_weyl_oracle():
         trials += 1
         budget = left.max_grade() + right.max_grade() + min(
             max(t.m for t in left.terms), max(t.m for t in right.terms))
-        sym = bracket(left, right, budget)
-        direct = weyl_commutator_over_hbar(
-            symbol_to_weyl(left, modes), symbol_to_weyl(right, modes), modes)
-        via = symbol_to_weyl(sym, modes)
-        for key in set(direct) | set(via):
-            if monomial_mode_sum(key[1], modes) > modes:
-                continue
-            comparisons += 1
-            assert direct.get(key, GaussRat(0)) == via.get(key, GaussRat(0)), key
+        comparisons += weyl_comparisons(left, right, bracket(left, right, budget), modes)
     assert comparisons > 50
+
+
+def coefficients(sym):
+    return [c for t in sym.terms for c in t.coeff.terms.values()]
+
+
+def test_bracket_returns_gaussrat_coefficients():
+    # the kernel computes with plain Fractions, but every coefficient a bracket
+    # returns is a GaussRat, a real one with the imaginary part 0, on the
+    # demanded chain of a nested commutator and on the full one
+    checked = 0
+    for d_list, g in (((3, 2, 1), 2), ((4, 3, 2), 2), ((2, 2, 2, 1), 2), ((4, 2, 1, 1), 3)):
+        for demanded in (True, False):
+            current = hamiltonian_density(d_list[0] - 1, max_grade=g)
+            for i, d in enumerate(d_list[1:], 2):
+                right = integrate_hamiltonian(hamiltonian_density(d, max_grade=g))
+                current = bracket(current, right, g, len(d_list) - i if demanded else None)
+                for c in coefficients(current):
+                    assert type(c) is GaussRat and type(c.re) is Fraction and c.im == 0, c
+                    checked += 1
+    assert checked > 1000
+
+
+def test_nonreal_bracket_against_weyl_oracle():
+    # a non-real coefficient goes through the same kernel as a GaussRat
+    rng = random.Random(5)
+    modes = 4
+    trials = nonreal = comparisons = 0
+    while trials < 8:
+        left = random_symbol(rng, DENSITY)
+        right = random_symbol(rng, INTEGRATED)
+        if (left.is_zero() or right.is_zero()
+                or all(c.is_real() for c in coefficients(left) + coefficients(right))):
+            continue
+        trials += 1
+        budget = left.max_grade() + right.max_grade() + min(
+            max(t.m for t in left.terms), max(t.m for t in right.terms))
+        sym = bracket(left, right, budget)
+        assert all(type(c) is GaussRat for c in coefficients(sym))
+        nonreal += not all(c.is_real() for c in coefficients(sym))
+        comparisons += weyl_comparisons(left, right, sym, modes)
+    assert nonreal >= 4 and comparisons > 50
 
 
 def test_hamiltonian_bracket_against_weyl_oracle():
     # not just random symbols: the actual Hamiltonians, small indices
     modes = 5
-    for d1, d2, budget in [(-1, 0, 2), (0, 0, 2), (0, 1, 2), (1, 1, 3)]:
+    for d1, d2 in [(-1, 0), (0, 0), (0, 1), (1, 1)]:
         left = hamiltonian_density(d1, max_grade=1)
         right = integrate_hamiltonian(hamiltonian_density(d2, max_grade=1))
         top = 1 + 1 + min(max(t.m for t in left.terms), max(t.m for t in right.terms))
-        sym = bracket(left, right, top)
-        direct = weyl_commutator_over_hbar(
-            symbol_to_weyl(left, modes), symbol_to_weyl(right, modes), modes)
-        via = symbol_to_weyl(sym, modes)
-        for key in set(direct) | set(via):
-            if monomial_mode_sum(key[1], modes) > modes:
-                continue
-            assert direct.get(key, GaussRat(0)) == via.get(key, GaussRat(0)), (d1, d2, key)
+        weyl_comparisons(left, right, bracket(left, right, top), modes)
 
 
 def test_multi_block_left_operand_against_weyl_oracle():
@@ -338,17 +381,7 @@ def test_multi_block_left_operand_against_weyl_oracle():
                    integrate_hamiltonian(hamiltonian_density(1, max_grade=1)), 1)
     assert {t.blocks for t in left.terms} == {(2, 2), (1, 1), (2,)}
     right = integrate_hamiltonian(hamiltonian_density(0, max_grade=1))
-    sym = bracket(left, right, 2)
-    direct = weyl_commutator_over_hbar(
-        symbol_to_weyl(left, modes), symbol_to_weyl(right, modes), modes)
-    via = symbol_to_weyl(sym, modes)
-    comparisons = 0
-    for key in set(direct) | set(via):
-        if key[0] > 1 or monomial_mode_sum(key[1], modes) > modes:
-            continue
-        comparisons += 1
-        assert direct.get(key, GaussRat(0)) == via.get(key, GaussRat(0)), key
-    assert comparisons == 52
+    assert weyl_comparisons(left, right, bracket(left, right, 2), modes, max_grade=1) == 52
 
 
 def unsymmetrized_integrated(rng, max_grade=1):
@@ -383,12 +416,5 @@ def test_unsymmetrized_right_operand_against_weyl_oracle():
         sym = bracket(left, right, max_grade)
         nonzero += not sym.is_zero()
         assert symbols_equal(sym, bracket(left, symmetrize(right), max_grade))
-        direct = weyl_commutator_over_hbar(
-            symbol_to_weyl(left, modes), symbol_to_weyl(right, modes), modes)
-        via = symbol_to_weyl(sym, modes)
-        for key in set(direct) | set(via):
-            if monomial_mode_sum(key[1], modes) > modes:
-                continue
-            comparisons += 1
-            assert direct.get(key, GaussRat(0)) == via.get(key, GaussRat(0)), key
+        comparisons += weyl_comparisons(left, right, sym, modes)
     assert nonzero >= 4 and comparisons > 50
