@@ -5,10 +5,11 @@ branch points) is
 
     H_g(mu) = r! * (mu_1+..+mu_n)^(r-1) * [z^(2g)] prod_i S(mu_i z) / S(z),
 
-a polynomial in the parts.  The quotient is ``special.s_quotient``, the one
-the Hamiltonian densities are built from, so the polynomials here are over
-its slot variables a1..an: part mu_i is slot a_i.  A Hurwitz correlator
-extracts one monomial:
+a polynomial in the parts.  The quotient is ``special.s_quotient`` (the
+Hamiltonian densities are the same quotient on one more slot, summed in
+closed form by ``qkdv``), so the polynomials here are over its slot
+variables a1..an: part mu_i is slot a_i.  A Hurwitz correlator extracts one
+monomial:
 
     <<tau_{d_1}..tau_{d_n}>>_g = (-1)^((4g-3+n-sum d)/2) [mu^d] ( H_g / (r! d) ),
 

@@ -3,19 +3,23 @@
 The density H_d carries one term per genus grade g with m = d+2-2g slots and
 coefficient
 
-    (1/m!) * [z^(2g)]  S(a_1 z) ... S(a_m z) S((a_1+..+a_m) z) / S(z)
-        = Q_g(a_1, .., a_m, a_1+..+a_m) / m!,
+    (1/m!) * [z^(2g)]  S(a_1 z) ... S(a_m z) S((a_1+..+a_m) z) / S(z),
 
-a symmetric polynomial of degree 2g in the slots.  Q_g is the quotient
-``special.s_quotient`` that the one-part Hurwitz formula reads too: the term
-is Q_g on m+1 slots with its last slot set to the sum of the others.  It is
-built orbit by orbit, with no polynomial product: for each sorted exponent
-tuple alpha of even total <= 2g, its coefficient is
+a symmetric polynomial of degree 2g in the slots: the quotient that the
+one-part Hurwitz formula reads (``special.s_quotient``), on m+1 slots with the
+last set to the sum of the others.  Its coefficients have a closed form, so
+the term is built orbit by orbit, with no polynomial product and without the
+quotient.  With s_l = 1/(4^l (2l+1)!) the coefficients of S and sigma_k those
+of 1/S, a sorted exponent tuple alpha of even total <= 2g has the coefficient
 
-    (1/m!) * sum over even beta <= alpha of Q_g[beta, j] * j! / prod_i (alpha_i - beta_i)!,
+    sigma_(g-|alpha|/2) / (m! 2^|alpha| prod_i (alpha_i+1)!)
+        * sum over even beta <= alpha of prod_i comb(alpha_i+1, beta_i+1) / (|alpha|-|beta|+1),
 
-with j = |alpha| - |beta| (``special.quotient_read``), and that one value is
-written on every distinct rearrangement of alpha.
+and that one value is written on every distinct rearrangement of alpha.  The
+last slot contributes s_(j/2) (a_1+..+a_m)^j with j = |alpha| - |beta|, the
+others sigma_(g-|alpha|/2) prod_i s_(beta_i/2), and the multinomial
+j!/prod_i (alpha_i-beta_i)! turns j!/(j+1)! into 1/(j+1).  The sum is taken in
+integers over lcm(1..|alpha|+1), so each orbit costs one Fraction.
 
 The commutator engine computes (L*R - R*L)/hbar_u for a density L and an
 integrated R, where * is the normal-ordered star product
@@ -84,6 +88,17 @@ slots of a block, so every output term stays one symmetric term per block
 layout; both branches of the gluing check see the same pruned splits, so the
 check still holds term by term.  Without that argument ``bracket`` is the
 full commutator.
+
+The same bound builds the densities on demand.  A strike of q slots passes a
+split term only if its survivors have at most ``allowed`` exponents off
+target, and allowed + q = g - grade_l - grade_r + 1 + L does not depend on q,
+so no term with more than that many exponents off target, in all its slots,
+is ever used.  ``nested_bracket`` therefore asks the first density
+H_(d_1-1) (a left operand, target 1) for at most g - grade + n - 1 exponents
+other than 1, and the right operand Hbar_d of a bracket with L brackets after
+it (target 0 or 1) for at most g - grade + 1 + L exponents of 2 or more; the
+other orbits are never summed or written.  Rule A needs no case of its own:
+there q <= g + 1 - grade_l - grade_r bounds the struck slots the same way.
 """
 
 from __future__ import annotations
@@ -91,13 +106,13 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, perm
+from math import comb, factorial, lcm, perm
 from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .algebra import GaussRat, MultiPoly, Scalar, plain
-from .special import (ehrhart_convolution, power_of_sum, quotient_read, rearrangements,
-                      s_quotient, slot_names, sorted_exponents)
+from .special import (ehrhart_convolution, power_of_sum, rearrangements, slot_names,
+                      sorted_exponents)
 from .symbols import (DENSITY, INTEGRATED, FourierSymbol, SymbolTerm,
                       eval_string_point, make_term, symmetrize)
 
@@ -109,29 +124,60 @@ class BracketBranchError(AssertionError):
 # ----------------------------------------------------------------------
 # Hamiltonian densities
 
+# What a density keeps when it serves ``bracket`` as one of its operands: the
+# survivor exponents that can still end at the string point's 1 (``_within``'s
+# target), a left survivor's being final and a right survivor's only growing.
+LEFT, RIGHT = (1,), (0, 1)
+
+
 @lru_cache(maxsize=None)
-def _hamiltonian_term(d: int, g: int) -> Optional[SymbolTerm]:
+def _hamiltonian_term(d: int, g: int,
+                      demand: Optional[Tuple[Tuple[int, ...], int]] = None) -> Optional[SymbolTerm]:
+    """The grade-g term of H_d, or with ``demand`` = (target, k) its orbits with
+    at most k exponents off target; None when no orbit is left."""
     m = d + 2 - 2 * g
     if m < 0:
         return None
-    quotient = s_quotient(g, m + 1)
-    scale = Fraction(1, factorial(m))
+    # sigma_k = [z^(2k)] 1/S(z), from S * (1/S) = 1 with s_l = 1/(4^l (2l+1)!)
+    sigma = [Fraction(1)]
+    for k in range(1, g + 1):
+        sigma.append(-sum(sigma[k - l] / (4 ** l * factorial(2 * l + 1)) for l in range(1, k + 1)))
     terms = {}
     for total in range(0, 2 * g + 1, 2):
+        sig = sigma[g - total // 2]
+        common = lcm(*range(1, total + 2))
         for alpha in sorted_exponents(m, total):
-            c = sum((quotient_read(quotient, alpha, j, (j,)) for j in range(0, total + 1, 2)),
-                    GaussRat(0))
-            if c:
-                c = c * scale
-                for e in rearrangements(alpha):
-                    terms[e] = c
+            if demand is not None and sum(x not in demand[0] for x in alpha) > demand[1]:
+                continue
+            # prod_i sum over even beta_i <= alpha_i of comb(alpha_i+1, beta_i+1),
+            # by |beta|/2; a slot with exponent 0 or 1 gives comb / (alpha_i+1)! = 1
+            by_half = [1]
+            den = factorial(m) << total
+            for a in alpha:
+                if a < 2:
+                    continue
+                den *= factorial(a + 1)
+                row = [comb(a + 1, b + 1) for b in range(0, a + 1, 2)]
+                by_half = [sum(by_half[i - j] * row[j] for j in range(len(row))
+                               if 0 <= i - j < len(by_half))
+                           for i in range(len(by_half) + len(row) - 1)]
+            num = sum(c * (common // (total - 2 * h + 1)) for h, c in enumerate(by_half))
+            c = GaussRat(Fraction(sig.numerator * num, sig.denominator * den * common))
+            for e in rearrangements(alpha):
+                terms[e] = c
     if not terms:
         return None
     return make_term(g, m, MultiPoly(slot_names(m), terms, _normalized=True), blocks=(m,))
 
 
-def hamiltonian_density(d: int, max_grade: Optional[int] = None) -> FourierSymbol:
-    """H_d at epsilon = 0; one term per genus grade with m = d+2-2g >= 0 slots."""
+def hamiltonian_density(d: int, max_grade: Optional[int] = None,
+                        demand: Optional[Tuple[Tuple[int, ...], int]] = None) -> FourierSymbol:
+    """H_d at epsilon = 0; one term per genus grade with m = d+2-2g >= 0 slots.
+
+    With ``demand`` = (target, bound), target LEFT or RIGHT, the term of grade
+    g keeps only the orbits with at most bound - g exponents off target, and
+    is dropped when that is negative; without it, H_d is complete.
+    """
     if d < -1:
         raise ValueError("d must be >= -1")
     g_top = (d + 2) // 2
@@ -139,9 +185,20 @@ def hamiltonian_density(d: int, max_grade: Optional[int] = None) -> FourierSymbo
         if max_grade < 0:
             raise ValueError("max_grade must be >= 0")
         g_top = min(g_top, max_grade)
+    if demand is not None:
+        target, bound = demand
+        if target not in (LEFT, RIGHT):
+            raise ValueError("demand target must be LEFT or RIGHT")
+        if bound < 0:
+            raise ValueError("demand bound must be >= 0")
     terms = []
     for g in range(g_top + 1):
-        t = _hamiltonian_term(d, g)
+        term_demand = None
+        if demand is not None:
+            if bound < g:
+                break
+            term_demand = (target, bound - g)
+        t = _hamiltonian_term(d, g, term_demand)
         if t is not None:
             terms.append(t)
     return FourierSymbol(DENSITY, tuple(terms))
@@ -301,8 +358,8 @@ def _bracket_piece(merged, tl: SymbolTerm, tr: SymbolTerm, grade: int,
     psi = tr.coeff.terms
     if allowed is not None:
         # a left survivor's exponent is final, a right survivor's only grows
-        phi = _within(phi, kept_l, (1,), allowed)
-        psi = _within(psi, kept_r, (0, 1), allowed)
+        phi = _within(phi, kept_l, LEFT, allowed)
+        psi = _within(psi, kept_r, RIGHT, allowed)
     fwd = _product_by_k(_split(phi, struck_l, kept_l, 1), _split(psi, struck_r, kept_r, -1))
     if not fwd:
         return
@@ -404,10 +461,17 @@ def nested_bracket(d_list: Sequence[int], g: int) -> Dict[int, GaussRat]:
         raise ValueError("insertions must be >= 0")
     if g < 0:
         raise ValueError("genus grade must be >= 0")
-    current = hamiltonian_density(d_list[0] - 1, max_grade=g)
+    # each density keeps only what its bracket's _within can pass: a strike of
+    # q slots, with L brackets after it, allows g - grade + L survivor
+    # exponents off target at grade = grade_l + grade_r + q - 1, so a term
+    # uses at most g - grade_l - grade_r + 1 + L in all its slots, whatever q
+    n = len(d_list)
+    current = hamiltonian_density(d_list[0] - 1, max_grade=g, demand=(LEFT, g + n - 1))
     for i, d in enumerate(d_list[1:], 2):
-        right = integrate_hamiltonian(hamiltonian_density(d, max_grade=g))
-        current = bracket(current, right, g, len(d_list) - i)
+        brackets_left = n - i
+        right = integrate_hamiltonian(
+            hamiltonian_density(d, max_grade=g, demand=(RIGHT, g + 1 + brackets_left)))
+        current = bracket(current, right, g, brackets_left)
     return eval_string_point(current)
 
 

@@ -19,10 +19,11 @@ Contents:
     rearrangement (``rearrangements``, an iterative next-permutation in
     lexicographic order).  ``symbols``, the densities and ``power_of_sum``
     use the same two generators;
-  * ``quotient_read``, one coefficient of Q_g times a power of the slot sum.
-    Both routes read Q_g through it: a density term is
-    Q_g(a_1..a_m, a_1+..+a_m) / m!, and the one-part Hurwitz formula is
-    Q_g(mu_1..mu_n) times a power of the degree;
+  * ``quotient_read``, one coefficient of Q_g times a power of the slot sum,
+    which is how the one-part Hurwitz formula reads Q_g(mu_1..mu_n) times a
+    power of the degree.  The densities are Q_g with one more slot set to
+    the sum of the others, but ``qkdv`` sums that closed form itself and
+    never builds the quotient;
   * ``power_of_sum(n, power)`` = (a_1+..+a_n)^power over the same slots,
     written in closed form, one multinomial power!/prod_i e_i! per sorted
     exponent tuple e, and memoized;
@@ -218,20 +219,18 @@ def _even_below(head: Tuple[int, ...], total: int):
             yield (b,) + rest
 
 
-def quotient_read(quotient: MultiPoly, head: Tuple[int, ...], p: int,
-                  tail: Tuple[int, ...] = ()) -> GaussRat:
-    """[a^head] of (a_1+..+a_k)^p times the part of ``quotient`` whose last
-    slots have the exponents ``tail``, with k = len(head):
+def quotient_read(quotient: MultiPoly, head: Tuple[int, ...], p: int) -> GaussRat:
+    """[a^head] of (a_1+..+a_k)^p times ``quotient``, with k = len(head):
 
         sum over even beta <= head, |beta| = |head| - p,
-        of quotient[beta + tail] * p! / prod_i (head_i - beta_i)!.
+        of quotient[beta] * p! / prod_i (head_i - beta_i)!.
 
     Only even beta count, because the quotient has only even exponents.
     """
     terms = quotient.terms
     acc = GaussRat(0)
     for beta in _even_below(head, sum(head) - p):
-        c = terms.get(beta + tail)
+        c = terms.get(beta)
         if c is not None:
             ways = factorial(p)
             for h, b in zip(head, beta):

@@ -171,6 +171,20 @@ def test_main_theorem_genus_3():
     assert not failures, failures
 
 
+def test_main_theorem_genus_4_low_n():
+    """Criterion 2 at genus grade 4 for one and two insertions: the 118 keys
+    of ``qwk verify main-theorem --g-max 4`` with n <= 2."""
+    keys = [(d, g) for d, g in theorem_grid(g_max=4, slack=3) if g == 4 and len(d) <= 2]
+    assert len(keys) == 118
+    failures = []
+    for d, g in keys:
+        lhs = correlator(d, g)
+        rhs = hurwitz_correlator(d, g)
+        if lhs != rhs:
+            failures.append((d, g, str(lhs), str(rhs)))
+    assert not failures, failures
+
+
 def test_criterion_03_string_equation():
     failures = []
     for g in range(3):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qwk.algebra import GaussRat, I, MultiPoly
-from qwk.qkdv import (bracket, hamiltonian_density,
+from qwk.qkdv import (LEFT, bracket, hamiltonian_density,
                       integrate_hamiltonian, monomial_mode_sum,
                       nested_bracket, symbol_to_weyl,
                       weyl_commutator_over_hbar)
@@ -139,6 +139,16 @@ def test_demanded_nested_bracket_matches_full_chain():
     assert keys == 155 and nonzero_below_top > 20
     for d_list in ((4, 2, 1, 1), (5, 2, 2, 1)):
         assert set(nested_bracket(d_list, 3)) == {2, 3}
+    # with the smallest insertion first, the right operands are the larger
+    # densities, and only then do their terms reach the demand of
+    # g - grade + 1 + L exponents of 2 or more
+    ascending = 0
+    for d_list, g in demand_grid():
+        if len(d_list) + g <= 4:
+            d_list = d_list[::-1]
+            assert nested_bracket(d_list, g) == eval_string_point(full(d_list, g)), (d_list, g)
+            ascending += 1
+    assert ascending == 86
 
 
 def test_demanded_intermediate_brackets_obey_rule_b():
@@ -224,6 +234,14 @@ def test_bracket_refuses_negative_brackets_left():
     h = hamiltonian_density(0)
     with pytest.raises(ValueError, match="brackets_left must be >= 0"):
         bracket(h, integrate_hamiltonian(h), 1, -1)
+
+
+def test_hamiltonian_density_refuses_malformed_demand():
+    with pytest.raises(ValueError, match="demand bound must be >= 0"):
+        hamiltonian_density(4, max_grade=2, demand=(LEFT, -1))
+    for target in ((2,), (0,), (1, 0), "left", None):
+        with pytest.raises(ValueError, match="demand target must be LEFT or RIGHT"):
+            hamiltonian_density(4, max_grade=2, demand=(target, 3))
 
 
 def test_tau_symmetry():

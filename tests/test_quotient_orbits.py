@@ -6,7 +6,7 @@ exponent tuple.  The oracles below are the builds they replaced, kept here
 as the slow paths: the quotient as a product of truncated series, a density
 as the quotient with its last slot replaced by the sum of the others, and a
 Hurwitz correlator as one coefficient of the full product with the power of
-the sum.
+the sum.  A density built on demand is checked against the full one.
 """
 
 import itertools
@@ -15,7 +15,7 @@ from math import factorial
 
 from qwk.algebra import MultiPoly
 from qwk.hurwitz import hurwitz_correlator
-from qwk.qkdv import _hamiltonian_term
+from qwk.qkdv import LEFT, RIGHT, _hamiltonian_term, hamiltonian_density
 from qwk.special import (_even_below, power_of_sum, rearrangements,
                          s_quotient, s_series, s_series_of, series_inverse,
                          series_product, slot_names, sorted_exponents)
@@ -84,7 +84,7 @@ def test_s_quotient_matches_series_product():
 
 
 def test_density_terms_match_substitution():
-    keys = [(d, g) for d in range(-1, 13) for g in range(4)] + [(12, 4)]
+    keys = [(d, g) for d in range(-1, 13) for g in range(4)] + [(12, 4), (14, 4)]
     for d, g in keys:
         got, expect = _hamiltonian_term(d, g), _density_term_by_substitution(d, g)
         if expect is None:
@@ -93,6 +93,31 @@ def test_density_terms_match_substitution():
         assert (got.grade, got.m, got.blocks) == (expect.grade, expect.m, expect.blocks), (d, g)
         assert got.coeff.variables == expect.coeff.variables, (d, g)
         assert got.coeff.terms == expect.coeff.terms, (d, g)
+
+
+def test_demanded_density_is_full_density_restricted():
+    # the term of grade t keeps exactly the monomials with at most bound - t
+    # exponents off target, and is dropped when none is left
+    restricted = 0
+    for g in range(4):
+        for d in range(-1, 13):
+            full = {t.grade: t for t in hamiltonian_density(d, max_grade=g).terms}
+            for target in (LEFT, RIGHT):
+                for bound in range(g + 4):
+                    got = hamiltonian_density(d, max_grade=g, demand=(target, bound)).terms
+                    expect = {}
+                    for grade, t in full.items():
+                        kept = {e: c for e, c in t.coeff.terms.items()
+                                if sum(x not in target for x in e) <= bound - grade}
+                        if kept:
+                            expect[grade] = kept
+                    assert [t.grade for t in got] == sorted(expect), (d, g, target, bound)
+                    for t in got:
+                        f = full[t.grade]
+                        assert (t.m, t.blocks, t.coeff.variables) == (f.m, f.blocks, f.coeff.variables)
+                        assert t.coeff.terms == expect[t.grade], (d, g, target, bound, t.grade)
+                        restricted += len(t.coeff.terms) < len(f.coeff.terms)
+    assert restricted > 100
 
 
 def test_hurwitz_correlator_matches_full_product():
