@@ -54,8 +54,8 @@ SUITES = ("main-theorem", "string", "levels", "identities",
 _UNSET = object()
 
 # every memo table of the engine; runtime_ms means little without their state
-_MEMO_TABLES = (_qkdv._hamiltonian_term, _special._euler_row, _special._ehrhart_cached,
-                _special.power_of_sum, _special.s_quotient,
+_MEMO_TABLES = (_qkdv._hamiltonian_term, _qkdv._prefix, _special._euler_row,
+                _special._ehrhart_cached, _special.power_of_sum, _special.s_quotient,
                 _correlators._tau0_cached, _correlators._correlator_cached)
 
 

@@ -79,9 +79,13 @@ strike at most g - grade + L of a term's slots in all.
     a left split term with more than ``allowed`` survivor exponents other
     than 1, or a right split term with more than ``allowed`` survivor
     exponents of 2 or more, can never become multilinear and is dropped
-    before the product.  The same bound holds on the output: a monomial of
-    the N-power expansion with more than ``allowed`` exponents other than 1,
-    left and right survivors together, is never multiplied or written.
+    before the product.  The same bound holds on the output: only the
+    monomials of the N-power expansion with at most ``allowed`` exponents
+    other than 1, left and right survivors together, are multiplied and
+    written.  They are enumerated directly, not filtered from the whole
+    power: a recursion over the right survivors spends the spare left by the
+    left survivors only where an exponent ends off 1, and reads each
+    multinomial from ``power_of_sum``.
 
 Both rules count survivor exponents, which is symmetric under permuting the
 slots of a block, so every output term stays one symmetric term per block
@@ -99,6 +103,15 @@ other than 1, and the right operand Hbar_d of a bracket with L brackets after
 it (target 0 or 1) for at most g - grade + 1 + L exponents of 2 or more; the
 other orbits are never summed or written.  Rule A needs no case of its own:
 there q <= g + 1 - grade_l - grade_r bounds the struck slots the same way.
+
+Nested commutators share their intermediates.  The i-th one depends only on
+the triple (d_1..d_(i+1), g, n - i - 1): the insertions so far, the budget and
+the brackets still to come, which fix every operand's demand.  ``_prefix``
+memoizes that triple, so the keys of a grid that share their leading
+insertions (the string inversion bumps the largest and keeps it first) build
+those brackets once; the same insertions with another number of brackets
+after them are a different, differently pruned symbol.  The last bracket is
+not kept: its string-point value is what ``correlators`` memoizes per key.
 """
 
 from __future__ import annotations
@@ -243,6 +256,8 @@ def bracket(left: FourierSymbol, right: FourierSymbol, max_grade: int,
         raise ValueError("brackets_left must be >= 0")
     rights = [tr for tr in symmetrize(right).terms if tr.m]
     merged: Dict[Tuple[int, Tuple[int, ...]], Dict[tuple, Scalar]] = {}
+    # rule B's admitted N-power monomials, shared by the pieces of this call
+    admitted: Dict[tuple, list] = {}
 
     for tl in left.terms:
         if tl.m == 0:
@@ -255,7 +270,7 @@ def bracket(left: FourierSymbol, right: FourierSymbol, max_grade: int,
                 allowed = None if brackets_left is None else (
                     max_grade - grade + brackets_left if brackets_left else 0)
                 for counts in _strike_counts(tl.blocks, q):
-                    _bracket_piece(merged, tl, tr, grade, counts, allowed)
+                    _bracket_piece(merged, admitted, tl, tr, grade, counts, allowed)
 
     out_terms = []
     for (grade, blocks), terms in merged.items():
@@ -327,12 +342,54 @@ def _product_by_k(left, right) -> Dict[Tuple[int, ...], Dict[tuple, Scalar]]:
     return {k: bucket for k, bucket in out.items() if bucket}
 
 
-def _bracket_piece(merged, tl: SymbolTerm, tr: SymbolTerm, grade: int,
+def _admitted_powers(right: Tuple[int, ...], spare: int,
+                     n_exp: int) -> List[Tuple[Tuple[int, ...], Fraction]]:
+    """Rule B's monomials e2 of (a_1+..+a_k)^n_exp, k = len(right), each with its multinomial.
+
+    ``right`` holds the right survivors' exponents capped at 2; e2 is admitted
+    when at most ``spare`` positions have right[i] + e2[i] != 1.  A zero
+    survivor is on target with e2 = 1, a survivor of 1 with e2 = 0, and one of
+    2 or more never.  The recursion over positions spends the spare only off
+    target; with no spare left the rest is on target, and with a spare that
+    covers every position left, any completion is admitted, taken from the
+    slot-sum power on those positions.  Each coefficient is read from
+    ``power_of_sum``.
+    """
+    k = len(right)
+    table = power_of_sum(k, n_exp).terms
+    # from position i on: zero survivors, each taking 1 of the power unless it
+    # spends the spare, survivors of 2 or more, each spending it, and the
+    # exponents that spend none
+    zeros, twos = [0] * (k + 1), [0] * (k + 1)
+    for i in range(k - 1, -1, -1):
+        zeros[i] = zeros[i + 1] + (right[i] == 0)
+        twos[i] = twos[i + 1] + (right[i] == 2)
+    on_target = tuple(1 - r for r in right)
+    out = []
+
+    def walk(i, head, power, spare):
+        if spare >= k - i:
+            out.extend((e2, table[e2].re)
+                       for e2 in [head + tail for tail in power_of_sum(k - i, power).terms])
+        elif not spare:
+            if not twos[i] and power == zeros[i]:
+                e2 = head + on_target[i:]
+                out.append((e2, table[e2].re))
+        elif twos[i] <= spare and zeros[i] - spare <= power:
+            for x in range(power + 1):
+                walk(i + 1, head + (x,), power - x, spare - (x != on_target[i]))
+
+    walk(0, (), n_exp, spare)
+    return out
+
+
+def _bracket_piece(merged, admitted, tl: SymbolTerm, tr: SymbolTerm, grade: int,
                    counts: Tuple[int, ...], allowed: Optional[int]):
     """Add the strike of counts[i] slots of each left block i against tr's one block.
 
     ``allowed`` is None for the full strike, 0 for rule A and the rule-B bound
     otherwise, which is at least L >= 1 because grade never exceeds the budget.
+    ``admitted`` caches rule B's N-power monomials within one ``bracket`` call.
     """
     q = sum(counts)
     m_r = tr.m
@@ -408,8 +465,8 @@ def _bracket_piece(merged, tl: SymbolTerm, tr: SymbolTerm, grade: int,
         return
     # rule B on the output: whether a term admits an N-power monomial depends
     # on its left survivors only through their count off 1, and on each right
-    # survivor only through 0, 1 or >= 2, so the bound is checked once per
-    # such group, before any summed exponent tuple is built
+    # survivor only through 0, 1 or >= 2, so the admitted monomials are
+    # enumerated once per such group, before any summed exponent tuple is built
     n_left = len(kept_l)
     left_zeros = (0,) * n_left
     for k_exps, bucket in fwd.items():
@@ -423,14 +480,16 @@ def _bracket_piece(merged, tl: SymbolTerm, tr: SymbolTerm, grade: int,
                 groups.setdefault(key, []).append((rest, c))
         for (n_exp,), cn in ehrhart_convolution(k_exps).terms.items():
             cn = cn.re * pref
-            n_power = power_of_sum(len(kept_r), n_exp).terms.items()
             for key, items in groups.items():
                 if key is None:
-                    n_terms = [(left_zeros + e2, c2.re) for e2, c2 in n_power]
+                    n_terms = [(left_zeros + e2, c2.re)
+                               for e2, c2 in power_of_sum(len(kept_r), n_exp).terms.items()]
                 else:
-                    spare, right = key
-                    n_terms = [(left_zeros + e2, c2.re) for e2, c2 in n_power
-                               if sum(a + b != 1 for a, b in zip(right, e2)) <= spare]
+                    n_terms = admitted.get((n_left, key, n_exp))
+                    if n_terms is None:
+                        spare, right = key
+                        n_terms = admitted[n_left, key, n_exp] = [
+                            (left_zeros + e2, c2) for e2, c2 in _admitted_powers(right, spare, n_exp)]
                 if not n_terms:
                     continue
                 for rest, c in items:
@@ -461,18 +520,28 @@ def nested_bracket(d_list: Sequence[int], g: int) -> Dict[int, GaussRat]:
         raise ValueError("insertions must be >= 0")
     if g < 0:
         raise ValueError("genus grade must be >= 0")
+    return eval_string_point(_nested(d_list, g, 0))
+
+
+def _nested(d_list: Tuple[int, ...], g: int, brackets_left: int) -> FourierSymbol:
+    """The demanded nested commutator of ``d_list``, with ``brackets_left`` brackets after it."""
     # each density keeps only what its bracket's _within can pass: a strike of
     # q slots, with L brackets after it, allows g - grade + L survivor
     # exponents off target at grade = grade_l + grade_r + q - 1, so a term
-    # uses at most g - grade_l - grade_r + 1 + L in all its slots, whatever q
-    n = len(d_list)
-    current = hamiltonian_density(d_list[0] - 1, max_grade=g, demand=(LEFT, g + n - 1))
-    for i, d in enumerate(d_list[1:], 2):
-        brackets_left = n - i
-        right = integrate_hamiltonian(
-            hamiltonian_density(d, max_grade=g, demand=(RIGHT, g + 1 + brackets_left)))
-        current = bracket(current, right, g, brackets_left)
-    return eval_string_point(current)
+    # uses at most g - grade_l - grade_r + 1 + L in all its slots, whatever q;
+    # the first density, with L + 1 brackets after it, may use g + L + 1
+    if len(d_list) == 1:
+        return hamiltonian_density(d_list[0] - 1, max_grade=g, demand=(LEFT, g + brackets_left))
+    right = integrate_hamiltonian(
+        hamiltonian_density(d_list[-1], max_grade=g, demand=(RIGHT, g + 1 + brackets_left)))
+    return bracket(_prefix(d_list[:-1], g, brackets_left + 1), right, g, brackets_left)
+
+
+@lru_cache(maxsize=None)
+def _prefix(prefix: Tuple[int, ...], g: int, brackets_left: int) -> FourierSymbol:
+    """``_nested``, memoized; asked only with brackets_left >= 1, since the last
+    bracket is used once, for the value that ``correlators`` memoizes per key."""
+    return _nested(prefix, g, brackets_left)
 
 
 # ----------------------------------------------------------------------

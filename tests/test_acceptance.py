@@ -157,17 +157,23 @@ def test_criterion_02_main_theorem():
     finish(2, "main theorem: engine == closed Hurwitz formula on the grid", failures)
 
 
-def test_main_theorem_genus_3():
-    """Criterion 2 on the grid of ``qwk verify main-theorem --g-max 3``: 441 keys,
-    252 of them at genus grade 3."""
-    keys = list(theorem_grid(g_max=3, slack=3))
-    assert len(keys) == 441 and sum(g == 3 for _, g in keys) == 252
+def _theorem_failures(keys):
+    """The keys on which the engine and the closed Hurwitz formula disagree."""
     failures = []
     for d, g in keys:
         lhs = correlator(d, g)
         rhs = hurwitz_correlator(d, g)
         if lhs != rhs:
             failures.append((d, g, str(lhs), str(rhs)))
+    return failures
+
+
+def test_main_theorem_genus_3():
+    """Criterion 2 on the grid of ``qwk verify main-theorem --g-max 3``: 441 keys,
+    252 of them at genus grade 3."""
+    keys = list(theorem_grid(g_max=3, slack=3))
+    assert len(keys) == 441 and sum(g == 3 for _, g in keys) == 252
+    failures = _theorem_failures(keys)
     assert not failures, failures
 
 
@@ -176,12 +182,25 @@ def test_main_theorem_genus_4_low_n():
     of ``qwk verify main-theorem --g-max 4`` with n <= 2."""
     keys = [(d, g) for d, g in theorem_grid(g_max=4, slack=3) if g == 4 and len(d) <= 2]
     assert len(keys) == 118
-    failures = []
-    for d, g in keys:
-        lhs = correlator(d, g)
-        rhs = hurwitz_correlator(d, g)
-        if lhs != rhs:
-            failures.append((d, g, str(lhs), str(rhs)))
+    failures = _theorem_failures(keys)
+    assert not failures, failures
+
+
+def test_main_theorem_genus_4_three_points():
+    """Criterion 2 at genus grade 4 for three insertions: the 314 keys of
+    ``qwk verify main-theorem --g-max 4`` with n = 3, two nested brackets each."""
+    keys = [(d, g) for d, g in theorem_grid(g_max=4, slack=3) if g == 4 and len(d) == 3]
+    assert len(keys) == 314
+    failures = _theorem_failures(keys)
+    assert not failures, failures
+
+
+def test_main_theorem_genus_5_low_n():
+    """Criterion 2 at genus grade 5 for one and two insertions: the 166 keys
+    of ``qwk verify main-theorem --g-max 5`` with n <= 2."""
+    keys = [(d, g) for d, g in theorem_grid(g_max=5, slack=3) if g == 5 and len(d) <= 2]
+    assert len(keys) == 166
+    failures = _theorem_failures(keys)
     assert not failures, failures
 
 

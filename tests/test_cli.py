@@ -161,6 +161,18 @@ def test_metadata_says_whether_memo_tables_were_warm(capsys):
             assert json.loads(capsys.readouterr().out)["metadata"]["memo"] == memo, argv
 
 
+def test_metadata_memo_is_warm_with_only_shared_prefixes(capsys):
+    # a nested-bracket intermediate alone is enough to make a run warm
+    from qwk.qkdv import _prefix
+    _prefix((4, 1), 2, 1)
+    for table in cli._MEMO_TABLES:
+        if table is not _prefix:
+            table.cache_clear()
+    assert _prefix.cache_info().currsize
+    assert main(["correlator", "--g", "2", "--d", "1,2"]) == 0
+    assert json.loads(capsys.readouterr().out)["metadata"]["memo"] == "warm"
+
+
 def test_hurwitz_genus_zero_single_part():
     # r = 0 branch points: H_0((3)) = 1/3 by the closed form and by the count
     code, out, _ = run_cli("hurwitz", "--g", "0", "--mu", "3", "--oracle")

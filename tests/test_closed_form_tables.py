@@ -2,18 +2,23 @@
 
 ``special.power_of_sum`` writes each multinomial once per sorted exponent
 tuple, ``special._ehrhart_cached`` sums integer coefficient lists over the one
-denominator (D-1)!, and ``special.rearrangements`` steps through the next
-permutation.  The oracles below are the slow paths they replaced: a repeated
+denominator (D-1)!, ``special.rearrangements`` steps through the next
+permutation, and ``qkdv._admitted_powers`` enumerates rule B's N-power
+monomials.  The oracles below are the slow paths they replaced: a repeated
 polynomial power, a product of D-1 linear factors per numerator coefficient,
-and the recursive generator.
+the recursive generator, and the filter over the whole power-of-sum table.
 """
 
 from fractions import Fraction
+import random
+from itertools import product
 from math import factorial
+from operator import add, ne
 
 import pytest
 
 from qwk.algebra import MultiPoly
+from qwk.qkdv import _admitted_powers
 from qwk.special import (ehrhart_convolution, eulerian_polynomial, power_of_sum,
                          rearrangements, slot_names, sorted_exponents)
 
@@ -55,6 +60,31 @@ def _rearrangements_recursive(canon):
             yield (x,) + rest
 
 
+def _off_target_by_filter(right, n_exp):
+    """e2 -> (multinomial, positions with right + e2 != 1) over all of (a_1+..+a_k)^n_exp.
+
+    Rule B's filter over the whole table admits e2 when that count is at most
+    the spare; the count is taken once here for every spare.
+    """
+    ones = (1,) * len(right)
+    return {e2: (c2.re, sum(map(ne, map(add, right, e2), ones)))
+            for e2, c2 in power_of_sum(len(right), n_exp).terms.items()}
+
+
+def _check_admitted(right, n_exp):
+    """The enumeration against the filter at every spare from none to more than
+    the slots; returns the cases checked."""
+    by_off = {}
+    for e2, (c2, off) in _off_target_by_filter(right, n_exp).items():
+        by_off.setdefault(off, {})[e2] = c2
+    expect = {}
+    for spare in range(len(right) + 2):
+        expect.update(by_off.get(spare, {}))
+        got = _admitted_powers(right, spare, n_exp)
+        assert len(got) == len(expect) and dict(got) == expect, (right, spare, n_exp)
+    return len(right) + 2
+
+
 def test_power_of_sum_matches_repeated_power():
     for n in range(7):
         for power in range(9):
@@ -87,3 +117,27 @@ def test_rearrangements_match_recursive_order():
                 assert got == list(_rearrangements_recursive(canon)), canon
                 rearranged += len(got)
     assert rearranged == 92_378
+
+
+def test_admitted_powers_match_filter_over_power_of_sum():
+    # right survivors capped at 2: every tuple up to six slots
+    checked = 0
+    for k in range(7):
+        for right in product(range(3), repeat=k):
+            for n_exp in range(7):
+                checked += _check_admitted(right, n_exp)
+    assert checked == 57_407
+    # seven to ten slots, as genus-4 brackets reach, on a seeded sample of
+    # sorted tuples (the enumeration is blind to the order) and powers up to 8;
+    # the whole sorted grid would take minutes
+    rng = random.Random(2020)
+    for k in range(7, 11):
+        for _ in range(5):
+            zeros = rng.randint(0, k)
+            ones = rng.randint(0, k - zeros)
+            right = (0,) * zeros + (1,) * ones + (2,) * (k - zeros - ones)
+            checked += _check_admitted(right, rng.randint(0, 8))
+    assert checked == 57_407 + 210
+    # no spare and too few zero survivors for the power, or a negative spare:
+    # nothing is admitted
+    assert _admitted_powers((0, 0), 0, 3) == [] and _admitted_powers((2,), -1, 0) == []

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qwk.algebra import GaussRat, I, MultiPoly
-from qwk.qkdv import (LEFT, bracket, hamiltonian_density,
+from qwk.qkdv import (LEFT, _prefix, bracket, hamiltonian_density,
                       integrate_hamiltonian, monomial_mode_sum,
                       nested_bracket, symbol_to_weyl,
                       weyl_commutator_over_hbar)
@@ -149,6 +149,26 @@ def test_demanded_nested_bracket_matches_full_chain():
             assert nested_bracket(d_list, g) == eval_string_point(full(d_list, g)), (d_list, g)
             ascending += 1
     assert ascending == 86
+
+
+def test_shared_prefixes_give_cold_values():
+    # every key evaluated after all the others reuses their intermediates;
+    # the same key right after the prefix memo is cleared builds its own
+    keys = list(demand_grid())
+    keys += [(d_list[::-1], g) for d_list, g in keys if len(d_list) > 1]
+    _prefix.cache_clear()
+    for d_list, g in keys:
+        nested_bracket(d_list, g)
+    hits = _prefix.cache_info().hits
+    warm = {key: nested_bracket(*key) for key in keys}
+    assert _prefix.cache_info().hits > hits > 0
+    for key in keys:
+        _prefix.cache_clear()
+        assert nested_bracket(*key) == warm[key], key
+    # the last bracket is never kept, so a one-bracket key leaves only its density
+    _prefix.cache_clear()
+    nested_bracket((3, 2), 1)
+    assert _prefix.cache_info().currsize == 1
 
 
 def test_demanded_intermediate_brackets_obey_rule_b():
