@@ -25,10 +25,11 @@ built from parts that are already Fractions without coercing them again,
 ``+ * ==`` dispatch on ``type(x) is`` before any general coercion, and
 ``+ * - == bool`` take a real path on an identity test.  GaussRat is the
 coefficient type at symbol boundaries; between them the commutator kernel
-reads a real value as its plain Fraction (``plain``), computes with
-Fractions and its integer structure constants, and wraps each output value
-in a GaussRat once.  A non-real value stays a GaussRat along the same code,
-which mixes the two through the reflected operators.
+reads each operand term as integer numerators over one denominator, computes
+with Python integers and its integer structure constants, and wraps each
+output value in a GaussRat once.  A non-real value travels as a GaussRat
+with integer parts along the same code, which mixes the two through the
+reflected operators.  The powers of i are read from ``I_POWERS``.
 
 No floating point is used anywhere: a float part is refused with TypeError.
 """
@@ -195,14 +196,11 @@ def _gauss(re: Fraction, im: Fraction = _ZERO) -> GaussRat:
     return g
 
 
-def plain(c: GaussRat) -> Scalar:
-    """A real GaussRat as its Fraction, any other as itself."""
-    return c.re if c.im is _ZERO else c
-
-
 I = GaussRat(0, 1)
 ZERO = GaussRat(0)
 ONE = GaussRat(1)
+# i^n is I_POWERS[n % 4], for any integer n
+I_POWERS = (ONE, I, GaussRat(-1), GaussRat(0, -1))
 
 
 class MultiPoly:
@@ -386,16 +384,6 @@ class MultiPoly:
 
     # ------------------------------------------------------------------
     # queries
-
-    def coeff_extract(self, monomial: Mapping[str, int]) -> GaussRat:
-        """Exact coefficient of the given monomial; 0 if absent."""
-        e = [0] * len(self.variables)
-        for v, x in monomial.items():
-            try:
-                e[self.variables.index(v)] = x
-            except ValueError:
-                raise KeyError(f"unknown variable {v!r}") from None
-        return self.terms.get(tuple(e), ZERO)
 
     def coeff_of_var_power(self, var: str, k: int) -> "MultiPoly":
         """Coefficient of var**k, as a polynomial in the remaining variables."""

@@ -26,7 +26,7 @@ from itertools import combinations_with_replacement
 from math import factorial
 from typing import Dict, Sequence, Tuple
 
-from .algebra import GaussRat, I, Rat
+from .algebra import I_POWERS, GaussRat, Rat
 from .qkdv import nested_bracket
 
 
@@ -57,7 +57,7 @@ def _tau0_cached(rest: Tuple[int, ...], g: int) -> Rat:
     values = nested_bracket(rest, g)
     v = values.get(g, GaussRat(0))
     n = len(rest)
-    result = v * (-1) ** g * I ** (n - 1)
+    result = v * I_POWERS[(2 * g + n - 1) % 4]   # (-1)^g i^(n-1)
     if not result.is_real():
         raise NonRealCorrelatorError(
             f"non-real correlator at rest={rest}, g={g}: {result.to_str()}")

@@ -47,18 +47,23 @@ since perm(b, v)/v! = comb(b, v).  The survivors keep their order: left
 blocks (b_i - v_i), then the right block (m_r - q).
 
 Each strike works on exponent tuples: both operands' terms are split into
-(strike-mode exponents, survivor exponents, coefficient) triples, and one
-double loop multiplies the splits grouped by strike-mode exponents, once per
-branch with the signs swapped.  The Ehrhart expansion of the forward product,
-with the prefactor folded into the Ehrhart coefficients, lands straight in the
-output term of the strike's (grade, blocks).
+survivor exponents and coefficients grouped by strike-mode exponents, and the
+splits are multiplied group by group, once per branch with the signs swapped.
+The Ehrhart expansion of the forward product, with the prefactor folded into
+the Ehrhart coefficients, is summed per output monomial of the strike's
+(grade, blocks).
 
-Symbols carry GaussRat coefficients, but the values between those boundaries
-are plain: ``_split`` reads a real coefficient as its Fraction, the Ehrhart
-coefficients and the multinomials of the N-power (closed-form tables from
-``special``) are read as Fractions, and ``bracket`` wraps each output value
-in a GaussRat once.  A non-real coefficient, as in a random test symbol,
-travels as a GaussRat through the same code.
+Symbols carry GaussRat coefficients, but between those boundaries the values
+are Python integers over one denominator per strike.  ``bracket`` reads each
+operand term once as integer numerators over the lcm of its denominators, dl
+for a left term and dr for a right one.  The Ehrhart coefficients of a strike
+are read as integers over one de = (D-1)!, the largest denominator of its
+tables, and the multinomials of the N-power as ints.  So products, sums and
+the branch-gluing comparison are integer operations, and each strike adds
+one Fraction(numerator, dl*dr*de) per output monomial into the output term;
+``bracket`` wraps each output value in a GaussRat once.  A non-real
+coefficient, as in a random test symbol, travels as a GaussRat with integer
+parts through the same code.
 
 Terms above the hbar-grade budget are dropped eagerly.  Inside a nested
 commutator, ``bracket`` also takes the number of brackets still to come after
@@ -120,10 +125,10 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm, perm
-from operator import itemgetter
+from operator import add, itemgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .algebra import GaussRat, MultiPoly, Scalar, plain
+from .algebra import GaussRat, MultiPoly, Scalar
 from .special import (ehrhart_convolution, power_of_sum, rearrangements, slot_names,
                       sorted_exponents)
 from .symbols import (DENSITY, INTEGRATED, FourierSymbol, SymbolTerm,
@@ -254,15 +259,15 @@ def bracket(left: FourierSymbol, right: FourierSymbol, max_grade: int,
         raise ValueError("max_grade must be >= 0")
     if brackets_left is not None and brackets_left < 0:
         raise ValueError("brackets_left must be >= 0")
-    rights = [tr for tr in symmetrize(right).terms if tr.m]
+    # each operand term is read once, as integer numerators over one denominator
+    lefts = [(tl, *_numerators(tl.coeff.terms)) for tl in left.terms if tl.m]
+    rights = [(tr, *_numerators(tr.coeff.terms)) for tr in symmetrize(right).terms if tr.m]
     merged: Dict[Tuple[int, Tuple[int, ...]], Dict[tuple, Scalar]] = {}
     # rule B's admitted N-power monomials, shared by the pieces of this call
     admitted: Dict[tuple, list] = {}
 
-    for tl in left.terms:
-        if tl.m == 0:
-            continue
-        for tr in rights:
+    for tl, dl, phi in lefts:
+        for tr, dr, psi in rights:
             q_cap = min(tl.m, tr.m, max_grade + 1 - tl.grade - tr.grade)
             for q in range(1, q_cap + 1):
                 grade = tl.grade + tr.grade + q - 1
@@ -270,7 +275,8 @@ def bracket(left: FourierSymbol, right: FourierSymbol, max_grade: int,
                 allowed = None if brackets_left is None else (
                     max_grade - grade + brackets_left if brackets_left else 0)
                 for counts in _strike_counts(tl.blocks, q):
-                    _bracket_piece(merged, admitted, tl, tr, grade, counts, allowed)
+                    _bracket_piece(merged, admitted, tl, phi, tr, psi, dl * dr,
+                                   grade, counts, allowed)
 
     out_terms = []
     for (grade, blocks), terms in merged.items():
@@ -283,6 +289,26 @@ def bracket(left: FourierSymbol, right: FourierSymbol, max_grade: int,
     return FourierSymbol(DENSITY, tuple(out_terms))
 
 
+def _numerators(terms: Dict[tuple, GaussRat]) -> Tuple[int, Dict[tuple, Scalar]]:
+    """(den, {exps: den * coefficient}), den the lcm of the coefficients' denominators.
+
+    A real coefficient becomes an int; a non-real one stays a GaussRat, with
+    integer parts.
+    """
+    values = terms.values()
+    den = lcm(*{c.re.denominator for c in values}, *{c.im.denominator for c in values if c.im})
+    out = {}
+    for exps, c in terms.items():
+        out[exps] = c * den if c.im else _over(c, den)
+    return den, out
+
+
+def _over(c: GaussRat, den: int) -> int:
+    """A real value whose denominator divides ``den``, as its numerator over ``den``."""
+    re = c.re
+    return re.numerator * (den // re.denominator)
+
+
 def _picker(slots: List[int]) -> Callable[[tuple], tuple]:
     """The map from an exponent tuple to its entries at ``slots``, as a tuple."""
     if len(slots) == 1:
@@ -291,27 +317,27 @@ def _picker(slots: List[int]) -> Callable[[tuple], tuple]:
     return itemgetter(*slots) if slots else lambda exps: ()
 
 
-def _split(terms: Dict[tuple, GaussRat], struck: List[int], kept: List[int],
-           sign: int) -> List[Tuple[Tuple[int, ...], tuple, Scalar]]:
-    """(k-exponents, survivor exponents, plain coefficient) per term.
+def _split(terms: Dict[tuple, Scalar], struck: List[int], kept: List[int],
+           sign: int) -> Dict[Tuple[int, ...], List[Tuple[tuple, Scalar]]]:
+    """{k-exponents: [(survivor exponents, coefficient)]} over the terms.
 
     Struck slot ``struck[t]`` becomes the strike mode k_t, i.e. is replaced by
-    ``sign * k_t``; the slots in ``kept`` survive in order.  A real
-    coefficient is read as its Fraction.
+    ``sign * k_t``, which negates a coefficient whose k-exponents have an odd
+    sum when the sign is negative; the slots in ``kept`` survive in order.
     """
     k_of, rest_of = _picker(struck), _picker(kept)
-    out = []
+    out: Dict[Tuple[int, ...], list] = {}
     for exps, c in terms.items():
-        c = plain(c)
-        k_exps = k_of(exps)
-        if sign < 0 and sum(k_exps) % 2:
-            c = -c
-        out.append((k_exps, rest_of(exps), c))
+        out.setdefault(k_of(exps), []).append((rest_of(exps), c))
+    if sign < 0:
+        for k_exps, items in out.items():
+            if sum(k_exps) % 2:
+                out[k_exps] = [(rest, -c) for rest, c in items]
     return out
 
 
-def _within(terms: Dict[tuple, GaussRat], kept: List[int], target: Tuple[int, ...],
-            allowed: int) -> Dict[tuple, GaussRat]:
+def _within(terms: Dict[tuple, Scalar], kept: List[int], target: Tuple[int, ...],
+            allowed: int) -> Dict[tuple, Scalar]:
     """The terms with at most ``allowed`` survivor exponents outside ``target``."""
     if len(kept) <= allowed:
         return terms
@@ -328,22 +354,19 @@ def _within(terms: Dict[tuple, GaussRat], kept: List[int], target: Tuple[int, ..
 def _product_by_k(left, right) -> Dict[Tuple[int, ...], Dict[tuple, Scalar]]:
     """The product of two splits times k_1...k_q, grouped by k-exponents."""
     out: Dict[Tuple[int, ...], Dict[tuple, Scalar]] = {}
-    for kl, rest_l, cl in left:
-        for kr, rest_r, cr in right:
+    for kl, items_l in left.items():
+        for kr, items_r in right.items():
             bucket = out.setdefault(tuple(a + b + 1 for a, b in zip(kl, kr)), {})
-            rest = rest_l + rest_r
-            v = cl * cr
-            prev = bucket.get(rest)
-            s = prev + v if prev is not None else v
-            if s:
-                bucket[rest] = s
-            elif prev is not None:
-                del bucket[rest]
-    return {k: bucket for k, bucket in out.items() if bucket}
+            for rest_l, cl in items_l:
+                for rest_r, cr in items_r:
+                    rest = rest_l + rest_r
+                    bucket[rest] = bucket.get(rest, 0) + cl * cr
+    return {k: nonzero for k, bucket in out.items()
+            if (nonzero := {rest: c for rest, c in bucket.items() if c})}
 
 
 def _admitted_powers(right: Tuple[int, ...], spare: int,
-                     n_exp: int) -> List[Tuple[Tuple[int, ...], Fraction]]:
+                     n_exp: int) -> List[Tuple[Tuple[int, ...], int]]:
     """Rule B's monomials e2 of (a_1+..+a_k)^n_exp, k = len(right), each with its multinomial.
 
     ``right`` holds the right survivors' exponents capped at 2; e2 is admitted
@@ -352,8 +375,8 @@ def _admitted_powers(right: Tuple[int, ...], spare: int,
     2 or more never.  The recursion over positions spends the spare only off
     target; with no spare left the rest is on target, and with a spare that
     covers every position left, any completion is admitted, taken from the
-    slot-sum power on those positions.  Each coefficient is read from
-    ``power_of_sum``.
+    slot-sum power on those positions.  Each multinomial is read from
+    ``power_of_sum`` as an int.
     """
     k = len(right)
     table = power_of_sum(k, n_exp).terms
@@ -369,12 +392,12 @@ def _admitted_powers(right: Tuple[int, ...], spare: int,
 
     def walk(i, head, power, spare):
         if spare >= k - i:
-            out.extend((e2, table[e2].re)
+            out.extend((e2, table[e2].re.numerator)
                        for e2 in [head + tail for tail in power_of_sum(k - i, power).terms])
         elif not spare:
             if not twos[i] and power == zeros[i]:
                 e2 = head + on_target[i:]
-                out.append((e2, table[e2].re))
+                out.append((e2, table[e2].re.numerator))
         elif twos[i] <= spare and zeros[i] - spare <= power:
             for x in range(power + 1):
                 walk(i + 1, head + (x,), power - x, spare - (x != on_target[i]))
@@ -383,12 +406,15 @@ def _admitted_powers(right: Tuple[int, ...], spare: int,
     return out
 
 
-def _bracket_piece(merged, admitted, tl: SymbolTerm, tr: SymbolTerm, grade: int,
+def _bracket_piece(merged, admitted, tl: SymbolTerm, phi: Dict[tuple, Scalar],
+                   tr: SymbolTerm, psi: Dict[tuple, Scalar], den: int, grade: int,
                    counts: Tuple[int, ...], allowed: Optional[int]):
     """Add the strike of counts[i] slots of each left block i against tr's one block.
 
-    ``allowed`` is None for the full strike, 0 for rule A and the rule-B bound
-    otherwise, which is at least L >= 1 because grade never exceeds the budget.
+    ``phi`` and ``psi`` are the integer numerators of tl's and tr's
+    coefficients, over denominators whose product is ``den``.  ``allowed`` is
+    None for the full strike, 0 for rule A and the rule-B bound otherwise,
+    which is at least L >= 1 because grade never exceeds the budget.
     ``admitted`` caches rule B's N-power monomials within one ``bracket`` call.
     """
     q = sum(counts)
@@ -411,8 +437,6 @@ def _bracket_piece(merged, admitted, tl: SymbolTerm, tr: SymbolTerm, grade: int,
     struck_r = list(range(m_r - q, m_r))
     kept_r = list(range(m_r - q))
 
-    phi = tl.coeff.terms
-    psi = tr.coeff.terms
     if allowed is not None:
         # a left survivor's exponent is final, a right survivor's only grows
         phi = _within(phi, kept_l, LEFT, allowed)
@@ -420,6 +444,7 @@ def _bracket_piece(merged, admitted, tl: SymbolTerm, tr: SymbolTerm, grade: int,
     fwd = _product_by_k(_split(phi, struck_l, kept_l, 1), _split(psi, struck_r, kept_r, -1))
     if not fwd:
         return
+    # both branches carry the same denominator, so their numerators compare exactly
     rev = _product_by_k(_split(phi, struck_l, kept_l, -1), _split(psi, struck_r, kept_r, 1))
     for k_exps in set(fwd) | set(rev):
         sign = (-1) ** (q + sum(k_exps))
@@ -433,12 +458,14 @@ def _bracket_piece(merged, admitted, tl: SymbolTerm, tr: SymbolTerm, grade: int,
                     f"branch mismatch at k-exponents {k_exps}: {ca} vs {cb}")
 
     # E_fwd(N) with N := sum of surviving right slots, via the Ehrhart
-    # convolution, whose coefficients (like the multinomials of the N-power)
-    # are real and read as Fractions.  Survivor exponents are laid out as the
-    # left survivors, then the right survivors, each in slot order, which is
-    # exactly the canonical slot order of new_blocks, so every expanded term
-    # is added straight into the output term of (grade, new_blocks),
-    # prefactor included
+    # convolution.  The table of k-exponents r has the one denominator (D-1)!,
+    # D = q + |r|, so every table of this strike is read as integers over the
+    # largest of them, de.  Survivor exponents are laid out as the left
+    # survivors, then the right survivors, each in slot order, which is exactly
+    # the canonical slot order of new_blocks, so every expanded term lands in
+    # the strike's integer sums ``acc`` over den * de, prefactor included, and
+    # those go into the output term of (grade, new_blocks) as one Fraction each
+    de = factorial(q - 1 + max(map(sum, fwd)))
     new_blocks = tuple(b - v for b, v in zip(tl.blocks, counts) if b > v)
     if m_r > q:
         new_blocks += (m_r - q,)
@@ -454,14 +481,8 @@ def _bracket_piece(merged, admitted, tl: SymbolTerm, tr: SymbolTerm, grade: int,
                 n = rest.count(0)
                 cn = conv.get((n,))
                 if cn is not None:
-                    v += c * cn.re * factorial(n)
-        if v:
-            e = (1,) * (len(kept_l) + len(kept_r))
-            s = out.get(e, 0) + v * pref
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
+                    v += c * _over(cn, de) * factorial(n)
+        _fold(out, {(1,) * (len(kept_l) + len(kept_r)): v * pref}, den * de)
         return
     # rule B on the output: whether a term admits an N-power monomial depends
     # on its left survivors only through their count off 1, and on each right
@@ -469,6 +490,7 @@ def _bracket_piece(merged, admitted, tl: SymbolTerm, tr: SymbolTerm, grade: int,
     # enumerated once per such group, before any summed exponent tuple is built
     n_left = len(kept_l)
     left_zeros = (0,) * n_left
+    acc: Dict[tuple, Scalar] = {}
     for k_exps, bucket in fwd.items():
         if allowed is None:
             groups = {None: bucket.items()}
@@ -479,10 +501,10 @@ def _bracket_piece(merged, admitted, tl: SymbolTerm, tr: SymbolTerm, grade: int,
                        tuple(min(x, 2) for x in rest[n_left:]))
                 groups.setdefault(key, []).append((rest, c))
         for (n_exp,), cn in ehrhart_convolution(k_exps).terms.items():
-            cn = cn.re * pref
+            cn = _over(cn, de) * pref
             for key, items in groups.items():
                 if key is None:
-                    n_terms = [(left_zeros + e2, c2.re)
+                    n_terms = [(left_zeros + e2, c2.re.numerator)
                                for e2, c2 in power_of_sum(len(kept_r), n_exp).terms.items()]
                 else:
                     n_terms = admitted.get((n_left, key, n_exp))
@@ -495,14 +517,26 @@ def _bracket_piece(merged, admitted, tl: SymbolTerm, tr: SymbolTerm, grade: int,
                 for rest, c in items:
                     base = c * cn
                     for e2, c2 in n_terms:
-                        e = tuple(a + b for a, b in zip(rest, e2))
-                        v = base * c2
-                        prev = out.get(e)
-                        s = prev + v if prev is not None else v
-                        if s:
-                            out[e] = s
-                        elif prev is not None:
-                            del out[e]
+                        e = tuple(map(add, rest, e2))
+                        acc[e] = acc.get(e, 0) + base * c2
+    _fold(out, acc, den * de)
+
+
+def _fold(out: Dict[tuple, Scalar], acc: Dict[tuple, Scalar], den: int):
+    """Add the numerators ``acc`` over ``den`` into ``out``, one Fraction per monomial."""
+    for e, v in acc.items():
+        if not v:
+            continue
+        v = Fraction(v, den) if type(v) is int else v * Fraction(1, den)
+        prev = out.get(e)
+        if prev is None:
+            out[e] = v
+        else:
+            s = prev + v
+            if s:
+                out[e] = s
+            else:
+                del out[e]
 
 
 # ----------------------------------------------------------------------

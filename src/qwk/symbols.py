@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
-from .algebra import GaussRat, I, MultiPoly
+from .algebra import I_POWERS, GaussRat, I, MultiPoly
 from .special import power_of_sum, rearrangements, slot_names
 
 DENSITY = "density"
@@ -227,7 +227,7 @@ def eval_string_point(s: FourierSymbol) -> Dict[int, GaussRat]:
     for t in s.terms:
         c = t.coeff.terms.get((1,) * t.m)
         if c is not None:
-            out[t.grade] = out.get(t.grade, GaussRat(0)) + c * (-I) ** t.m
+            out[t.grade] = out.get(t.grade, GaussRat(0)) + c * I_POWERS[-t.m % 4]
     return {g: c for g, c in out.items() if c}
 
 
@@ -350,7 +350,7 @@ class DiffPoly:
 def from_diff_poly(d: DiffPoly) -> FourierSymbol:
     """Fourier substitution u_s = sum (i a)^s p_a e^{iax}, symmetrized."""
     return FourierSymbol(DENSITY, _merge_terms(tuple(
-        _spread(g, len(orders), {orders: c * I ** sum(orders)})
+        _spread(g, len(orders), {orders: c * I_POWERS[sum(orders) % 4]})
         for (orders, g), c in d.terms.items())))
 
 
@@ -358,7 +358,7 @@ def to_diff_poly(s: FourierSymbol) -> DiffPoly:
     """Inverse of ``from_diff_poly`` on finitely supported symbols."""
     if s.kind != DENSITY:
         raise ValueError("conversion applies to density symbols")
-    return DiffPoly({(canon, g): c * (-I) ** sum(canon)
+    return DiffPoly({(canon, g): c * I_POWERS[-sum(canon) % 4]
                      for (g, canon), c in _orbit_sums(s.terms).items()})
 
 

@@ -204,6 +204,19 @@ def test_main_theorem_genus_5_low_n():
     assert not failures, failures
 
 
+def test_main_theorem_genus_5_three_points_sample():
+    """Criterion 2 at genus grade 5 for three insertions, on a seeded sample of
+    24 of the 168 keys of ``qwk verify main-theorem --g-max 5`` with n = 3 whose
+    value can be nonzero (10 <= sum d <= 20, sum d even); each is."""
+    keys = [(d, g) for d, g in theorem_grid(g_max=5, slack=3)
+            if g == 5 and len(d) == 3 and 10 <= sum(d) <= 20 and sum(d) % 2 == 0]
+    assert len(keys) == 168
+    sample = random.Random(5).sample(keys, 24)
+    assert all(correlator(d, g) for d, g in sample)
+    failures = _theorem_failures(sample)
+    assert not failures, failures
+
+
 def test_criterion_03_string_equation():
     failures = []
     for g in range(3):

@@ -9,8 +9,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qwk.algebra import ZERO, GaussRat, I, MultiPoly, rat_str
+from qwk.algebra import I_POWERS, ZERO, GaussRat, I, MultiPoly, rat_str
 from qwk.special import series_product
+
+
+def coeff_extract(poly, monomial):
+    """The exact coefficient of ``monomial`` (variable -> exponent) in ``poly``; 0 if absent."""
+    e = [0] * len(poly.variables)
+    for v, x in monomial.items():
+        try:
+            e[poly.variables.index(v)] = x
+        except ValueError:
+            raise KeyError(f"unknown variable {v!r}") from None
+    return poly.terms.get(tuple(e), ZERO)
 
 
 def random_gauss(rng):
@@ -35,6 +46,9 @@ def test_gaussrat_basics():
     assert a.conj().conj() == a
     assert GaussRat(5).is_real() and not I.is_real()
     assert (I ** 4) == 1 and (I ** 3) == -I
+    # the lookup that replaces a power of i, negative exponents included
+    assert all(I_POWERS[n % 4] == I ** n and I_POWERS[-n % 4] == (-I) ** n
+               for n in range(-9, 10))
 
 
 def test_gaussrat_norm_multiplicative():
@@ -163,13 +177,13 @@ def test_binomial_square():
     b = MultiPoly.var("b", ("a", "b"))
     expansion = (a + b) * (a + b)
     assert expansion == a * a + a * b * 2 + b * b
-    assert expansion.coeff_extract({"a": 1, "b": 1}) == 2
+    assert coeff_extract(expansion, {"a": 1, "b": 1}) == 2
 
 
 def test_binomial_coefficient_extraction():
     x = MultiPoly.var("x")
     fifth = (MultiPoly.const(1, ("x",)) + x) ** 5
-    assert fifth.coeff_extract({"x": 3}) == 10
+    assert coeff_extract(fifth, {"x": 3}) == 10
 
 
 def test_mul_by_zero_absorbs():
@@ -232,8 +246,8 @@ def test_product_coefficient_is_convolution():
         for k in range(10):
             direct = GaussRat(0)
             for i in range(k + 1):
-                direct = direct + a.coeff_extract({"x": i}) * b.coeff_extract({"x": k - i})
-            assert prod.coeff_extract({"x": k}) == direct
+                direct = direct + coeff_extract(a, {"x": i}) * coeff_extract(b, {"x": k - i})
+            assert coeff_extract(prod, {"x": k}) == direct
 
 
 def as_z_poly(layers):
@@ -278,7 +292,7 @@ def test_substitute_linear_examples():
     p = MultiPoly(("z",), {(2,): Fraction(1, 24)})
     az = MultiPoly.var("A", ("A", "z")) * MultiPoly.var("z", ("A", "z"))
     out = p.substitute("z", az)
-    assert out.coeff_extract({"A": 2, "z": 2}) == GaussRat(Fraction(1, 24))
+    assert coeff_extract(out, {"A": 2, "z": 2}) == GaussRat(Fraction(1, 24))
     # x := -x in x^3 + x^2 flips the odd part
     p = MultiPoly(("x",), {(3,): 1, (2,): 1})
     out = p.substitute("x", -MultiPoly.var("x"))
@@ -288,7 +302,7 @@ def test_substitute_linear_examples():
 def test_unknown_variable_raises():
     p = MultiPoly(("x",), {(1,): 1})
     with pytest.raises(KeyError):
-        p.coeff_extract({"nope": 1})
+        coeff_extract(p, {"nope": 1})
 
 
 def test_evaluate_matches_substitute():
@@ -297,7 +311,7 @@ def test_evaluate_matches_substitute():
         p = random_poly(rng, ("x", "y"))
         x0, y0 = rng.randint(-3, 3), rng.randint(-3, 3)
         direct = p.evaluate({"x": x0, "y": y0})
-        via = p.substitute("x", x0).substitute("y", y0).coeff_extract({})
+        via = coeff_extract(p.substitute("x", x0).substitute("y", y0), {})
         assert direct == via
 
 

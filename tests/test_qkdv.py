@@ -401,6 +401,57 @@ def test_nonreal_bracket_against_weyl_oracle():
     assert nonreal >= 4 and comparisons > 50
 
 
+PRIMES = (3, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+
+def coprime_symbol(rng, kind, min_m=1, max_m=3, max_grade=1):
+    """A symmetric symbol whose coefficients carry distinct prime denominators,
+    about half of them with a non-real part, also over a distinct prime."""
+    primes = iter(rng.sample(PRIMES, len(PRIMES)))
+    terms = []
+    for _ in range(2):
+        m = rng.randint(min_m, max_m)
+        exps = {}
+        for _ in range(3):
+            e = tuple(rng.randint(0, 2) for _ in range(m))
+            im = Fraction(rng.choice((-2, -1, 1, 2)), next(primes)) if rng.random() < 0.5 else 0
+            exps[e] = GaussRat(Fraction(rng.choice((-5, -3, -1, 1, 2, 4)), next(primes)), im)
+        terms.append(make_term(rng.randint(0, max_grade), m, MultiPoly(slot_names(m), exps)))
+    return FourierSymbol(kind, symmetrize(FourierSymbol(DENSITY, tuple(terms))).terms)
+
+
+def denominator_primes(sym):
+    """The primes of PRIMES that divide some coefficient's denominator."""
+    dens = [x.denominator for c in coefficients(sym) for x in (c.re, c.im)]
+    return {p for p in PRIMES if any(d % p == 0 for d in dens)}
+
+
+def test_integer_kernel_on_coprime_denominators_against_weyl_oracle():
+    # the kernel reads each operand term as integer numerators over the lcm of
+    # its denominators; distinct primes make every lcm a product, and the
+    # non-real parts travel as GaussRat numerators through the same code.  The
+    # left operand of the last trials is itself a bracket, with several blocks
+    # and the denominators of both its operands
+    rng = random.Random(11)
+    trials = nonreal = comparisons = 0
+    while trials < 8:
+        left = coprime_symbol(rng, DENSITY, max_m=2)
+        right = coprime_symbol(rng, INTEGRATED, min_m=2)
+        if trials >= 6:
+            left = bracket(left, coprime_symbol(rng, INTEGRATED, min_m=2, max_m=2), 2)
+        if left.is_zero() or right.is_zero():
+            continue
+        assert len(denominator_primes(left)) >= 3 and len(denominator_primes(right)) >= 3
+        trials += 1
+        budget = left.max_grade() + right.max_grade() + min(
+            max(t.m for t in left.terms), max(t.m for t in right.terms))
+        sym = bracket(left, right, budget)
+        assert all(type(c) is GaussRat for c in coefficients(sym))
+        nonreal += not all(c.is_real() for c in coefficients(sym))
+        comparisons += weyl_comparisons(left, right, sym, 3)
+    assert nonreal >= 6 and comparisons > 300
+
+
 def test_hamiltonian_bracket_against_weyl_oracle():
     # not just random symbols: the actual Hamiltonians, small indices
     modes = 5

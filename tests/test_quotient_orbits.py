@@ -21,6 +21,7 @@ from qwk.special import (_even_below, power_of_sum, rearrangements,
                          series_product, slot_names, sorted_exponents)
 from qwk.symbols import make_term
 from test_acceptance import theorem_grid
+from test_algebra import coeff_extract
 
 
 def _s_quotient_by_series_product(g, n):
@@ -50,7 +51,7 @@ def _hurwitz_correlator_by_product(d, g):
     if (total - n) % 2 == 0 or not 2 * g - 3 + n <= total <= 4 * g - 3 + n:
         return Fraction(0)
     poly = s_quotient(g, n) * power_of_sum(n, 2 * g - 3 + n)
-    c = poly.coeff_extract(dict(zip(slot_names(n), d)))
+    c = coeff_extract(poly, dict(zip(slot_names(n), d)))
     assert c.is_real()
     return c.re * (-1) ** ((4 * g - 3 + n - total) // 2)
 
