@@ -35,8 +35,8 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import correlators as _correlators, qkdv as _qkdv, special as _special
 from .algebra import GaussRat, MultiPoly, rat_str
-from .correlators import (correlator, correlator_table, correlator_tau0,
-                          series_coefficient, vanishes_by_level)
+from .correlators import (correlator, correlator_table, series_coefficient,
+                          vanishes_by_level)
 from .hurwitz import (DEFAULT_DEGREE_CAP, Partition, aut_factor,
                       factorization_count, hurwitz_correlator,
                       one_part_number, partitions_of)
@@ -56,7 +56,7 @@ _UNSET = object()
 # every memo table of the engine; runtime_ms means little without their state
 _MEMO_TABLES = (_qkdv._hamiltonian_term, _qkdv._prefix, _special._euler_row,
                 _special._ehrhart_cached, _special.power_of_sum, _special.s_quotient,
-                _correlators._tau0_cached, _correlators._correlator_cached)
+                _correlators._correlator_cached)
 
 
 def _memo_state() -> str:
@@ -239,7 +239,7 @@ def _check_string(key) -> dict:
     # the inhomogeneous t_0^2/2 source of the string equation contributes +1 at
     # the single unstable key d = (0,0), g = 0
     d, g = key
-    lhs = correlator_tau0(d, g)
+    lhs = correlator((0, *d), g)
     rhs = Fraction(0)
     for i in range(len(d)):
         if d[i] > 0:

@@ -15,7 +15,8 @@ Two routes feed every value:
 The constant term of the series at genus grade g is 1/(2g-2) times the
 coefficient of t_1, which is singular at g = 1: constant_term refuses there.
 
-All values are memoized on (sorted d, g); entries are exact rationals.
+All values are memoized on (d sorted descending, g), the engine's under the
+key with the tau_0; entries are exact rationals.
 """
 
 from __future__ import annotations
@@ -45,15 +46,11 @@ class CorrelatorKey:
 
 
 def correlator_tau0(rest: Sequence[int], g: int) -> Rat:
-    """<tau_0 tau_{d_1}..tau_{d_n}>_{0,g} via the commutator engine."""
-    rest = tuple(rest)
+    """<tau_0 tau_{d_1}..tau_{d_n}>_{0,g} via the commutator engine, unmemoized;
+    ``correlator`` keeps its value under the key with the tau_0."""
+    rest = tuple(sorted(rest, reverse=True))
     if not rest:
         raise ValueError("need at least one insertion next to tau_0")
-    return _tau0_cached(tuple(sorted(rest, reverse=True)), g)
-
-
-@lru_cache(maxsize=None)
-def _tau0_cached(rest: Tuple[int, ...], g: int) -> Rat:
     values = nested_bracket(rest, g)
     v = values.get(g, GaussRat(0))
     n = len(rest)
@@ -76,14 +73,14 @@ def correlator(d: Sequence[int], g: int) -> Rat:
 
 @lru_cache(maxsize=None)
 def _correlator_cached(d: Tuple[int, ...], g: int) -> Rat:
-    # d sorted descending
+    # d sorted descending; <tau_0> is one-point, so test that first
     if len(d) == 1:
-        return correlator_tau0((d[0] + 1,), g)  # linear-term convention
+        return _correlator_cached((d[0] + 1, 0), g)  # linear-term convention
     if d[-1] == 0:
         return correlator_tau0(d[:-1], g)
     # string inversion: bump the largest entry, peel the others
     bumped = (d[0] + 1,) + d[1:]
-    total = correlator_tau0(bumped, g)
+    total = _correlator_cached(bumped + (0,), g)
     for i in range(1, len(d)):
         child = list(bumped)
         child[i] -= 1

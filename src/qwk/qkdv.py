@@ -75,11 +75,6 @@ later), a right survivor's exponent only grows (through the N-power), and a
 strike of q slots adds q - 1 grades, so L later brackets under the budget g
 strike at most g - grade + L of a term's slots in all.
 
-  * Rule A, last bracket: a left split term counts only if its survivor
-    exponents are all 1, a right split term only if its survivor exponents
-    are all 0 or 1, and of the N-power expansion only the all-ones monomial
-    is kept: N^n gives it the coefficient n! when n is the number of zero
-    right survivors, and nothing otherwise.
   * Rule B, L >= 1 brackets after this one: with allowed = g - grade + L,
     a left split term with more than ``allowed`` survivor exponents other
     than 1, or a right split term with more than ``allowed`` survivor
@@ -89,14 +84,20 @@ strike at most g - grade + L of a term's slots in all.
     other than 1, left and right survivors together, are multiplied and
     written.  They are enumerated directly, not filtered from the whole
     power: a recursion over the right survivors spends the spare left by the
-    left survivors only where an exponent ends off 1, and reads each
-    multinomial from ``power_of_sum``.
+    left survivors only where an exponent ends off 1, and builds each
+    multinomial as it goes.
+  * Rule A, the last bracket, is rule B at L = 0 with allowed = 0, since no
+    strike is left to move a survivor: every left survivor exponent must be
+    1 and every right one 0 or 1, and of the N-power expansion only the
+    all-ones monomial is kept, N^n giving it the coefficient n! when n is
+    the number of zero right survivors.
 
-Both rules count survivor exponents, which is symmetric under permuting the
+The rule counts survivor exponents, which is symmetric under permuting the
 slots of a block, so every output term stays one symmetric term per block
 layout; both branches of the gluing check see the same pruned splits, so the
 check still holds term by term.  Without that argument ``bracket`` is the
-full commutator.
+full commutator: the same code under a bound larger than any strike's
+survivors, which never binds.
 
 The same bound builds the densities on demand.  A strike of q slots passes a
 split term only if its survivors have at most ``allowed`` exponents off
@@ -106,8 +107,8 @@ is ever used.  ``nested_bracket`` therefore asks the first density
 H_(d_1-1) (a left operand, target 1) for at most g - grade + n - 1 exponents
 other than 1, and the right operand Hbar_d of a bracket with L brackets after
 it (target 0 or 1) for at most g - grade + 1 + L exponents of 2 or more; the
-other orbits are never summed or written.  Rule A needs no case of its own:
-there q <= g + 1 - grade_l - grade_r bounds the struck slots the same way.
+other orbits are never summed or written.  At the last bracket, allowed = 0
+and q <= g + 1 - grade_l - grade_r bound the same sum.
 
 Nested commutators share their intermediates.  The i-th one depends only on
 the triple (d_1..d_(i+1), g, n - i - 1): the insertions so far, the budget and
@@ -263,7 +264,7 @@ def bracket(left: FourierSymbol, right: FourierSymbol, max_grade: int,
     lefts = [(tl, *_numerators(tl.coeff.terms)) for tl in left.terms if tl.m]
     rights = [(tr, *_numerators(tr.coeff.terms)) for tr in symmetrize(right).terms if tr.m]
     merged: Dict[Tuple[int, Tuple[int, ...]], Dict[tuple, Scalar]] = {}
-    # rule B's admitted N-power monomials, shared by the pieces of this call
+    # the admitted N-power monomials, shared by the pieces of this call
     admitted: Dict[tuple, list] = {}
 
     for tl, dl, phi in lefts:
@@ -271,9 +272,12 @@ def bracket(left: FourierSymbol, right: FourierSymbol, max_grade: int,
             q_cap = min(tl.m, tr.m, max_grade + 1 - tl.grade - tr.grade)
             for q in range(1, q_cap + 1):
                 grade = tl.grade + tr.grade + q - 1
-                # survivor exponents off target that later strikes can still remove
-                allowed = None if brackets_left is None else (
-                    max_grade - grade + brackets_left if brackets_left else 0)
+                # survivor exponents off target that later strikes can still
+                # remove; the full commutator's bound exceeds its survivors
+                if brackets_left is None:
+                    allowed = tl.m + tr.m
+                else:
+                    allowed = max_grade - grade + brackets_left if brackets_left else 0
                 for counts in _strike_counts(tl.blocks, q):
                     _bracket_piece(merged, admitted, tl, phi, tr, psi, dl * dr,
                                    grade, counts, allowed)
@@ -373,49 +377,43 @@ def _admitted_powers(right: Tuple[int, ...], spare: int,
     when at most ``spare`` positions have right[i] + e2[i] != 1.  A zero
     survivor is on target with e2 = 1, a survivor of 1 with e2 = 0, and one of
     2 or more never.  The recursion over positions spends the spare only off
-    target; with no spare left the rest is on target, and with a spare that
-    covers every position left, any completion is admitted, taken from the
-    slot-sum power on those positions.  Each multinomial is read from
-    ``power_of_sum`` as an int.
+    target and carries the multinomial of the exponents placed so far.  With
+    no spare left the rest is on target, each zero survivor taking 1 of the
+    power; once the spare covers every position left, any completion is
+    admitted, read from the slot-sum power on those positions, so no table
+    wider than the spare is built.
     """
-    k = len(right)
-    table = power_of_sum(k, n_exp).terms
-    # from position i on: zero survivors, each taking 1 of the power unless it
-    # spends the spare, survivors of 2 or more, each spending it, and the
-    # exponents that spend none
-    zeros, twos = [0] * (k + 1), [0] * (k + 1)
-    for i in range(k - 1, -1, -1):
-        zeros[i] = zeros[i + 1] + (right[i] == 0)
-        twos[i] = twos[i + 1] + (right[i] == 2)
-    on_target = tuple(1 - r for r in right)
     out = []
 
-    def walk(i, head, power, spare):
-        if spare >= k - i:
-            out.extend((e2, table[e2].re.numerator)
-                       for e2 in [head + tail for tail in power_of_sum(k - i, power).terms])
+    def walk(i, head, power, spare, ways):
+        rest = right[i:]
+        if spare >= len(rest):
+            out.extend((head + tail, ways * c.re.numerator)
+                       for tail, c in power_of_sum(len(rest), power).terms.items())
         elif not spare:
-            if not twos[i] and power == zeros[i]:
-                e2 = head + on_target[i:]
-                out.append((e2, table[e2].re.numerator))
-        elif twos[i] <= spare and zeros[i] - spare <= power:
+            if power == rest.count(0) and 2 not in rest:
+                out.append((head + tuple(1 - r for r in rest), ways * factorial(power)))
+        elif rest.count(2) <= spare and rest.count(0) - spare <= power:
+            on_target = 1 - right[i]
             for x in range(power + 1):
-                walk(i + 1, head + (x,), power - x, spare - (x != on_target[i]))
+                walk(i + 1, head + (x,), power - x, spare - (x != on_target),
+                     ways * comb(power, x))
 
-    walk(0, (), n_exp, spare)
+    walk(0, (), n_exp, spare, 1)
     return out
 
 
 def _bracket_piece(merged, admitted, tl: SymbolTerm, phi: Dict[tuple, Scalar],
                    tr: SymbolTerm, psi: Dict[tuple, Scalar], den: int, grade: int,
-                   counts: Tuple[int, ...], allowed: Optional[int]):
+                   counts: Tuple[int, ...], allowed: int):
     """Add the strike of counts[i] slots of each left block i against tr's one block.
 
     ``phi`` and ``psi`` are the integer numerators of tl's and tr's
     coefficients, over denominators whose product is ``den``.  ``allowed`` is
-    None for the full strike, 0 for rule A and the rule-B bound otherwise,
-    which is at least L >= 1 because grade never exceeds the budget.
-    ``admitted`` caches rule B's N-power monomials within one ``bracket`` call.
+    rule B's bound on survivor exponents off target: 0 at the last bracket,
+    at least L >= 1 with L brackets after this one, and more than the
+    survivors for the full strike, where it never binds.  ``admitted`` caches
+    the N-power monomials within one ``bracket`` call.
     """
     q = sum(counts)
     m_r = tr.m
@@ -437,10 +435,9 @@ def _bracket_piece(merged, admitted, tl: SymbolTerm, phi: Dict[tuple, Scalar],
     struck_r = list(range(m_r - q, m_r))
     kept_r = list(range(m_r - q))
 
-    if allowed is not None:
-        # a left survivor's exponent is final, a right survivor's only grows
-        phi = _within(phi, kept_l, LEFT, allowed)
-        psi = _within(psi, kept_r, RIGHT, allowed)
+    # a left survivor's exponent is final, a right survivor's only grows
+    phi = _within(phi, kept_l, LEFT, allowed)
+    psi = _within(psi, kept_r, RIGHT, allowed)
     fwd = _product_by_k(_split(phi, struck_l, kept_l, 1), _split(psi, struck_r, kept_r, -1))
     if not fwd:
         return
@@ -470,48 +467,27 @@ def _bracket_piece(merged, admitted, tl: SymbolTerm, phi: Dict[tuple, Scalar],
     if m_r > q:
         new_blocks += (m_r - q,)
     out = merged.setdefault((grade, new_blocks), {})
-    if allowed == 0:
-        # rule A: every survivor exponent is now 1 (left) or 0/1 (right), and
-        # N^n reaches the all-ones monomial, with coefficient n!, exactly when
-        # n is the number of zero survivors
-        v = 0
-        for k_exps, bucket in fwd.items():
-            conv = ehrhart_convolution(k_exps).terms
-            for rest, c in bucket.items():
-                n = rest.count(0)
-                cn = conv.get((n,))
-                if cn is not None:
-                    v += c * _over(cn, de) * factorial(n)
-        _fold(out, {(1,) * (len(kept_l) + len(kept_r)): v * pref}, den * de)
-        return
     # rule B on the output: whether a term admits an N-power monomial depends
     # on its left survivors only through their count off 1, and on each right
     # survivor only through 0, 1 or >= 2, so the admitted monomials are
     # enumerated once per such group, before any summed exponent tuple is built
     n_left = len(kept_l)
     left_zeros = (0,) * n_left
+    twos = (2,) * len(kept_r)
     acc: Dict[tuple, Scalar] = {}
     for k_exps, bucket in fwd.items():
-        if allowed is None:
-            groups = {None: bucket.items()}
-        else:
-            groups = {}
-            for rest, c in bucket.items():
-                key = (allowed - sum(x != 1 for x in rest[:n_left]),
-                       tuple(min(x, 2) for x in rest[n_left:]))
-                groups.setdefault(key, []).append((rest, c))
+        groups = {}
+        for rest, c in bucket.items():
+            key = (allowed - n_left + rest[:n_left].count(1), tuple(map(min, rest[n_left:], twos)))
+            groups.setdefault(key, []).append((rest, c))
         for (n_exp,), cn in ehrhart_convolution(k_exps).terms.items():
             cn = _over(cn, de) * pref
             for key, items in groups.items():
-                if key is None:
-                    n_terms = [(left_zeros + e2, c2.re.numerator)
-                               for e2, c2 in power_of_sum(len(kept_r), n_exp).terms.items()]
-                else:
-                    n_terms = admitted.get((n_left, key, n_exp))
-                    if n_terms is None:
-                        spare, right = key
-                        n_terms = admitted[n_left, key, n_exp] = [
-                            (left_zeros + e2, c2) for e2, c2 in _admitted_powers(right, spare, n_exp)]
+                n_terms = admitted.get((n_left, key, n_exp))
+                if n_terms is None:
+                    spare, right = key
+                    n_terms = admitted[n_left, key, n_exp] = [
+                        (left_zeros + e2, c2) for e2, c2 in _admitted_powers(right, spare, n_exp)]
                 if not n_terms:
                     continue
                 for rest, c in items:

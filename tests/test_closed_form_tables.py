@@ -4,9 +4,10 @@
 tuple, ``special._ehrhart_cached`` sums integer coefficient lists over the one
 denominator (D-1)!, ``special.rearrangements`` steps through the next
 permutation, and ``qkdv._admitted_powers`` enumerates rule B's N-power
-monomials.  The oracles below are the slow paths they replaced: a repeated
-polynomial power, a product of D-1 linear factors per numerator coefficient,
-the recursive generator, and the filter over the whole power-of-sum table.
+monomials, building their multinomials as it walks.  The oracles below are
+the slow paths they replaced: a repeated polynomial power, a product of D-1
+linear factors per numerator coefficient, the recursive generator, and the
+filter over the whole power-of-sum table.
 """
 
 from fractions import Fraction
@@ -17,6 +18,7 @@ from operator import add, ne
 
 import pytest
 
+from qwk import qkdv
 from qwk.algebra import MultiPoly
 from qwk.qkdv import _admitted_powers
 from qwk.special import (ehrhart_convolution, eulerian_polynomial, power_of_sum,
@@ -71,18 +73,38 @@ def _off_target_by_filter(right, n_exp):
             for e2, c2 in power_of_sum(len(right), n_exp).terms.items()}
 
 
-def _check_admitted(right, n_exp):
+def _check_admitted(right, n_exp, widths):
     """The enumeration against the filter at every spare from none to more than
-    the slots; returns the cases checked."""
+    the slots; returns the cases checked.
+
+    ``widths`` records the slot count of every ``power_of_sum`` table the
+    enumeration reads: it builds each multinomial as it walks, and reads a
+    table only for the completions the spare covers, never a wider one.
+    """
     by_off = {}
     for e2, (c2, off) in _off_target_by_filter(right, n_exp).items():
         by_off.setdefault(off, {})[e2] = c2
     expect = {}
     for spare in range(len(right) + 2):
         expect.update(by_off.get(spare, {}))
+        widths.clear()
         got = _admitted_powers(right, spare, n_exp)
         assert len(got) == len(expect) and dict(got) == expect, (right, spare, n_exp)
+        assert max(widths, default=0) <= spare, (right, spare, n_exp, widths)
     return len(right) + 2
+
+
+@pytest.fixture
+def widths(monkeypatch):
+    """The slot counts of the ``power_of_sum`` tables that ``qkdv`` asks for."""
+    asked = []
+
+    def recording(n, power):
+        asked.append(n)
+        return power_of_sum(n, power)
+
+    monkeypatch.setattr(qkdv, "power_of_sum", recording)
+    return asked
 
 
 def test_power_of_sum_matches_repeated_power():
@@ -119,13 +141,13 @@ def test_rearrangements_match_recursive_order():
     assert rearranged == 92_378
 
 
-def test_admitted_powers_match_filter_over_power_of_sum():
+def test_admitted_powers_match_filter_over_power_of_sum(widths):
     # right survivors capped at 2: every tuple up to six slots
     checked = 0
     for k in range(7):
         for right in product(range(3), repeat=k):
             for n_exp in range(7):
-                checked += _check_admitted(right, n_exp)
+                checked += _check_admitted(right, n_exp, widths)
     assert checked == 57_407
     # seven to ten slots, as genus-4 brackets reach, on a seeded sample of
     # sorted tuples (the enumeration is blind to the order) and powers up to 8;
@@ -136,8 +158,10 @@ def test_admitted_powers_match_filter_over_power_of_sum():
             zeros = rng.randint(0, k)
             ones = rng.randint(0, k - zeros)
             right = (0,) * zeros + (1,) * ones + (2,) * (k - zeros - ones)
-            checked += _check_admitted(right, rng.randint(0, 8))
+            checked += _check_admitted(right, rng.randint(0, 8), widths)
     assert checked == 57_407 + 210
     # no spare and too few zero survivors for the power, or a negative spare:
-    # nothing is admitted
+    # nothing is admitted, and no table is read
+    widths.clear()
     assert _admitted_powers((0, 0), 0, 3) == [] and _admitted_powers((2,), -1, 0) == []
+    assert not widths

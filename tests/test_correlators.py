@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qwk.correlators import (CorrelatorKey, _correlator_cached, constant_term,
@@ -101,6 +101,45 @@ def test_dilaton_consequence_on_grid():
                 lhs = correlator(list(d) + [1], g)
                 rhs = (2 * g - 2 + n) * correlator(d, g)
                 assert lhs == rhs, (d, g)
+
+
+@st.composite
+def grid_keys(draw):
+    """(d, g) with g <= 4, 1 <= n <= 3 and sum d up to 3 above the top level 4g - 3 + n."""
+    g = draw(st.integers(0, 4))
+    room = 4 * g + draw(st.integers(1, 3))
+    d = []
+    while len(d) < room - 4 * g:
+        d.append(draw(st.integers(0, room - sum(d))))
+    return tuple(d), g
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(key=grid_keys())
+def test_string_equation_property(key):
+    # <tau_0 d>_g == sum_i <.. tau_{d_i - 1} ..>_g, with the t_0^2/2 source
+    # adding 1 at d = (0, 0), g = 0
+    d, g = key
+    rhs = sum(correlator(d[:i] + (x - 1,) + d[i + 1:], g) for i, x in enumerate(d) if x)
+    assert correlator((0, *d), g) == rhs + (1 if g == 0 and d == (0, 0) else 0)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(key=grid_keys())
+def test_dilaton_equation_property(key):
+    # <tau_1 d>_g == (2g - 2 + n) <d>_g away from the unstable keys
+    d, g = key
+    n = len(d)
+    assume(2 * g - 2 + n > 0)
+    assert correlator((1, *d), g) == (2 * g - 2 + n) * correlator(d, g)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(key=grid_keys())
+def test_level_vanishing_property(key):
+    d, g = key
+    assume(vanishes_by_level(d, g, 0))
+    assert correlator(d, g) == 0
 
 
 def test_symmetry_under_permutation():

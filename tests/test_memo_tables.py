@@ -1,4 +1,4 @@
-"""The memo tables: exactly eight lru_caches, and warm values equal cold ones."""
+"""The memo tables: exactly seven lru_caches, and warm values equal cold ones."""
 
 import importlib
 import inspect
@@ -13,7 +13,6 @@ from qwk.symbols import symmetrize
 # A change that adds or drops a memo table updates this list.
 MEMO_TABLES = {
     ("qwk.correlators", "_correlator_cached"),
-    ("qwk.correlators", "_tau0_cached"),
     ("qwk.qkdv", "_hamiltonian_term"),
     ("qwk.qkdv", "_prefix"),
     ("qwk.special", "_ehrhart_cached"),
@@ -48,7 +47,7 @@ def _values():
             + [symmetrize(bracket(h1, integrate_hamiltonian(h1), 1)).to_json()])
 
 
-def test_memo_tables_are_the_eight_lru_caches():
+def test_memo_tables_are_the_seven_lru_caches():
     tables = _memo_tables()
     assert set(tables) == MEMO_TABLES
     # no decorated cache hides where the module walk cannot see it
