@@ -13,6 +13,13 @@ The package computes, in exact rational arithmetic:
 
 The headline fact checked by the acceptance suite is that the two correlator
 routes agree.
+
+``import qwk`` loads only the engine, the closed Hurwitz formula and the
+factorization oracle.  The checking kit loads on first use: the truncated
+series (``qwk.series``), the u-representation (``qwk.diffpoly``), the
+finite-mode Weyl oracle (``qwk.weyl``) and the identity checks
+(``qwk.identities``); the names this package exports from the first two
+resolve through the module ``__getattr__``.
 """
 
 from .algebra import GaussRat, MultiPoly, Rat, rat_str
@@ -23,12 +30,29 @@ from .hurwitz import (Partition, aut_factor, factorization_count,
                       hurwitz_correlator, one_part_number, one_part_polynomial)
 from .qkdv import (bracket, hamiltonian_density, integrate_hamiltonian,
                    nested_bracket)
-from .special import (ehrhart_brute_force, ehrhart_convolution,
-                      eulerian_polynomial, s_series, series_exp_log,
-                      series_inverse, series_product)
-from .symbols import (DiffPoly, FourierSymbol, SymbolTerm, d_dp0, d_x,
-                      eval_string_point, from_diff_poly, symmetrize,
-                      to_diff_poly, variational_derivative)
+from .special import ehrhart_convolution, eulerian_polynomial
+from .symbols import (FourierSymbol, SymbolTerm, d_x, eval_string_point,
+                      symmetrize)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# names that live off the engine path, imported on first access (PEP 562)
+_LAZY = {
+    "DiffPoly": "diffpoly", "d_dp0": "diffpoly", "from_diff_poly": "diffpoly",
+    "to_diff_poly": "diffpoly", "variational_derivative": "diffpoly",
+    "ehrhart_brute_force": "series", "s_series": "series", "series_exp_log": "series",
+    "series_inverse": "series", "series_product": "series",
+}
+
+__all__ = sorted([name for name in dir() if not name.startswith("_")] + list(_LAZY))
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+    return getattr(import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))

@@ -5,6 +5,10 @@ Everything downstream is built on two types:
   GaussRat   a + b*i with a, b arbitrary-precision rationals (i**2 = -1)
   MultiPoly  sparse (Laurent) polynomial over GaussRat with named variables
 
+and the package's immutable value classes (symbol terms, partitions,
+correlator keys) derive from ``Record``, which gives them field equality,
+hash, repr and pickling without the ``dataclasses`` machinery.
+
 A polynomial is a dict mapping exponent tuples (aligned with the ``variables``
 tuple) to nonzero GaussRat coefficients.  The zero polynomial is the empty
 dict.  Exponents may be negative, so sums, products and comparisons also serve
@@ -17,7 +21,7 @@ copy and pickle by rebuilding through their constructors.
 
 Truncated power series are not a MultiPoly feature: they are lists of
 coefficient layers, one per power of the series variable, and their kernels
-live in ``qwk.special``.
+live in ``qwk.series``.
 
 Every coefficient the engine writes is real, so GaussRat keeps a real fast
 path: a real value's imaginary part is one shared ``Fraction(0)``, results are
@@ -464,3 +468,40 @@ class MultiPoly:
             else:
                 parts.append(f"({cs})")
         return " + ".join(parts)
+
+
+class Record:
+    """Base of the immutable value classes: the fields are the ``__slots__``, in order.
+
+    Equality and hash are by the tuple of fields, between instances of one
+    class only, and ``repr`` lists the fields by name.  ``copy``, ``deepcopy``
+    and ``pickle`` rebuild through the constructor, which takes the fields
+    positionally; a subclass's ``__init__`` validates them and sets each
+    with ``object.__setattr__``.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"

@@ -25,10 +25,8 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import List, Optional, Sequence, Tuple
@@ -40,11 +38,7 @@ from .correlators import (correlator, correlator_table, series_coefficient,
 from .hurwitz import (DEFAULT_DEGREE_CAP, Partition, aut_factor,
                       factorization_count, hurwitz_correlator,
                       one_part_number, partitions_of)
-from .identities import (check_carlitz, check_eulerian_generating,
-                         check_products_of_exponentials, check_sh_lemmas,
-                         check_sinh_formula, check_variational)
-from .qkdv import (bracket, monomial_mode_sum, symbol_to_weyl,
-                   weyl_commutator_over_hbar)
+from .qkdv import bracket
 from .symbols import (DENSITY, INTEGRATED, FourierSymbol, make_term,
                       slot_names, symmetrize)
 
@@ -263,6 +257,7 @@ def _check_level(key) -> dict:
 
 def _run_keys(keys, worker, jobs: int) -> List[dict]:
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(worker, keys, chunksize=4))
     return [worker(k) for k in keys]
@@ -306,6 +301,9 @@ def _nothing_to_verify(bounds: dict) -> ValueError:
 
 
 def _suite_identities(args) -> Tuple[List[dict], dict]:
+    from .identities import (check_carlitz, check_eulerian_generating,
+                             check_products_of_exponentials, check_sh_lemmas,
+                             check_sinh_formula, check_variational)
     order = args.order if args.order is not None else 8
     cases = args.cases if args.cases is not None else 50
     if cases < 1:
@@ -368,6 +366,7 @@ def _random_symbol(rng: random.Random, kind: str) -> FourierSymbol:
 
 def _bracket_oracle_draw(rng: random.Random, modes: int) -> Optional[dict]:
     """Compare one random pair on both routes; None when nothing is compared."""
+    from .weyl import monomial_mode_sum, symbol_to_weyl, weyl_commutator_over_hbar
     left = _random_symbol(rng, DENSITY)
     right = _random_symbol(rng, INTEGRATED)
     if left.is_zero() or right.is_zero():
@@ -405,6 +404,7 @@ def _suite_bracket_oracle(args) -> Tuple[List[dict], dict]:
     if modes < 1:
         # no monomial has a mode sum within 0 modes, so every case compares nothing
         raise _nothing_to_verify(bounds)
+    import random
     rng = random.Random(args.seed if args.seed is not None else 20240)
     checks = []
     for case in range(1, cases + 1):

@@ -21,13 +21,12 @@ key with the tau_0; entries are exact rationals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, total_ordering
 from itertools import combinations_with_replacement
 from math import factorial
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
-from .algebra import I_POWERS, GaussRat, Rat
+from .algebra import I_POWERS, GaussRat, Rat, Record
 from .qkdv import nested_bracket
 
 
@@ -35,10 +34,21 @@ class NonRealCorrelatorError(ArithmeticError):
     """The engine produced a non-real correlator; signals an engine bug."""
 
 
-@dataclass(frozen=True, order=True)
-class CorrelatorKey:
-    g: int
-    d: Tuple[int, ...]  # sorted ascending
+@total_ordering
+class CorrelatorKey(Record):
+    """A correlator's key: genus grade g and insertions d, sorted ascending;
+    keys order by (g, d)."""
+
+    __slots__ = ("g", "d")
+
+    def __init__(self, g: int, d: Tuple[int, ...]):
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "d", d)
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.g, self.d) < (other.g, other.d)
+        return NotImplemented
 
     @staticmethod
     def of(d: Sequence[int], g: int) -> "CorrelatorKey":
@@ -106,14 +116,22 @@ def vanishes_by_level(d: Sequence[int], g: int, l: int) -> bool:
     return total > 4 * g - 3 + n - l or (total - (n - l)) % 2 == 0
 
 
-@dataclass
-class CorrelatorTable:
-    """Memoized grid of correlators, plus the bounds used to build it."""
+class CorrelatorTable(Record):
+    """Memoized grid of correlators, plus the bounds used to build it.
 
-    g_max: int
-    n_max: int
-    sum_max: int
-    entries: Dict[CorrelatorKey, Rat] = field(default_factory=dict)
+    The bounds are fixed; ``correlator_table`` fills ``entries``.  Like any
+    value holding a dict, a table has no hash.
+    """
+
+    __slots__ = ("g_max", "n_max", "sum_max", "entries")
+    __hash__ = None
+
+    def __init__(self, g_max: int, n_max: int, sum_max: int,
+                 entries: Optional[Dict[CorrelatorKey, Rat]] = None):
+        object.__setattr__(self, "g_max", g_max)
+        object.__setattr__(self, "n_max", n_max)
+        object.__setattr__(self, "sum_max", sum_max)
+        object.__setattr__(self, "entries", {} if entries is None else entries)
 
     def get(self, d: Sequence[int], g: int) -> Rat:
         return self.entries[CorrelatorKey.of(d, g)]

@@ -26,34 +26,33 @@ is central in the group algebra of S_d, so the count only depends on cycle
 types: it runs as a dynamic program over the p(d) partitions of d, one
 cut-and-join step per branch point (Goulden-Jackson 1997), in exact
 integers.  DEFAULT_DEGREE_CAP = 20 is a cost guard: at that degree, (1^20)
-at g = 5 (29 branch points) takes about half a second.  The closed formula
-equals aut_factor(mu) times this count: the formula counts covers with
-labeled preimages of infinity, the count weights unlabeled covers by 1/|Aut|.
+at g = 5 (29 branch points) takes about 0.08 s on a 2-vCPU Xeon.  The
+closed formula equals aut_factor(mu) times this count: the formula counts
+covers with labeled preimages of infinity, the count weights unlabeled
+covers by 1/|Aut|.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 from typing import Dict, Iterator, Sequence, Tuple
 
-from .algebra import MultiPoly, Rat
+from .algebra import MultiPoly, Rat, Record
 from .special import power_of_sum, quotient_read, s_quotient, slot_names
 
 DEFAULT_DEGREE_CAP = 20
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(Record):
     """Partition with positive parts, stored sorted descending."""
 
-    parts: Tuple[int, ...]
+    __slots__ = ("parts",)
 
-    def __post_init__(self):
-        if not self.parts or any(p < 1 for p in self.parts):
+    def __init__(self, parts: Sequence[int]):
+        if not parts or any(p < 1 for p in parts):
             raise ValueError("parts must be positive")
-        object.__setattr__(self, "parts", tuple(sorted(self.parts, reverse=True)))
+        object.__setattr__(self, "parts", tuple(sorted(parts, reverse=True)))
 
     @property
     def degree(self) -> int:
@@ -139,7 +138,8 @@ def factorization_count(g: int, mu: Partition, cap: int = DEFAULT_DEGREE_CAP) ->
     sigma_0 is the fixed d-cycle (1 2 .. d); r = 2g-1+n.  The 1/d absorbs the
     (d-1)! choices of the full cycle over the d! normalization of covers.
     The tuples are counted by cycle type of the partial product, starting
-    from the type (d,) of sigma_0.
+    from the type (d,) of sigma_0.  Each type's cut-and-join row, its
+    weights summed per new type, is built once per call, on first visit.
     """
     if g < 0:
         raise ValueError("negative genus grade")
@@ -150,10 +150,16 @@ def factorization_count(g: int, mu: Partition, cap: int = DEFAULT_DEGREE_CAP) ->
     if r < 0:
         raise ValueError("negative number of simple branch points")
     counts: Dict[Tuple[int, ...], int] = {(d,): 1}
+    rows: Dict[Tuple[int, ...], Dict[Tuple[int, ...], int]] = {}
     for _ in range(r):
         nxt: Dict[Tuple[int, ...], int] = {}
         for lam, c in counts.items():
-            for new, weight in _cut_and_join(lam):
+            row = rows.get(lam)
+            if row is None:
+                row = rows[lam] = {}
+                for new, weight in _cut_and_join(lam):
+                    row[new] = row.get(new, 0) + weight
+            for new, weight in row.items():
                 nxt[new] = nxt.get(new, 0) + c * weight
         counts = nxt
     return Fraction(counts.get(mu.parts, 0), d)

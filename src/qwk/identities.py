@@ -16,7 +16,7 @@ of the log/ratio lemmas, the exponential generating function of the Eulerian
 polynomials, the z-series of the products of exponentials) are checked
 coefficient-by-coefficient up to the requested order.  Such a series is a
 list of coefficient layers (rationals or MultiPoly), multiplied, inverted
-and exponentiated by the shared kernels of ``qwk.special``; powers
+and exponentiated by the shared kernels of ``qwk.series``; powers
 of 1/(1-t) ride along as an auxiliary symbol s that is eliminated exactly
 through the relation s*(1-t) = 1 at the end.
 """
@@ -30,10 +30,11 @@ from math import factorial
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .algebra import GaussRat, MultiPoly
-from .special import (eulerian_number, eulerian_polynomial, s_series_of,
-                      series_exp_log, series_inverse, series_product)
-from .symbols import (DiffPoly, from_diff_poly, mode_derivative_zero_mode,
-                      symmetrize, variational_derivative)
+from .diffpoly import (DiffPoly, from_diff_poly, mode_derivative_zero_mode,
+                       variational_derivative)
+from .series import s_series_of, series_exp_log, series_inverse, series_product
+from .special import eulerian_number, eulerian_polynomial
+from .symbols import symmetrize
 
 
 @dataclass(frozen=True)

@@ -122,7 +122,6 @@ not kept: its string-point value is what ``correlators`` memoizes per key.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm, perm
@@ -130,8 +129,8 @@ from operator import add, itemgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .algebra import GaussRat, MultiPoly, Scalar
-from .special import (ehrhart_convolution, power_of_sum, rearrangements, slot_names,
-                      sorted_exponents)
+from .special import (ehrhart_convolution, power_of_sum, rearrangements, sigma_coefficients,
+                      slot_names, sorted_exponents)
 from .symbols import (DENSITY, INTEGRATED, FourierSymbol, SymbolTerm,
                       eval_string_point, make_term, symmetrize)
 
@@ -157,10 +156,7 @@ def _hamiltonian_term(d: int, g: int,
     m = d + 2 - 2 * g
     if m < 0:
         return None
-    # sigma_k = [z^(2k)] 1/S(z), from S * (1/S) = 1 with s_l = 1/(4^l (2l+1)!)
-    sigma = [Fraction(1)]
-    for k in range(1, g + 1):
-        sigma.append(-sum(sigma[k - l] / (4 ** l * factorial(2 * l + 1)) for l in range(1, k + 1)))
+    sigma = sigma_coefficients(g)
     terms = {}
     for total in range(0, 2 * g + 1, 2):
         sig = sigma[g - total // 2]
@@ -552,113 +548,3 @@ def _prefix(prefix: Tuple[int, ...], g: int, brackets_left: int) -> FourierSymbo
     """``_nested``, memoized; asked only with brackets_left >= 1, since the last
     bracket is used once, for the value that ``correlators`` memoizes per key."""
     return _nested(prefix, g, brackets_left)
-
-
-# ----------------------------------------------------------------------
-# finite-mode Weyl-algebra oracle
-#
-# Elements of the truncated algebra are polynomials in p_{-M}..p_M graded by
-# hbar_u, stored as {(grade, exponent tuple): coefficient}.  The star product
-# is evaluated directly from its derivative expansion, which is exactly the
-# normal-ordered product for polynomials supported on modes |a| <= M.
-
-WeylPoly = Dict[Tuple[int, Tuple[int, ...]], GaussRat]
-
-
-def _wp_add_into(target: WeylPoly, key, c):
-    prev = target.get(key)
-    s = prev + c if prev is not None else c
-    if s:
-        target[key] = s
-    elif prev is not None:
-        del target[key]
-
-
-def weyl_mul(a: WeylPoly, b: WeylPoly) -> WeylPoly:
-    out: WeylPoly = {}
-    for (ga, ea), ca in a.items():
-        for (gb, eb), cb in b.items():
-            key = (ga + gb, tuple(x + y for x, y in zip(ea, eb)))
-            _wp_add_into(out, key, ca * cb)
-    return out
-
-
-def weyl_derivative(f: WeylPoly, mode_index: int) -> WeylPoly:
-    out: WeylPoly = {}
-    for (g, e), c in f.items():
-        x = e[mode_index]
-        if not x:
-            continue
-        e2 = list(e)
-        e2[mode_index] -= 1
-        _wp_add_into(out, (g, tuple(e2)), c * x)
-    return out
-
-
-def weyl_star(f: WeylPoly, g: WeylPoly, mode_bound: int) -> WeylPoly:
-    """f * g from the derivative expansion; exact for mode support <= mode_bound."""
-    out: WeylPoly = dict(weyl_mul(f, g))
-    max_q = max((sum(e) for _, e in f.keys()), default=0)
-    for q in range(1, max_q + 1):
-        layer: WeylPoly = {}
-        for ks in itertools.combinations_with_replacement(range(1, mode_bound + 1), q):
-            weight = Fraction(1)
-            for k in set(ks):
-                weight /= factorial(ks.count(k))
-            for k in ks:
-                weight *= k
-            fd = f
-            gd = g
-            for k in ks:
-                fd = weyl_derivative(fd, mode_bound + k)
-                if not fd:
-                    break
-                gd = weyl_derivative(gd, mode_bound - k)
-                if not gd:
-                    break
-            else:
-                for key, c in weyl_mul(fd, gd).items():
-                    _wp_add_into(layer, key, c * weight)
-        for (grade, e), c in layer.items():
-            _wp_add_into(out, (grade + q, e), c)
-    return out
-
-
-def weyl_commutator_over_hbar(f: WeylPoly, g: WeylPoly, mode_bound: int) -> WeylPoly:
-    """(f*g - g*f)/hbar_u; the grade-0 layer cancels exactly."""
-    fg = weyl_star(f, g, mode_bound)
-    gf = weyl_star(g, f, mode_bound)
-    out: WeylPoly = {}
-    for key, c in fg.items():
-        _wp_add_into(out, key, c)
-    for key, c in gf.items():
-        _wp_add_into(out, key, -c)
-    shifted: WeylPoly = {}
-    for (grade, e), c in out.items():
-        if grade == 0:
-            raise AssertionError("commutator kept a grade-0 term")
-        shifted[(grade - 1, e)] = c
-    return shifted
-
-
-def symbol_to_weyl(s: FourierSymbol, mode_bound: int) -> WeylPoly:
-    """Evaluate a symbol on explicit p-monomials with modes in [-M, M]."""
-    width = 2 * mode_bound + 1
-    out: WeylPoly = {}
-    for t in s.terms:
-        vs = slot_names(t.m)
-        for assign in itertools.product(range(-mode_bound, mode_bound + 1), repeat=t.m):
-            if s.kind == INTEGRATED and sum(assign) != 0:
-                continue
-            val = t.coeff.evaluate(dict(zip(vs, assign)))
-            if not val:
-                continue
-            e = [0] * width
-            for a in assign:
-                e[mode_bound + a] += 1
-            _wp_add_into(out, (t.grade, tuple(e)), val)
-    return out
-
-
-def monomial_mode_sum(e: Tuple[int, ...], mode_bound: int) -> int:
-    return sum(abs(i - mode_bound) * x for i, x in enumerate(e) if x)

@@ -1,21 +1,16 @@
-"""Special series and combinatorial polynomials.
+"""Special series and combinatorial polynomials: the closed forms the engine reads.
 
 Contents:
 
   * the even series S(z) = sh(z/2)/(z/2) = sum z^(2l) / (4^l (2l+1)!),
-    which carries every intersection-number coefficient in the engine;
-  * truncated power series as lists of coefficient layers: layer k is the
-    coefficient of z^k, for k up to the order len(layers) - 1, and a layer is
-    a MultiPoly (Laurent ones included) or a plain rational.  The kernels for
-    product, inverse, exp and log are the only truncated-series arithmetic in
-    the package; a product forms only the layer pairs i + j <= order, so
-    nothing above the cutoff is ever computed;
+    which carries every intersection-number coefficient in the engine, read
+    through its coefficients s_l = 1/(4^l (2l+1)!) and the coefficients
+    sigma_k of 1/S (``sigma_coefficients``, from S * (1/S) = 1);
   * the quotient Q_g(a_1..a_n) = [z^(2g)] prod_i S(a_i z) / S(z) over the
     slots a1..an, memoized as ``s_quotient(g, n)``.  It is symmetric, and its
-    coefficient of a^(2 lambda) is sigma_(g-|lambda|) prod_i s_(lambda_i),
-    with s_l = 1/(4^l (2l+1)!) the coefficients of S and sigma_k those of
-    1/S.  So it is built orbit by orbit, with no series product: one value
-    per partition lambda (``sorted_exponents``), written on each distinct
+    coefficient of a^(2 lambda) is sigma_(g-|lambda|) prod_i s_(lambda_i).
+    So it is built orbit by orbit, with no series product: one value per
+    partition lambda (``sorted_exponents``), written on each distinct
     rearrangement (``rearrangements``, an iterative next-permutation in
     lexicographic order).  ``symbols``, the densities and ``power_of_sum``
     use the same two generators;
@@ -38,7 +33,9 @@ Contents:
 
 C^r(N) has degree q-1+sum(r) and all its monomials share the parity of that
 degree; both facts are asserted at construction because the commutator
-engine's single-polynomial representation rests on them.
+engine's single-polynomial representation rests on them.  The truncated
+power series and the direct count of C^r(N), which check these closed forms,
+live in ``qwk.series``.
 """
 
 from __future__ import annotations
@@ -46,108 +43,17 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
-from typing import Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-from .algebra import GaussRat, MultiPoly, Rat
-
-
-def _is_zero(c) -> bool:
-    return not c if isinstance(c, (int, Fraction, GaussRat)) else c.is_zero()
+from .algebra import GaussRat, MultiPoly
 
 
-def _scalar(c) -> GaussRat:
-    """The value of a constant layer; ValueError if the layer is not constant."""
-    if isinstance(c, (int, Fraction, GaussRat)):
-        return GaussRat.of(c)
-    if any(any(e) for e in c.terms):
-        raise ValueError("constant term in the series variable is not a scalar")
-    return next(iter(c.terms.values()), GaussRat(0))
-
-
-def _dot(xs, ys, zero):
-    """sum of x * y over paired layers, skipping zero layers."""
-    acc = None
-    for x, y in zip(xs, ys):
-        if _is_zero(x) or _is_zero(y):
-            continue
-        p = x * y
-        acc = p if acc is None else acc + p
-    return zero if acc is None else acc
-
-
-def _order(a: list, b: list) -> int:
-    if len(a) != len(b):
-        raise ValueError(f"series of orders {len(a) - 1} and {len(b) - 1} do not combine")
-    return len(a) - 1
-
-
-def series_product(a: list, b: list) -> list:
-    """The product a * b to the common order of its factors."""
-    zero = a[0] * b[0] * 0
-    return [_dot(a[:k + 1], b[k::-1], zero) for k in range(_order(a, b) + 1)]
-
-
-def series_inverse(a: list) -> list:
-    """q with a * q == 1 to the order of a; layer 0 must be a nonzero constant."""
-    u = _scalar(a[0])
-    if not u:
-        raise ValueError("zero constant term is not invertible")
-    w = GaussRat(1) / u
-    inv = [a[0] * (w * w)]
-    zero = inv[0] * 0
-    for n in range(1, len(a)):
-        inv.append(_dot(a[1:n + 1], inv[::-1], zero) * -w)
-    return inv
-
-
-def series_exp_log(a: list, mode: str) -> list:
-    """exp (layer 0 zero) or log (layer 0 one) of a, to its order.
-
-    Both come from f' = a' f (exp) and a' = f' a (log), read layer by layer:
-    n f_n = sum_{k=1..n} k a_k f_(n-k), and
-    f_n = a_n - (1/n) sum_{k=1..n-1} k f_k a_(n-k).
-    """
-    if mode not in ("exp", "log"):
-        raise ValueError("mode must be 'exp' or 'log'")
-    zero = a[0] * 0
-    if mode == "exp":
-        if not _is_zero(a[0]):
-            raise ValueError("exp needs zero constant term in the series variable")
-        ka = [x * k for k, x in enumerate(a)]
-        out = [a[0] + 1]
-        for n in range(1, len(a)):
-            out.append(_dot(ka[1:n + 1], out[::-1], zero) * Fraction(1, n))
-        return out
-    if not _is_zero(a[0] - 1):
-        raise ValueError("log needs constant term 1 in the series variable")
-    out = [a[0] - 1]
-    kf = [zero]
-    for n in range(1, len(a)):
-        out.append(a[n] - _dot(kf[1:], a[n - 1:0:-1], zero) * Fraction(1, n))
-        kf.append(out[n] * n)
-    return out
-
-
-def s_series_of(form, order: int) -> list:
-    """S(form * z) to z^order, for a polynomial or rational ``form``."""
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    f2 = form * form
-    power = form ** 0
-    out = [power]
-    for k in range(1, order + 1):
-        if k % 2:
-            out.append(form * 0)
-            continue
-        power = power * f2
-        l = k // 2
-        out.append(power * Fraction(1, 4**l * factorial(2 * l + 1)))
-    return out
-
-
-def s_series(order: int) -> list:
-    """S(z) to z^order as rationals; even, constant term 1."""
-    return s_series_of(Fraction(1), order)
+def sigma_coefficients(g: int) -> List[Fraction]:
+    """sigma_0..sigma_g, sigma_k = [z^(2k)] 1/S(z), from S * (1/S) = 1 with s_l = 1/(4^l (2l+1)!)."""
+    sigma = [Fraction(1)]
+    for k in range(1, g + 1):
+        sigma.append(-sum(sigma[k - l] / (4 ** l * factorial(2 * l + 1)) for l in range(1, k + 1)))
+    return sigma
 
 
 def slot_names(n: int) -> Tuple[str, ...]:
@@ -195,14 +101,14 @@ def s_quotient(g: int, n: int) -> MultiPoly:
     Its coefficient of a^(2 lambda) is sigma_(g-|lambda|) prod_i s_(lambda_i),
     written once per partition lambda on every rearrangement.
     """
-    s = s_series(2 * g)
-    sigma = series_inverse(s)
+    sigma = sigma_coefficients(g)
     terms = {}
     for k in range(g + 1):
         for lam in sorted_exponents(n, k):
-            c = sigma[2 * (g - k)]
+            c = sigma[g - k]
             for l in lam:
-                c = c * s[2 * l]
+                c /= 4 ** l * factorial(2 * l + 1)
+            c = GaussRat(c)
             for e in rearrangements(tuple(2 * l for l in lam)):
                 terms[e] = c
     return MultiPoly(slot_names(n), terms, _normalized=True)
@@ -318,24 +224,6 @@ def ehrhart_convolution(r: Sequence[int]) -> MultiPoly:
     if any(x < 0 for x in r):
         raise ValueError("negative exponent")
     return _ehrhart_cached(tuple(sorted(r)))
-
-
-def ehrhart_brute_force(r: Sequence[int], n: int) -> Rat:
-    """Direct enumeration of compositions; 0 when N < q."""
-    r = tuple(r)
-    q = len(r)
-    if n < q:
-        return Fraction(0)
-
-    def rec(i: int, remaining: int) -> Fraction:
-        if i == q - 1:
-            return Fraction(remaining ** r[i])
-        total = Fraction(0)
-        for k in range(1, remaining - (q - i - 1) + 1):
-            total += (k ** r[i]) * rec(i + 1, remaining - k)
-        return total
-
-    return rec(0, n)
 
 
 @lru_cache(maxsize=None)

@@ -25,12 +25,13 @@ from qwk.hurwitz import (Partition, aut_factor, factorization_count,
 from qwk.identities import (check_carlitz, check_eulerian_generating,
                             check_products_of_exponentials, check_sh_lemmas,
                             check_sinh_formula, check_variational)
-from qwk.qkdv import (bracket, hamiltonian_density,
-                      integrate_hamiltonian, monomial_mode_sum,
-                      symbol_to_weyl, weyl_commutator_over_hbar)
-from qwk.special import ehrhart_brute_force, ehrhart_convolution
-from qwk.symbols import (DENSITY, INTEGRATED, FourierSymbol, d_dp0,
+from qwk.diffpoly import d_dp0
+from qwk.qkdv import bracket, hamiltonian_density, integrate_hamiltonian
+from qwk.series import ehrhart_brute_force
+from qwk.special import ehrhart_convolution
+from qwk.symbols import (DENSITY, INTEGRATED, FourierSymbol,
                          slot_names, symbols_equal, symmetrize, u0_symbol)
+from qwk.weyl import monomial_mode_sum, symbol_to_weyl, weyl_commutator_over_hbar
 from test_hurwitz import _count_by_permutations
 
 

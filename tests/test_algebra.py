@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qwk.algebra import I_POWERS, ZERO, GaussRat, I, MultiPoly, rat_str
-from qwk.special import series_product
+from qwk.series import series_product
 
 
 def coeff_extract(poly, monomial):

@@ -9,13 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qwk.algebra import GaussRat, I, MultiPoly
+from qwk.diffpoly import d_dp0
 from qwk.qkdv import (LEFT, _prefix, bracket, hamiltonian_density,
-                      integrate_hamiltonian, monomial_mode_sum,
-                      nested_bracket, symbol_to_weyl,
-                      weyl_commutator_over_hbar)
-from qwk.symbols import (DENSITY, INTEGRATED, FourierSymbol, d_dp0, d_x,
+                      integrate_hamiltonian, nested_bracket)
+from qwk.symbols import (DENSITY, INTEGRATED, FourierSymbol, d_x,
                          density, eval_string_point, make_term, slot_names,
                          symbols_equal, symmetrize, u0_symbol)
+from qwk.weyl import monomial_mode_sum, symbol_to_weyl, weyl_commutator_over_hbar
 
 
 def test_hamiltonian_minus_one_is_u0():

@@ -16,9 +16,9 @@ from math import factorial
 from qwk.algebra import MultiPoly
 from qwk.hurwitz import hurwitz_correlator
 from qwk.qkdv import LEFT, RIGHT, _hamiltonian_term, hamiltonian_density
+from qwk.series import s_series, s_series_of, series_inverse, series_product
 from qwk.special import (_even_below, power_of_sum, rearrangements,
-                         s_quotient, s_series, s_series_of, series_inverse,
-                         series_product, slot_names, sorted_exponents)
+                         s_quotient, slot_names, sorted_exponents)
 from qwk.symbols import make_term
 from test_acceptance import theorem_grid
 from test_algebra import coeff_extract

@@ -1,0 +1,134 @@
+"""The immutable value classes: field equality and hash, order, immutability, copies.
+
+``SymbolTerm``, ``FourierSymbol``, ``Partition``, ``CorrelatorKey`` and
+``CorrelatorTable`` are plain classes over ``algebra.Record``.  Values are
+shared across worker processes, so they also copy and pickle.
+"""
+
+import copy
+import pickle
+from fractions import Fraction
+
+import pytest
+
+from qwk.algebra import MultiPoly
+from qwk.correlators import CorrelatorKey, CorrelatorTable, correlator_table
+from qwk.hurwitz import Partition
+from qwk.qkdv import hamiltonian_density
+from qwk.symbols import DENSITY, INTEGRATED, FourierSymbol, SymbolTerm, slot_names
+
+
+def _term(c=Fraction(1, 3), grade=1):
+    return SymbolTerm(grade, 2, MultiPoly(slot_names(2), {(1, 1): c}), (2,))
+
+
+def _table(value=Fraction(1, 24)):
+    return CorrelatorTable(1, 1, 2, {CorrelatorKey.of((2,), 1): value})
+
+
+FIELDS = {
+    SymbolTerm: ("grade", "m", "coeff", "blocks"),
+    FourierSymbol: ("kind", "terms"),
+    Partition: ("parts",),
+    CorrelatorKey: ("g", "d"),
+    CorrelatorTable: ("g_max", "n_max", "sum_max", "entries"),
+}
+
+
+def _fields(value) -> tuple:
+    return tuple(getattr(value, name) for name in FIELDS[type(value)])
+
+
+def _cases():
+    """(value, an equal value built anew, a value differing in one field) per class."""
+    return [
+        (_term(), _term(), _term(grade=2)),
+        (FourierSymbol(DENSITY, (_term(),)), FourierSymbol(DENSITY, (_term(),)),
+         FourierSymbol(INTEGRATED, (_term(),))),
+        (Partition((1, 3, 2)), Partition([3, 2, 1]), Partition((3, 3))),
+        (CorrelatorKey.of((2, 0), 1), CorrelatorKey(1, (0, 2)), CorrelatorKey(1, (0, 1))),
+        (_table(), _table(), _table(Fraction(1, 12))),
+    ]
+
+
+def test_equality_is_by_fields():
+    for a, b, c in _cases():
+        assert a == b and a is not b
+        assert not a != b
+        assert a != c
+        # only between instances of one class
+        assert a != _fields(a)
+
+
+def test_hash_is_by_fields():
+    for a, b, _ in (_cases()[2], _cases()[3]):
+        assert hash(a) == hash(b) == hash(_fields(a))
+        assert len({a, b}) == 1
+    empty = FourierSymbol(DENSITY, ())
+    assert hash(empty) == hash(FourierSymbol(DENSITY, ()))
+    # a polynomial coefficient or a dict of entries has no hash, so neither
+    # has a term, a symbol holding terms or a table
+    for unhashable in (_term(), FourierSymbol(DENSITY, (_term(),)), _table()):
+        with pytest.raises(TypeError):
+            hash(unhashable)
+
+
+def test_correlator_keys_sort_by_genus_then_insertions():
+    keys = [CorrelatorKey(2, (0,)), CorrelatorKey(1, (1, 2)), CorrelatorKey(1, (0, 5)),
+            CorrelatorKey(0, (3, 3, 3))]
+    assert sorted(keys) == [CorrelatorKey(0, (3, 3, 3)), CorrelatorKey(1, (0, 5)),
+                            CorrelatorKey(1, (1, 2)), CorrelatorKey(2, (0,))]
+    assert CorrelatorKey(1, (0, 5)) <= CorrelatorKey(1, (0, 5)) < CorrelatorKey(1, (1,))
+    assert CorrelatorKey(2, ()) > CorrelatorKey(1, (9,)) >= CorrelatorKey(1, (9,))
+    with pytest.raises(TypeError):
+        CorrelatorKey(1, (0,)) < (1, (0,))
+    table = correlator_table(1, 2, 3)
+    assert min(table.entries) == CorrelatorKey(0, (0,))
+    assert max(table.entries) == CorrelatorKey(1, (3,))
+
+
+def test_assigning_an_attribute_raises():
+    for a, _, _ in _cases():
+        name = FIELDS[type(a)][0]
+        before = getattr(a, name)
+        with pytest.raises(AttributeError):
+            setattr(a, name, before)
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+        with pytest.raises(AttributeError):
+            a.extra = 1
+        assert getattr(a, name) is before
+
+
+def test_copy_deepcopy_and_pickle_round_trip():
+    h = hamiltonian_density(4, max_grade=2)
+    values = [v for case in _cases() for v in case] + [h, h.terms[-1]]
+    for a in values:
+        for twin in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+            assert type(twin) is type(a)
+            assert twin == a
+    table = _table()
+    deep = copy.deepcopy(table)
+    assert deep.entries == table.entries and deep.entries is not table.entries
+
+
+def test_construction_still_validates():
+    coeff = MultiPoly.const(1, slot_names(2))
+    with pytest.raises(ValueError):
+        SymbolTerm(0, 2, MultiPoly.const(1, ("x", "y")), (2,))
+    with pytest.raises(ValueError):
+        SymbolTerm(0, 2, MultiPoly.const(1, ("a2", "a1")), (2,))
+    with pytest.raises(ValueError):
+        SymbolTerm(0, 2, coeff, (1,))
+    with pytest.raises(ValueError):
+        SymbolTerm(0, 2, coeff, (2, 1))
+    with pytest.raises(ValueError):
+        SymbolTerm(-1, 2, coeff, (2,))
+    with pytest.raises(ValueError):
+        FourierSymbol("neither", ())
+    with pytest.raises(ValueError):
+        Partition((2, 0))
+    with pytest.raises(ValueError):
+        Partition(())
+    assert Partition((1, 3, 2)).parts == (3, 2, 1)
+    assert Partition((1, 3, 2)).degree == 6 and len(Partition((1, 3, 2))) == 3

@@ -8,10 +8,10 @@ import pytest
 
 from qwk.algebra import MultiPoly
 from qwk.qkdv import hamiltonian_density
-from qwk.special import (ehrhart_brute_force, ehrhart_convolution,
-                         eulerian_number, eulerian_polynomial, s_quotient,
-                         s_series, series_exp_log, series_inverse,
-                         series_product, slot_names)
+from qwk.series import (ehrhart_brute_force, s_series, series_exp_log,
+                        series_inverse, series_product)
+from qwk.special import (ehrhart_convolution, eulerian_number, eulerian_polynomial,
+                         s_quotient, slot_names)
 from test_algebra import coeff_extract
 
 

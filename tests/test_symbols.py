@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 
 from qwk.algebra import GaussRat, I, MultiPoly
 from qwk.qkdv import bracket, hamiltonian_density, integrate_hamiltonian
-from qwk.symbols import (INTEGRATED, DiffPoly, FourierSymbol, SymbolTerm,
-                         d_dp0, d_x, density, eval_string_point, from_diff_poly,
-                         make_term, mode_derivative_zero_mode, slot_names,
-                         symbols_equal, symmetrize, to_diff_poly, u0_symbol,
-                         variational_derivative)
+from qwk.diffpoly import (DiffPoly, d_dp0, from_diff_poly, mode_derivative_zero_mode,
+                          to_diff_poly, variational_derivative)
+from qwk.symbols import (INTEGRATED, FourierSymbol, SymbolTerm, d_x, density,
+                         eval_string_point, make_term, slot_names, symbols_equal,
+                         symmetrize, u0_symbol)
 
 
 def sym_of_terms(*terms):
