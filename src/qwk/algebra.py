@@ -6,8 +6,8 @@ Everything downstream is built on two types:
   MultiPoly  sparse (Laurent) polynomial over GaussRat with named variables
 
 and the package's immutable value classes (symbol terms, partitions,
-correlator keys) derive from ``Record``, which gives them field equality,
-hash, repr and pickling without the ``dataclasses`` machinery.
+correlator keys, identity reports) derive from ``Record``, which gives them
+field equality, hash, repr and pickling without the ``dataclasses`` machinery.
 
 A polynomial is a dict mapping exponent tuples (aligned with the ``variables``
 tuple) to nonzero GaussRat coefficients.  The zero polynomial is the empty

@@ -14,7 +14,8 @@ success, 1 on any verification failure or oracle mismatch, 2 on usage errors,
 which include an empty verification grid (also --cases or --modes below 1,
 and a bracket-oracle case whose redraws all compare nothing), negative table
 bounds, a negative genus grade or insertion, a hurwitz --cap above the
-factorization-count cap and a non-integer QWK_JOBS.
+factorization-count cap and a pool size that is not an integer of at least 1,
+from --jobs or QWK_JOBS.
 Verification grids run on a worker pool sized by --jobs (default from
 QWK_JOBS, else 1); output ordering is deterministic regardless of
 scheduling.
@@ -58,11 +59,9 @@ def _memo_state() -> str:
     return "warm" if any(t.cache_info().currsize for t in _MEMO_TABLES) else "cold"
 
 
-def _parse_int_list(text: str, what: str, allow_empty: bool = False) -> Tuple[int, ...]:
+def _parse_int_list(text: str, what: str) -> Tuple[int, ...]:
     text = text.strip()
     if not text:
-        if allow_empty:
-            return ()
         raise ValueError(f"empty {what} list")
     try:
         values = tuple(int(x) for x in text.split(","))
@@ -75,10 +74,19 @@ def _emit(record: dict) -> None:
     print(json.dumps(record, sort_keys=True))
 
 
-def _maybe_decimal(value: Fraction, want: bool) -> Optional[str]:
-    if not want:
-        return None
+def _approx_decimal(value: Fraction) -> str:
     return f"approx {float(value):.12g}"
+
+
+def _pool_size(text: str) -> int:
+    """--jobs and QWK_JOBS: a worker count of at least 1."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"pool size {jobs} is below 1")
+    return jobs
 
 
 # ----------------------------------------------------------------------
@@ -94,7 +102,7 @@ def cmd_correlator(args) -> int:
               "metadata": {"runtime_ms": round(1000 * (time.monotonic() - t0), 3),
                            "memo": memo}}
     if args.decimal:
-        record["approx_decimal"] = _maybe_decimal(value, True)
+        record["approx_decimal"] = _approx_decimal(value)
     exit_code = 0
     if args.hurwitz_oracle:
         n = len(d)
@@ -138,7 +146,7 @@ def cmd_hurwitz(args) -> int:
     else:
         raise ValueError("need --mu or --d")
     if args.decimal and "value" in record:
-        record["approx_decimal"] = _maybe_decimal(Fraction(record["value"]), True)
+        record["approx_decimal"] = _approx_decimal(Fraction(record["value"]))
     _emit(record)
     return exit_code
 
@@ -491,7 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--degree-cap", type=int, default=None)
     # argparse converts a string default itself, so a bad QWK_JOBS is a usage error
-    p.add_argument("--jobs", type=int, default=os.environ.get("QWK_JOBS", "1"))
+    p.add_argument("--jobs", type=_pool_size, default=os.environ.get("QWK_JOBS", "1"))
     p.set_defaults(func=cmd_verify)
     return parser
 

@@ -24,12 +24,11 @@ through the relation s*(1-t) = 1 at the end.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 from typing import Dict, List, Mapping, Sequence, Tuple
 
-from .algebra import GaussRat, MultiPoly
+from .algebra import GaussRat, MultiPoly, Record
 from .diffpoly import (DiffPoly, from_diff_poly, mode_derivative_zero_mode,
                        variational_derivative)
 from .series import s_series_of, series_exp_log, series_inverse, series_product
@@ -37,12 +36,18 @@ from .special import eulerian_number, eulerian_polynomial
 from .symbols import symmetrize
 
 
-@dataclass(frozen=True)
-class IdentityReport:
-    name: str
-    params: Dict[str, object]
-    order: int
-    max_abs_discrepancy: Fraction
+class IdentityReport(Record):
+    """The outcome of one identity check; like any value holding a dict, it has no hash."""
+
+    __slots__ = ("name", "params", "order", "max_abs_discrepancy")
+    __hash__ = None
+
+    def __init__(self, name: str, params: Dict[str, object], order: int,
+                 max_abs_discrepancy: Fraction):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "max_abs_discrepancy", max_abs_discrepancy)
 
     @property
     def ok(self) -> bool:

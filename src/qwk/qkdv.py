@@ -29,10 +29,12 @@ integrated R, where * is the normal-ordered star product
 Striking q slots against each other turns the k-summation, constrained by
 R's zero total mode to k_1+..+k_q = B (B = sum of R's surviving slots), into
 the power-sum convolution C^r(N) evaluated at N := B.  The true operator
-coefficient is E_fwd(B) on B>0 and -E_rev(-B) on B<0; these glue into the
-single polynomial E_fwd because C^r has pure parity, and the engine asserts
-the gluing for every term (BracketBranchError on violation) instead of
-assuming it.
+coefficient is E_fwd(B) on B>0 and -E_rev(-B) on B<0, where E_rev is the
+product with the signs of the two sides swapped.  By ``_split``'s sign rule
+E_rev's coefficient of C^r is E_fwd's times (-1)^(q+|r|), and C^r(-N) is
+(-1)^(q-1+|r|) C^r(N) because C^r has the pure parity of its degree, which
+``special._ehrhart_cached`` asserts for every table it builds.  So the two
+branches glue into the single polynomial E_fwd, the only one computed.
 
 The right operand is symmetrized on entry.  That is exact, because an
 integrated symbol's operator sees only its symmetrization, and free for a
@@ -47,20 +49,20 @@ since perm(b, v)/v! = comb(b, v).  The survivors keep their order: left
 blocks (b_i - v_i), then the right block (m_r - q).
 
 Each strike works on exponent tuples: both operands' terms are split into
-survivor exponents and coefficients grouped by strike-mode exponents, and the
-splits are multiplied group by group, once per branch with the signs swapped.
-The Ehrhart expansion of the forward product, with the prefactor folded into
-the Ehrhart coefficients, is summed per output monomial of the strike's
-(grade, blocks).
+survivor exponents and coefficients grouped by strike-mode exponents, the
+right one with its struck slots set to -k_t, and the splits are multiplied
+group by group.  The Ehrhart expansion of that product, with the prefactor
+folded into the Ehrhart coefficients, is summed per output monomial of the
+strike's (grade, blocks).
 
 Symbols carry GaussRat coefficients, but between those boundaries the values
 are Python integers over one denominator per strike.  ``bracket`` reads each
 operand term once as integer numerators over the lcm of its denominators, dl
 for a left term and dr for a right one.  The Ehrhart coefficients of a strike
 are read as integers over one de = (D-1)!, the largest denominator of its
-tables, and the multinomials of the N-power as ints.  So products, sums and
-the branch-gluing comparison are integer operations, and each strike adds
-one Fraction(numerator, dl*dr*de) per output monomial into the output term;
+tables, and the multinomials of the N-power as ints.  So products and sums
+are integer operations, and each strike adds one
+Fraction(numerator, dl*dr*de) per output monomial into the output term;
 ``bracket`` wraps each output value in a GaussRat once.  A non-real
 coefficient, as in a random test symbol, travels as a GaussRat with integer
 parts through the same code.
@@ -94,10 +96,10 @@ strike at most g - grade + L of a term's slots in all.
 
 The rule counts survivor exponents, which is symmetric under permuting the
 slots of a block, so every output term stays one symmetric term per block
-layout; both branches of the gluing check see the same pruned splits, so the
-check still holds term by term.  Without that argument ``bracket`` is the
-full commutator: the same code under a bound larger than any strike's
-survivors, which never binds.
+layout.  The rule drops split terms before the product, and the gluing holds
+for each C^r on its own, so it holds for what is kept.  Without that
+argument ``bracket`` is the full commutator: the same code under a bound
+larger than any strike's survivors, which never binds.
 
 The same bound builds the densities on demand.  A strike of q slots passes a
 split term only if its survivors have at most ``allowed`` exponents off
@@ -133,10 +135,6 @@ from .special import (ehrhart_convolution, power_of_sum, rearrangements, sigma_c
                       slot_names, sorted_exponents)
 from .symbols import (DENSITY, INTEGRATED, FourierSymbol, SymbolTerm,
                       eval_string_point, make_term, symmetrize)
-
-
-class BracketBranchError(AssertionError):
-    """Forward and reverse Ehrhart branches failed to glue into one polynomial."""
 
 
 # ----------------------------------------------------------------------
@@ -437,18 +435,6 @@ def _bracket_piece(merged, admitted, tl: SymbolTerm, phi: Dict[tuple, Scalar],
     fwd = _product_by_k(_split(phi, struck_l, kept_l, 1), _split(psi, struck_r, kept_r, -1))
     if not fwd:
         return
-    # both branches carry the same denominator, so their numerators compare exactly
-    rev = _product_by_k(_split(phi, struck_l, kept_l, -1), _split(psi, struck_r, kept_r, 1))
-    for k_exps in set(fwd) | set(rev):
-        sign = (-1) ** (q + sum(k_exps))
-        a = fwd.get(k_exps, {})
-        b = rev.get(k_exps, {})
-        for rest in set(a) | set(b):
-            ca = a.get(rest, 0)
-            cb = b.get(rest, 0)
-            if ca != cb * sign:
-                raise BracketBranchError(
-                    f"branch mismatch at k-exponents {k_exps}: {ca} vs {cb}")
 
     # E_fwd(N) with N := sum of surviving right slots, via the Ehrhart
     # convolution.  The table of k-exponents r has the one denominator (D-1)!,

@@ -64,11 +64,13 @@ def test_values_never_rendered_as_floats():
 
 
 def test_decimal_flag_is_marked():
-    code, out, _ = run_cli("correlator", "--g", "1", "--d", "2", "--decimal")
-    assert code == 0
-    record = json.loads(out)
-    assert record["value"] == "1/24"
-    assert record["approx_decimal"].startswith("approx ")
+    for argv, value in ((("correlator", "--g", "1", "--d", "2"), "1/24"),
+                        (("hurwitz", "--g", "1", "--mu", "3"), "2")):
+        code, out, _ = run_cli(*argv, "--decimal")
+        assert code == 0
+        record = json.loads(out)
+        assert record["value"] == value
+        assert record["approx_decimal"].startswith("approx ")
 
 
 def test_table_json_contents():
@@ -130,15 +132,20 @@ def test_jobs_default_from_environment():
 
 def test_jobs_from_environment_must_be_an_integer():
     import os
-    env = dict(os.environ, QWK_JOBS="abc")
-    proc = subprocess.run(
-        [sys.executable, "-m", "qwk", "verify", "string", "--g-max", "0",
-         "--n-max", "2"],
-        capture_output=True, text=True, env=env)
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert "--jobs" in proc.stderr and "'abc'" in proc.stderr
-    assert "Traceback" not in proc.stderr
+    grid = ("verify", "string", "--g-max", "0", "--n-max", "2")
+    # (QWK_JOBS, extra arguments, what stderr must name): a pool size that is
+    # not an integer of at least 1 is a usage error, from the flag or the variable
+    for env_jobs, extra, named in (("abc", (), "'abc'"),
+                                   ("0", (), "pool size 0 is below 1"),
+                                   ("1", ("--jobs", "0"), "pool size 0 is below 1"),
+                                   ("1", ("--jobs", "-3"), "pool size -3 is below 1")):
+        env = dict(os.environ, QWK_JOBS=env_jobs)
+        proc = subprocess.run([sys.executable, "-m", "qwk", *grid, *extra],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 2, (env_jobs, extra)
+        assert proc.stdout == ""
+        assert "--jobs" in proc.stderr and named in proc.stderr, proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 def test_main_entry_point_in_process(capsys):

@@ -55,6 +55,12 @@ def test_engine_import_loads_no_checking_kit():
     assert not loaded & absent
 
 
+def test_identities_import_loads_no_dataclasses():
+    loaded = _modules_after("import qwk.identities")
+    assert "qwk.identities" in loaded
+    assert not loaded & {"dataclasses", "inspect"}
+
+
 def test_cli_correlator_loads_no_pool_identities_or_weyl():
     loaded = _modules_after(
         "from qwk.cli import main\n"

@@ -1,7 +1,8 @@
 """The immutable value classes: field equality and hash, order, immutability, copies.
 
-``SymbolTerm``, ``FourierSymbol``, ``Partition``, ``CorrelatorKey`` and
-``CorrelatorTable`` are plain classes over ``algebra.Record``.  Values are
+``SymbolTerm``, ``FourierSymbol``, ``Partition``, ``CorrelatorKey``,
+``CorrelatorTable`` and ``IdentityReport`` are plain classes over
+``algebra.Record``.  Values are
 shared across worker processes, so they also copy and pickle.
 """
 
@@ -14,6 +15,7 @@ import pytest
 from qwk.algebra import MultiPoly
 from qwk.correlators import CorrelatorKey, CorrelatorTable, correlator_table
 from qwk.hurwitz import Partition
+from qwk.identities import IdentityReport
 from qwk.qkdv import hamiltonian_density
 from qwk.symbols import DENSITY, INTEGRATED, FourierSymbol, SymbolTerm, slot_names
 
@@ -26,12 +28,17 @@ def _table(value=Fraction(1, 24)):
     return CorrelatorTable(1, 1, 2, {CorrelatorKey.of((2,), 1): value})
 
 
+def _report(discrepancy=Fraction(0)):
+    return IdentityReport("carlitz", {"d": 2, "K": 5}, 5, discrepancy)
+
+
 FIELDS = {
     SymbolTerm: ("grade", "m", "coeff", "blocks"),
     FourierSymbol: ("kind", "terms"),
     Partition: ("parts",),
     CorrelatorKey: ("g", "d"),
     CorrelatorTable: ("g_max", "n_max", "sum_max", "entries"),
+    IdentityReport: ("name", "params", "order", "max_abs_discrepancy"),
 }
 
 
@@ -48,6 +55,7 @@ def _cases():
         (Partition((1, 3, 2)), Partition([3, 2, 1]), Partition((3, 3))),
         (CorrelatorKey.of((2, 0), 1), CorrelatorKey(1, (0, 2)), CorrelatorKey(1, (0, 1))),
         (_table(), _table(), _table(Fraction(1, 12))),
+        (_report(), _report(), _report(Fraction(1, 3))),
     ]
 
 
@@ -66,9 +74,9 @@ def test_hash_is_by_fields():
         assert len({a, b}) == 1
     empty = FourierSymbol(DENSITY, ())
     assert hash(empty) == hash(FourierSymbol(DENSITY, ()))
-    # a polynomial coefficient or a dict of entries has no hash, so neither
-    # has a term, a symbol holding terms or a table
-    for unhashable in (_term(), FourierSymbol(DENSITY, (_term(),)), _table()):
+    # a polynomial coefficient or a dict has no hash, so neither has a term, a
+    # symbol holding terms, a table or an identity report
+    for unhashable in (_term(), FourierSymbol(DENSITY, (_term(),)), _table(), _report()):
         with pytest.raises(TypeError):
             hash(unhashable)
 
@@ -132,3 +140,11 @@ def test_construction_still_validates():
         Partition(())
     assert Partition((1, 3, 2)).parts == (3, 2, 1)
     assert Partition((1, 3, 2)).degree == 6 and len(Partition((1, 3, 2))) == 3
+
+
+def test_identity_report_reads_its_verdict():
+    passed, failed = _report(), _report(Fraction(-1, 3))
+    assert passed.ok and not failed.ok
+    assert failed.to_json() == {"name": "carlitz", "params": {"d": 2, "K": 5}, "order": 5,
+                                "max_abs_discrepancy": "-1/3", "ok": False}
+    assert failed.to_json()["params"] is not failed.params
