@@ -62,7 +62,8 @@ for a left term and dr for a right one.  The Ehrhart coefficients of a strike
 are read as integers over one de = (D-1)!, the largest denominator of its
 tables, and the multinomials of the N-power as ints.  So products and sums
 are integer operations, and each strike adds one
-Fraction(numerator, dl*dr*de) per output monomial into the output term;
+Fraction(numerator, dl*dr*de) per output monomial into the output term
+(per strike, at the last bracket of a nested commutator, rule A below);
 ``bracket`` wraps each output value in a GaussRat once.  A non-real
 coefficient, as in a random test symbol, travels as a GaussRat with integer
 parts through the same code.
@@ -91,8 +92,16 @@ strike at most g - grade + L of a term's slots in all.
   * Rule A, the last bracket, is rule B at L = 0 with allowed = 0, since no
     strike is left to move a survivor: every left survivor exponent must be
     1 and every right one 0 or 1, and of the N-power expansion only the
-    all-ones monomial is kept, N^n giving it the coefficient n! when n is
-    the number of zero right survivors.
+    all-ones monomial is kept, N^z giving it the coefficient z! when z is
+    the number of zero right survivors.  Every strike then lands on that one
+    monomial, so ``nested_bracket`` builds no output symbol for its last
+    bracket but contracts each strike to a number: the left numerators
+    summed by struck exponents k_l, the right ones summed by (k_r, z) with
+    ``_split``'s sign (-1)^|k_r|, and sum pref L[k_l] R[k_r, z]
+    [N^z] C^(k_l+k_r+1) z! in integers over dl*dr*de, one Fraction per
+    strike, which (-i)^m of its output slots adds into its grade.
+    ``bracket`` with no bracket after it writes the same values as
+    monomials, and ``eval_string_point`` of that is the oracle.
 
 The rule counts survivor exponents, which is symmetric under permuting the
 slots of a block, so every output term stays one symmetric term per block
@@ -118,8 +127,9 @@ the brackets still to come, which fix every operand's demand.  ``_prefix``
 memoizes that triple, so the keys of a grid that share their leading
 insertions (the string inversion bumps the largest and keeps it first) build
 those brackets once; the same insertions with another number of brackets
-after them are a different, differently pruned symbol.  The last bracket is
-not kept: its string-point value is what ``correlators`` memoizes per key.
+after them are a different, differently pruned symbol.  The last bracket
+builds no symbol: ``_string_point_bracket`` contracts it to the string-point
+value, which ``correlators`` memoizes per key.
 """
 
 from __future__ import annotations
@@ -130,7 +140,7 @@ from math import comb, factorial, lcm, perm
 from operator import add, itemgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .algebra import GaussRat, MultiPoly, Scalar
+from .algebra import I_POWERS, GaussRat, MultiPoly, Scalar
 from .special import (ehrhart_convolution, power_of_sum, rearrangements, sigma_coefficients,
                       slot_names, sorted_exponents)
 from .symbols import (DENSITY, INTEGRATED, FourierSymbol, SymbolTerm,
@@ -397,6 +407,26 @@ def _admitted_powers(right: Tuple[int, ...], spare: int,
     return out
 
 
+def _prefactor(blocks: Tuple[int, ...], counts: Tuple[int, ...], m_r: int) -> int:
+    """The ordered slot choices of a strike within each block, over the
+    orderings of the modes struck from one left block: perm(m_r, q) times
+    prod_i perm(b_i, v_i) / v_i! = comb(b_i, v_i)."""
+    pref = perm(m_r, sum(counts))
+    for b, v in zip(blocks, counts):
+        pref *= comb(b, v)
+    return pref
+
+
+def _left_slots(blocks: Tuple[int, ...], counts: Tuple[int, ...]) -> Tuple[List[int], List[int]]:
+    """(struck, kept) slots of a left term when block i strikes its last counts[i] slots."""
+    struck: List[int] = []
+    end = 0
+    for b, v in zip(blocks, counts):
+        end += b
+        struck.extend(range(end - v, end))
+    return struck, [p for p in range(end) if p not in struck]
+
+
 def _bracket_piece(merged, admitted, tl: SymbolTerm, phi: Dict[tuple, Scalar],
                    tr: SymbolTerm, psi: Dict[tuple, Scalar], den: int, grade: int,
                    counts: Tuple[int, ...], allowed: int):
@@ -411,21 +441,10 @@ def _bracket_piece(merged, admitted, tl: SymbolTerm, phi: Dict[tuple, Scalar],
     """
     q = sum(counts)
     m_r = tr.m
-    # prefactor: ordered slot choices within each block, over the orderings of
-    # the modes struck from one left block, perm(b, v) / v! = comb(b, v)
-    pref = perm(m_r, q)
-    for b, v in zip(tl.blocks, counts):
-        pref *= comb(b, v)
-
-    # left block i strikes its last counts[i] slots, block by block, and the
-    # right operand its last q slots, so struck_l[t] meets right slot m_r-q+t
-    # through the mode k_t
-    struck_l: List[int] = []
-    end = 0
-    for b, v in zip(tl.blocks, counts):
-        end += b
-        struck_l.extend(range(end - v, end))
-    kept_l = [p for p in range(tl.m) if p not in struck_l]
+    pref = _prefactor(tl.blocks, counts, m_r)
+    # the right operand strikes its last q slots, so struck_l[t] meets right
+    # slot m_r-q+t through the mode k_t
+    struck_l, kept_l = _left_slots(tl.blocks, counts)
     struck_r = list(range(m_r - q, m_r))
     kept_r = list(range(m_r - q))
 
@@ -503,7 +522,9 @@ def _fold(out: Dict[tuple, Scalar], acc: Dict[tuple, Scalar], den: int):
 def nested_bracket(d_list: Sequence[int], g: int) -> Dict[int, GaussRat]:
     """Evaluate [[..[H_{d_1-1}, Hbar_{d_2}].., Hbar_{d_n}]] at the string point.
 
-    Returns the map hbar-grade -> value for grades up to the budget g.
+    Returns the map hbar-grade -> value for grades up to the budget g.  The
+    brackets before the last are ``_prefix``'s; the last one is contracted
+    straight to its string-point value, with no output symbol.
     """
     d_list = tuple(d_list)
     if not d_list:
@@ -512,25 +533,135 @@ def nested_bracket(d_list: Sequence[int], g: int) -> Dict[int, GaussRat]:
         raise ValueError("insertions must be >= 0")
     if g < 0:
         raise ValueError("genus grade must be >= 0")
-    return eval_string_point(_nested(d_list, g, 0))
+    if len(d_list) == 1:
+        return eval_string_point(hamiltonian_density(d_list[0] - 1, max_grade=g, demand=(LEFT, g)))
+    return _string_point_bracket(_prefix(d_list[:-1], g, 1), _right_operand(d_list[-1], g, 0), g)
 
 
-def _nested(d_list: Tuple[int, ...], g: int, brackets_left: int) -> FourierSymbol:
-    """The demanded nested commutator of ``d_list``, with ``brackets_left`` brackets after it."""
+def _right_operand(d: int, g: int, brackets_left: int) -> FourierSymbol:
+    """Hbar_d as the right operand of a bracket with ``brackets_left`` brackets after it."""
+    return integrate_hamiltonian(
+        hamiltonian_density(d, max_grade=g, demand=(RIGHT, g + 1 + brackets_left)))
+
+
+@lru_cache(maxsize=None)
+def _prefix(prefix: Tuple[int, ...], g: int, brackets_left: int) -> FourierSymbol:
+    """The demanded nested commutator of ``prefix``, with brackets_left >= 1
+    brackets after it, memoized on that triple."""
     # each density keeps only what its bracket's _within can pass: a strike of
     # q slots, with L brackets after it, allows g - grade + L survivor
     # exponents off target at grade = grade_l + grade_r + q - 1, so a term
     # uses at most g - grade_l - grade_r + 1 + L in all its slots, whatever q;
     # the first density, with L + 1 brackets after it, may use g + L + 1
-    if len(d_list) == 1:
-        return hamiltonian_density(d_list[0] - 1, max_grade=g, demand=(LEFT, g + brackets_left))
-    right = integrate_hamiltonian(
-        hamiltonian_density(d_list[-1], max_grade=g, demand=(RIGHT, g + 1 + brackets_left)))
-    return bracket(_prefix(d_list[:-1], g, brackets_left + 1), right, g, brackets_left)
+    if len(prefix) == 1:
+        return hamiltonian_density(prefix[0] - 1, max_grade=g, demand=(LEFT, g + brackets_left))
+    return bracket(_prefix(prefix[:-1], g, brackets_left + 1),
+                   _right_operand(prefix[-1], g, brackets_left), g, brackets_left)
 
 
-@lru_cache(maxsize=None)
-def _prefix(prefix: Tuple[int, ...], g: int, brackets_left: int) -> FourierSymbol:
-    """``_nested``, memoized; asked only with brackets_left >= 1, since the last
-    bracket is used once, for the value that ``correlators`` memoizes per key."""
-    return _nested(prefix, g, brackets_left)
+def _string_point_bracket(left: FourierSymbol, right: FourierSymbol,
+                          max_grade: int) -> Dict[int, GaussRat]:
+    """eval_string_point(bracket(left, right, max_grade, 0)), one value per strike.
+
+    Under rule A only the all-ones output monomial is kept, so a strike is a
+    contraction: the left terms whose survivors are all 1, summed by struck
+    exponents k_l; the right terms whose survivors are 0 or 1, summed by
+    (k_r, z) with z the number of zeros and ``_split``'s sign (-1)^|k_r|;
+    and of C^(k_l+k_r+1)(N), N the sum of the right survivors, the
+    coefficient of N^z, which the all-ones monomial reads z! times.
+    """
+    lefts = [(tl, *_numerators(tl.coeff.terms)) for tl in left.terms if tl.m]
+    rights = [(tr, *_numerators(tr.coeff.terms)) for tr in symmetrize(right).terms if tr.m]
+    # the left sums depend on (left term, counts) and the right ones on
+    # (right term, q), so each is built once per call
+    left_sums: Dict[tuple, Dict[tuple, Scalar]] = {}
+    right_sums: Dict[tuple, Dict[tuple, Dict[int, Scalar]]] = {}
+    # the Ehrhart tables by k, shared by the strikes of this call
+    tables: Dict[tuple, Dict[tuple, GaussRat]] = {}
+    # per (grade, power of i), (-i)^m = i^(-m) for m output slots, applied at the end
+    sums: Dict[Tuple[int, int], Scalar] = {}
+    for i, (tl, dl, phi) in enumerate(lefts):
+        for j, (tr, dr, psi) in enumerate(rights):
+            m_r = tr.m
+            q_cap = min(tl.m, m_r, max_grade + 1 - tl.grade - tr.grade)
+            for q in range(1, q_cap + 1):
+                rs = right_sums.get((j, q))
+                if rs is None:
+                    rs = right_sums[j, q] = _right_sums(psi, q, m_r)
+                if not rs:
+                    continue
+                grade = tl.grade + tr.grade + q - 1
+                power = (2 * q - tl.m - m_r) % 4
+                for counts in _strike_counts(tl.blocks, q):
+                    ls = left_sums.get((i, counts))
+                    if ls is None:
+                        ls = left_sums[i, counts] = _left_sums(phi, tl.blocks, counts)
+                    if not ls:
+                        continue
+                    num, de = _strike_value(ls, rs, q, tables)
+                    if not num:
+                        continue
+                    pref = _prefactor(tl.blocks, counts, m_r)
+                    den = dl * dr * de
+                    value = (Fraction(num * pref, den) if type(num) is int
+                             else num * Fraction(pref, den))
+                    sums[grade, power] = sums.get((grade, power), 0) + value
+    out: Dict[int, GaussRat] = {}
+    for (grade, power), s in sums.items():
+        if s:
+            out[grade] = out.get(grade, GaussRat(0)) + s * I_POWERS[power]
+    return {g: c for g, c in out.items() if c}
+
+
+def _left_sums(phi: Dict[tuple, Scalar], blocks: Tuple[int, ...],
+               counts: Tuple[int, ...]) -> Dict[tuple, Scalar]:
+    """{k_l: summed numerators} of the terms whose survivors are all 1, when
+    left block i strikes its last counts[i] slots."""
+    struck, kept = _left_slots(blocks, counts)
+    k_of, rest_of = _picker(struck), _picker(kept)
+    ones = (1,) * len(kept)
+    out: Dict[tuple, Scalar] = {}
+    for exps, c in phi.items():
+        if rest_of(exps) == ones:
+            k = k_of(exps)
+            out[k] = out.get(k, 0) + c
+    return {k: c for k, c in out.items() if c}
+
+
+def _right_sums(psi: Dict[tuple, Scalar], q: int,
+                m_r: int) -> Dict[tuple, Dict[int, Scalar]]:
+    """{k_r: {z: summed numerators}} of ``_split``'s signed terms whose
+    survivors are each 0 or 1, z of them 0, when the last q slots strike."""
+    out: Dict[tuple, Dict[int, Scalar]] = {}
+    for k, items in _split(psi, list(range(m_r - q, m_r)), list(range(m_r - q)), -1).items():
+        by_z: Dict[int, Scalar] = {}
+        for rest, c in items:
+            z = rest.count(0)
+            if z + rest.count(1) == len(rest):
+                by_z[z] = by_z.get(z, 0) + c
+        if nonzero := {z: c for z, c in by_z.items() if c}:
+            out[k] = nonzero
+    return out
+
+
+def _strike_value(ls: Dict[tuple, Scalar], rs: Dict[tuple, Dict[int, Scalar]], q: int,
+                  tables: Dict[tuple, Dict[tuple, GaussRat]]) -> Tuple[Scalar, int]:
+    """(numerator, de): the sum of L[k_l] R[k_r][z] [N^z] C^(k_l+k_r+1) z! over
+    de = (D-1)!, the largest Ehrhart denominator of the strike."""
+    by_k: Dict[tuple, Dict[int, Scalar]] = {}
+    for kl, cl in ls.items():
+        for kr, by_z in rs.items():
+            acc = by_k.setdefault(tuple(a + b + 1 for a, b in zip(kl, kr)), {})
+            for z, cr in by_z.items():
+                acc[z] = acc.get(z, 0) + cl * cr
+    de = factorial(q - 1 + max(map(sum, by_k)))
+    total = 0
+    for k, by_z in by_k.items():
+        table = tables.get(k)
+        if table is None:
+            table = tables[k] = ehrhart_convolution(k).terms
+        for z, c in by_z.items():
+            cn = table.get((z,))
+            if c and cn is not None:
+                total += c * (_over(cn, de) * factorial(z))
+    return total, de

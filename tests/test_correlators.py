@@ -212,11 +212,11 @@ def test_classical_genus_zero_values():
 def bottom_level_value(d, g):
     """The lambda_g value on the minimal level sum d = 2g - 3 + n:
     multinomial(2g-3+n; d) times the one-point value b_g, with b_0 = 1 and
-    b_g = (2^(2g-1) - 1)/2^(2g-1) * |B_2g|/(2g)! for g = 1..5, the t^(2g)
+    b_g = (2^(2g-1) - 1)/2^(2g-1) * |B_2g|/(2g)! for g = 1..6, the t^(2g)
     coefficient of (t/2)/sin(t/2) (Faber-Pandharipande's lambda_g formula)."""
     from math import factorial
     bernoulli = {1: Fraction(1, 6), 2: Fraction(1, 30), 3: Fraction(1, 42),
-                 4: Fraction(1, 30), 5: Fraction(5, 66)}
+                 4: Fraction(1, 30), 5: Fraction(5, 66), 6: Fraction(691, 2730)}
     if g:
         top = 2 ** (2 * g - 1)
         b_g = Fraction(top - 1, top) * bernoulli[g] / factorial(2 * g)
@@ -231,7 +231,7 @@ def bottom_level_value(d, g):
 def test_bottom_level_multinomial_structure():
     # on the minimal level sum d = 2g - 3 + n the values follow the
     # lambda_g structure (see bottom_level_value)
-    for g in (1, 2, 3, 4, 5):
+    for g in (1, 2, 3, 4, 5, 6):
         for n in (1, 2, 3):
             total = 2 * g - 3 + n
             if total < 0:
@@ -240,6 +240,15 @@ def test_bottom_level_multinomial_structure():
                 if sum(d) != total:
                     continue
                 assert correlator(d, g) == bottom_level_value(d, g), (d, g)
+
+
+def test_genus_six_bottom_level_anchors():
+    # b_6 = (2^11 - 1)/2^11 * (691/2730)/12!, written out, and a two-point
+    # value of the lambda_6 structure: 11!/(4! 7!) b_6
+    b_6 = Fraction(1414477, 2678117105664000)
+    assert bottom_level_value((10,), 6) == b_6
+    assert correlator((10,), 6) == b_6
+    assert correlator((4, 7), 6) == 330 * b_6 == bottom_level_value((4, 7), 6)
 
 
 @st.composite
@@ -270,7 +279,8 @@ def test_top_level_one_point_values():
     from math import factorial
     from qwk.hurwitz import hurwitz_correlator
     top = {1: Fraction(1, 24), 2: Fraction(1, 1920), 3: Fraction(1, 322560),
-           4: Fraction(1, 92897280), 5: Fraction(1, 40874803200)}
+           4: Fraction(1, 92897280), 5: Fraction(1, 40874803200),
+           6: Fraction(1, 25505877196800)}
     for g, value in top.items():
         assert value == Fraction(1, 4 ** g * factorial(2 * g + 1))
         assert correlator((4 * g - 2,), g) == value, g

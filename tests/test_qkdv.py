@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from qwk.algebra import GaussRat, I, MultiPoly
 from qwk.diffpoly import d_dp0
-from qwk.qkdv import (LEFT, _prefix, bracket, hamiltonian_density,
+from qwk.qkdv import (LEFT, _prefix, _string_point_bracket, bracket, hamiltonian_density,
                       integrate_hamiltonian, nested_bracket)
 from qwk.symbols import (DENSITY, INTEGRATED, FourierSymbol, d_x,
                          density, eval_string_point, make_term, slot_names,
@@ -227,6 +227,8 @@ def test_demanded_last_bracket_keeps_only_all_ones():
             assert set(t.coeff.terms) == {(1,) * t.m}, t
         value = eval_string_point(demanded)
         assert value == eval_string_point(bracket(left, right, budget))
+        # nested_bracket contracts its last bracket to the same value
+        assert _string_point_bracket(left, right, budget) == value
         nonzero += bool(value)
     assert nonzero > 10
 
@@ -248,6 +250,31 @@ def test_demand_is_exact_on_random_left_operands():
         assert value == eval_string_point(bracket(bracket(left, r1, budget), r2, budget))
         nonzero += bool(value)
     assert nonzero >= 6
+
+
+def test_contracted_last_bracket_on_random_left_operands():
+    # nested_bracket contracts its last bracket to one value per strike; the
+    # oracle builds rule A's output symbol and reads its string point.  Random
+    # symmetric left operands, non-real ones among them, against Hamiltonians,
+    # random integrated operands and unsymmetrized ones
+    rng = random.Random(21)
+    trials = nonreal = nonzero = 0
+    while trials < 40:
+        # exponents up to 1 reach the string point more often; exponents of 2
+        # are what the survivor filters drop
+        left = random_symbol(rng, DENSITY, max_m=3, max_deg=1 + trials % 2)
+        right = (integrate_hamiltonian(hamiltonian_density(rng.randint(0, 3), max_grade=3)),
+                 random_symbol(rng, INTEGRATED, max_m=3),
+                 unsymmetrized_integrated(rng))[trials % 3]
+        if left.is_zero() or right.is_zero():
+            continue
+        trials += 1
+        budget = 1 + trials % 3
+        value = eval_string_point(bracket(left, right, budget, 0))
+        assert _string_point_bracket(left, right, budget) == value, (left, right, budget)
+        nonzero += bool(value)
+        nonreal += not all(c.is_real() for c in value.values())
+    assert nonzero >= 14 and nonreal >= 12
 
 
 def test_bracket_refuses_negative_brackets_left():
