@@ -184,8 +184,25 @@ def symmetrize_term(t: SymbolTerm) -> SymbolTerm:
     return _spread(t.grade, t.m, {canon: c for (_, canon), c in _orbit_sums((t,)).items()})
 
 
+def _is_canonical(s: FourierSymbol) -> bool:
+    """Every term one block, (grade, slots) distinct and sorted, no zero coefficient."""
+    prev = None
+    for t in s.terms:
+        key = (t.grade, t.m)
+        if (t.blocks != ((t.m,) if t.m else ()) or t.coeff.is_zero()
+                or (prev is not None and key <= prev)):
+            return False
+        prev = key
+    return True
+
+
 def symmetrize(s: FourierSymbol) -> FourierSymbol:
-    """Canonical form: fully symmetric coefficients, merged by (grade, slots)."""
+    """Canonical form: fully symmetric coefficients, merged by (grade, slots).
+
+    A symbol already in that form, such as a Hamiltonian, comes back as is.
+    """
+    if _is_canonical(s):
+        return s
     return FourierSymbol(s.kind, _merge_terms(tuple(symmetrize_term(t) for t in s.terms)))
 
 

@@ -218,6 +218,32 @@ def test_main_theorem_genus_5_three_points_sample():
     assert not failures, failures
 
 
+def test_main_theorem_genus_6_three_points_sample():
+    """Criterion 2 at genus grade 6 for three insertions, on a seeded sample of
+    8 of the 267 keys of ``qwk verify main-theorem --g-max 6`` with n = 3 whose
+    value can be nonzero (12 <= sum d <= 24, sum d even); each is."""
+    keys = [(d, g) for d, g in theorem_grid(g_max=6, slack=3)
+            if g == 6 and len(d) == 3 and 12 <= sum(d) <= 24 and sum(d) % 2 == 0]
+    assert len(keys) == 267
+    sample = random.Random(6).sample(keys, 8)
+    assert all(correlator(d, g) for d, g in sample)
+    failures = _theorem_failures(sample)
+    assert not failures, failures
+
+
+def test_main_theorem_genus_5_four_points_sample():
+    """Criterion 2 at genus grade 5 for four insertions, on a seeded sample of
+    8 of the 406 keys whose value can be nonzero (11 <= sum d <= 21, sum d
+    odd); each is."""
+    keys = [(d, 5) for d in itertools.combinations_with_replacement(range(22), 4)
+            if 11 <= sum(d) <= 21 and sum(d) % 2 == 1]
+    assert len(keys) == 406
+    sample = random.Random(54).sample(keys, 8)
+    assert all(correlator(d, g) for d, g in sample)
+    failures = _theorem_failures(sample)
+    assert not failures, failures
+
+
 def test_criterion_03_string_equation():
     failures = []
     for g in range(3):

@@ -1,22 +1,27 @@
 """Closed-formula Hurwitz numbers against the factorization oracle.
 
-The library counts transposition factorizations on cycle types
-(cut-and-join); ``_count_by_permutations`` counts the same tuples over all
-d! permutations and is kept here as the reference for small degrees.
+The library counts transposition factorizations on cycle-type multiplicities
+(cut-and-join); ``_count_by_sorted_types`` is the same dynamic program on
+sorted part tuples, one state per part, and ``_count_by_permutations``
+counts the same tuples over all d! permutations, the reference for small
+degrees.  ``_one_part_number_by_quotient`` evaluates the n-slot quotient
+polynomial ``special.s_quotient`` at the partition, the route the integer
+series in z^2 of ``one_part_number`` replaces.
 """
 
 import itertools
 from fractions import Fraction
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qwk.algebra import MultiPoly
-from qwk.hurwitz import (DEFAULT_DEGREE_CAP, Partition, aut_factor,
+from qwk.hurwitz import (DEFAULT_DEGREE_CAP, Partition, _cut_and_join, aut_factor,
                          factorization_count, hurwitz_correlator,
                          one_part_number, one_part_polynomial, partitions_of)
-from qwk.special import slot_names
+from qwk.special import s_quotient, slot_names
 
 
 def _cycle_type(p):
@@ -63,6 +68,107 @@ def _count_by_permutations(g, mu, left_to_right=True):
         counts = nxt
     total = sum(c for p, c in counts.items() if _cycle_type(p) == mu.parts)
     return Fraction(total, d)
+
+
+def _one_part_number_by_quotient(g, mu):
+    """r! * d^(r-1) * Q_g(mu), with Q_g the n-slot polynomial s_quotient(g, n)."""
+    n = len(mu)
+    r = 2 * g - 1 + n
+    v = s_quotient(g, n).evaluate(dict(zip(slot_names(n), mu.parts)))
+    assert v.is_real()
+    return v.re * factorial(r) * Fraction(mu.degree) ** (r - 1)
+
+
+def _sorted_type_row(lam):
+    """(cycle type, weight) pairs of the cut-and-join step from the sorted type lam."""
+    for i, a in enumerate(lam):
+        rest = lam[:i] + lam[i + 1:]
+        for s in range(1, a // 2 + 1):
+            weight = a // 2 if 2 * s == a else a
+            yield tuple(sorted(rest + (s, a - s), reverse=True)), weight
+        for j in range(i + 1, len(lam)):
+            b = lam[j]
+            joined = rest[:j - 1] + rest[j:] + (a + b,)
+            yield tuple(sorted(joined, reverse=True)), a * b
+
+
+def _count_by_sorted_types(g, mu):
+    """factorization_count with one state per sorted part tuple: every cut
+    and join sorts a new tuple, and repeated parts give repeated entries,
+    summed per new type when the row is built."""
+    d = mu.degree
+    r = 2 * g - 1 + len(mu)
+    counts = {(d,): 1}
+    rows = {}
+    for _ in range(r):
+        nxt = {}
+        for lam, c in counts.items():
+            row = rows.get(lam)
+            if row is None:
+                row = rows[lam] = {}
+                for new, weight in _sorted_type_row(lam):
+                    row[new] = row.get(new, 0) + weight
+            for new, weight in row.items():
+                nxt[new] = nxt.get(new, 0) + c * weight
+        counts = nxt
+    return Fraction(counts.get(mu.parts, 0), d)
+
+
+def _multiplicities(parts, d):
+    m = [0] * d
+    for a in parts:
+        m[a - 1] += 1
+    return tuple(m)
+
+
+def test_one_part_number_matches_quotient_polynomial():
+    keys = 0
+    for d in range(1, 11):
+        for parts in partitions_of(d):
+            mu = Partition(parts)
+            for g in range(5):
+                assert one_part_number(g, mu) == _one_part_number_by_quotient(g, mu), (parts, g)
+                keys += 1
+    assert keys == 5 * 138
+    # r = 0: g = 0 with one part, d^(r-1) = 1/d
+    for d in range(1, 8):
+        assert one_part_number(0, Partition((d,))) == Fraction(1, d)
+    # r = 1: two parts at g = 0, where d^(r-1) = 1 and the value is 1
+    for parts in ((1, 1), (3, 2), (7, 4), (6, 6), (12, 1)):
+        mu = Partition(parts)
+        assert one_part_number(0, mu) == _one_part_number_by_quotient(0, mu) == 1, parts
+    mu = Partition((1,) * 20)
+    assert one_part_number(5, mu) == _one_part_number_by_quotient(5, mu)
+
+
+def test_multiplicity_count_matches_sorted_type_count():
+    keys = 0
+    for d in range(1, 13):
+        for parts in partitions_of(d):
+            mu = Partition(parts)
+            for g in range(4):
+                assert factorization_count(g, mu) == _count_by_sorted_types(g, mu), (parts, g)
+                keys += 1
+    assert keys == 4 * 271
+
+
+def test_cut_and_join_rows_sum_to_all_transpositions():
+    for d in range(1, 13):
+        for parts in partitions_of(d):
+            m = _multiplicities(parts, d)
+            pairs = _cut_and_join(m)
+            row = dict(pairs)
+            # one entry per new type, each a cycle type of degree d other than m
+            assert len(row) == len(pairs), parts
+            assert all(sum(a * x for a, x in enumerate(new, 1)) == d and new != m
+                       for new in row)
+            assert sum(row.values()) == comb(d, 2), parts
+            # the sorted-tuple row aggregates to the same entries
+            expect = {}
+            for new, weight in _sorted_type_row(parts):
+                key = _multiplicities(new, d)
+                expect[key] = expect.get(key, 0) + weight
+            assert row == expect, parts
 
 
 def test_one_part_polynomial_examples():

@@ -12,7 +12,7 @@ from qwk.algebra import GaussRat, I, MultiPoly
 from qwk.qkdv import bracket, hamiltonian_density, integrate_hamiltonian
 from qwk.diffpoly import (DiffPoly, d_dp0, from_diff_poly, mode_derivative_zero_mode,
                           to_diff_poly, variational_derivative)
-from qwk.symbols import (INTEGRATED, FourierSymbol, SymbolTerm, d_x, density,
+from qwk.symbols import (DENSITY, INTEGRATED, FourierSymbol, SymbolTerm, d_x, density,
                          eval_string_point, make_term, slot_names, symbols_equal,
                          symmetrize, u0_symbol)
 
@@ -68,6 +68,63 @@ def test_symmetrize_idempotent():
         once = symmetrize(s)
         assert symbols_equal(once, symmetrize(once))
         assert eval_string_point(once) == eval_string_point(s)
+
+
+def _symmetrize_by_permutations(s):
+    """{(grade, slots): coefficient} of symmetrize(s), averaging every term
+    over all m! slot permutations and summing per (grade, slots)."""
+    acc = {}
+    for t in s.terms:
+        perms = list(itertools.permutations(range(t.m)))
+        terms = {}
+        for exps, c in t.coeff.terms.items():
+            for p in perms:
+                e = tuple(exps[i] for i in p)
+                terms[e] = terms.get(e, GaussRat(0)) + c / len(perms)
+        poly = MultiPoly(slot_names(t.m), terms)
+        key = (t.grade, t.m)
+        acc[key] = acc[key] + poly if key in acc else poly
+    return {k: p for k, p in acc.items() if not p.is_zero()}
+
+
+def test_symmetrize_returns_canonical_symbols_as_is():
+    for d in range(-1, 6):
+        h = hamiltonian_density(d, max_grade=2)
+        assert symmetrize(h) is h
+        hbar = integrate_hamiltonian(h)
+        assert symmetrize(hbar) is hbar
+    # random symbols with several blocks per term, repeated (grade, slots)
+    # pairs and terms out of order take the general path, which canonicalizes
+    rng = random.Random(22)
+    blockings = {1: [(1,)], 2: [(1, 1), (2,)], 3: [(1, 2), (2, 1), (1, 1, 1), (3,)],
+                 4: [(2, 2), (1, 3), (1, 1, 2)]}
+    general = 0
+    for _ in range(40):
+        terms = []
+        for _ in range(rng.randint(1, 4)):
+            m = rng.randint(1, 4)
+            blocks = rng.choice(blockings[m])
+            coeff = {}
+            for _ in range(rng.randint(1, 3)):
+                # one monomial and its rearrangements within each block
+                exps = [rng.randint(0, 2) for _ in range(m)]
+                c = GaussRat(rng.randint(-3, 3), rng.randint(-1, 1))
+                cuts = list(itertools.accumulate((0,) + blocks))
+                for parts in itertools.product(*(set(itertools.permutations(exps[lo:hi]))
+                                                 for lo, hi in zip(cuts, cuts[1:]))):
+                    e = sum(parts, ())
+                    coeff[e] = coeff.get(e, GaussRat(0)) + c
+            poly = MultiPoly(slot_names(m), coeff)
+            terms.append(SymbolTerm(rng.randint(0, 2), m, poly, blocks))
+        s = FourierSymbol(rng.choice((DENSITY, INTEGRATED)), tuple(terms))
+        out = symmetrize(s)
+        general += out is not s
+        assert out.kind == s.kind
+        assert [(t.grade, t.m) for t in out.terms] == sorted({(t.grade, t.m) for t in out.terms})
+        assert all(t.blocks == (t.m,) and not t.coeff.is_zero() for t in out.terms)
+        assert {(t.grade, t.m): t.coeff for t in out.terms} == _symmetrize_by_permutations(s)
+        assert symmetrize(out) is out
+    assert general >= 30
 
 
 def test_d_x_examples():
