@@ -49,9 +49,8 @@ SUITES = ("main-theorem", "string", "levels", "identities",
 _UNSET = object()
 
 # every memo table of the engine; runtime_ms means little without their state
-_MEMO_TABLES = (_qkdv._hamiltonian_term, _qkdv._prefix, _special._euler_row,
-                _special._ehrhart_cached, _special.power_of_sum, _special.s_quotient,
-                _correlators._correlator_cached)
+_MEMO_TABLES = (_qkdv._hamiltonian_term, _qkdv._prefix, _special._ehrhart_cached,
+                _special.power_of_sum, _correlators._correlator_cached)
 
 
 def _memo_state() -> str:

@@ -9,20 +9,21 @@ a polynomial in the parts.  ``one_part_number`` reads it at one partition
 without building that polynomial: in w = z^2 each S(mu_i z), truncated at
 w^g, is an integer list over the one denominator D = 4^g (2g+1)!, the lists
 are multiplied over the parts, and an integer recurrence divides by S, so
-the value is one ``Fraction``.  ``one_part_polynomial`` and the correlators
-do need the polynomial.  Its quotient is ``special.s_quotient`` (the
-Hamiltonian densities are the same quotient on one more slot, summed in
-closed form by ``qkdv``), so the polynomials here are over its slot
-variables a1..an: part mu_i is slot a_i.  A Hurwitz correlator extracts one
-monomial:
+the value is one ``Fraction``.  Only ``one_part_polynomial`` builds the
+polynomial.  Its quotient is ``special.s_quotient`` (the Hamiltonian
+densities are the same quotient on one more slot, summed in closed form by
+``qkdv``), so the polynomials here are over its slot variables a1..an: part
+mu_i is slot a_i.  A Hurwitz correlator is one monomial:
 
     <<tau_{d_1}..tau_{d_n}>>_g = (-1)^((4g-3+n-sum d)/2) [mu^d] ( H_g / (r! d) ),
 
 which vanishes unless sum d lies in [2g-3+n, 4g-3+n] with the parity
-opposite to n.  That monomial is read alone (``special.quotient_read``): with
-p = 2g-3+n, it is the sum over even beta <= d with |beta| = |d| - p of
-Q_g[beta] * p! / prod_i (d_i - beta_i)!, so no product with the power of the
-sum is formed.
+opposite to n.  With p = 2g-3+n, that monomial is the sum over even
+beta <= d with |beta| = |d| - p of sigma_(g-|beta|/2) prod_i s_(beta_i/2)
+p! / prod_i (d_i - beta_i)!, the closed coefficients of the quotient
+(``special``) against the multinomials of the power of the sum.
+``hurwitz_correlator`` sums it in integers over one denominator, with no
+polynomial and no ``GaussRat``.
 
 The independent oracle counts transposition factorizations: with sigma_0 the
 fixed cycle (1 2 .. d), it counts r-tuples of transpositions whose product
@@ -43,11 +44,11 @@ unlabeled covers by 1/|Aut|.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 from typing import List, Optional, Sequence, Tuple
 
 from .algebra import MultiPoly, Rat, Record
-from .special import power_of_sum, quotient_read, s_quotient
+from .special import power_of_sum, s_quotient, sigma_coefficients
 
 DEFAULT_DEGREE_CAP = 20
 
@@ -112,26 +113,38 @@ def one_part_number(g: int, mu: Partition) -> Rat:
     return Fraction(num, den)
 
 
-def hurwitz_correlator(d: Sequence[int], g: int) -> Rat:
-    """Signed mu-coefficient of H_g/(r! d); 0 outside the level interval/parity."""
+def hurwitz_correlator(d: Sequence[int], g: int) -> Fraction:
+    """Signed mu-coefficient of H_g/(r! d); 0 outside the level interval/parity.
+
+    H_g/(r! d) = Q_g(a) (a_1+..+a_n)^p with p = 2g-3+n, so the coefficient of
+    a^d is the sum over even beta <= d with |beta| = |d| - p = 2k of
+    sigma_(g-k) prod_i s_(beta_i/2) * p! / prod_i (d_i-beta_i)!.  With
+    s_l = 1/(4^l (2l+1)!), every term shares sigma_(g-k) p! / 4^k, and over
+    the one denominator prod_i (d_i+1)! slot i gives the integer
+    comb(d_i+1, beta_i+1), so the sum over beta is entry k of the product
+    over the slots of these integer lists, indexed by beta_i/2.
+    """
     d = tuple(d)
     if g < 0 or any(x < 0 for x in d):
         raise ValueError("negative genus grade or insertion")
     n = len(d)
-    if 2 * g - 3 + n < 0:
+    p = 2 * g - 3 + n
+    if p < 0:
         raise ValueError("need 2g-3+n >= 0")
     total = sum(d)
     if (total - n) % 2 == 0:
         return Fraction(0)
-    if total < 2 * g - 3 + n or total > 4 * g - 3 + n:
+    if total < p or total > 4 * g - 3 + n:
         return Fraction(0)
-    # H/(r! d) = (sum a)^(2g-3+n) [z^(2g)] prod S / S
-    c = quotient_read(s_quotient(g, n), d, 2 * g - 3 + n)
+    k = (total - p) // 2
+    ways = [1] + [0] * k
+    den = 4 ** k
+    for x in d:
+        den *= factorial(x + 1)
+        row = [comb(x + 1, 2 * l + 1) for l in range(k + 1)]
+        ways = [sum(ways[j] * row[i - j] for j in range(i + 1)) for i in range(k + 1)]
     sign = -1 if ((4 * g - 3 + n - total) // 2) % 2 else 1
-    value = c * sign
-    if not value.is_real():
-        raise ArithmeticError("non-real Hurwitz correlator")
-    return value.re
+    return sign * sigma_coefficients(g - k)[-1] * Fraction(factorial(p) * ways[k], den)
 
 
 # ----------------------------------------------------------------------

@@ -7,22 +7,20 @@ Contents:
     through its coefficients s_l = 1/(4^l (2l+1)!) and the coefficients
     sigma_k of 1/S (``sigma_coefficients``, from S * (1/S) = 1);
   * the quotient Q_g(a_1..a_n) = [z^(2g)] prod_i S(a_i z) / S(z) over the
-    slots a1..an, memoized as ``s_quotient(g, n)``.  It is symmetric, and its
-    coefficient of a^(2 lambda) is sigma_(g-|lambda|) prod_i s_(lambda_i).
-    So it is built orbit by orbit, with no series product: one value per
-    partition lambda (``sorted_exponents``), written on each distinct
-    rearrangement (``rearrangements``, an iterative next-permutation in
-    lexicographic order).  ``symbols``, the densities and ``power_of_sum``
-    use the same two generators;
-  * ``quotient_read``, one coefficient of Q_g times a power of the slot sum,
-    which is how the one-part Hurwitz formula reads Q_g(mu_1..mu_n) times a
-    power of the degree.  The densities are Q_g with one more slot set to
-    the sum of the others, but ``qkdv`` sums that closed form itself and
-    never builds the quotient;
+    slots a1..an, built as ``s_quotient(g, n)`` for ``one_part_polynomial``.
+    It is symmetric, and its coefficient of a^(2 lambda) is
+    sigma_(g-|lambda|) prod_i s_(lambda_i).  So it is built orbit by orbit,
+    with no series product: one value per partition lambda
+    (``sorted_exponents``), written on each distinct rearrangement
+    (``rearrangements``, an iterative next-permutation in lexicographic
+    order).  ``symbols``, the densities and ``power_of_sum`` use the same two
+    generators.  The Hurwitz numbers and correlators and the densities never
+    build it;
   * ``power_of_sum(n, power)`` = (a_1+..+a_n)^power over the same slots,
     written in closed form, one multinomial power!/prod_i e_i! per sorted
     exponent tuple e, and memoized;
-  * Eulerian polynomials E_n(t) via the descent recurrence;
+  * Eulerian polynomials E_n(t) via the descent recurrence, one row per
+    call (the memoized Ehrhart table below is their only hot reader);
   * the power-sum convolution C^r(N) = sum over compositions
     k_1+...+k_q = N (k_i >= 1) of prod k_i^(r_i), expanded as an exact
     polynomial in N through the Carlitz identity
@@ -94,7 +92,6 @@ def sorted_exponents(n: int, total: int, low: int = 0):
             yield (x,) + rest
 
 
-@lru_cache(maxsize=None)
 def s_quotient(g: int, n: int) -> MultiPoly:
     """Q_g(a_1..a_n) = [z^(2g)] prod_i S(a_i z) / S(z), a symmetric polynomial in the slots.
 
@@ -114,41 +111,9 @@ def s_quotient(g: int, n: int) -> MultiPoly:
     return MultiPoly(slot_names(n), terms, _normalized=True)
 
 
-def _even_below(head: Tuple[int, ...], total: int):
-    """The tuples of even entries beta_i <= head_i with the given total."""
-    if not head:
-        if total == 0:
-            yield ()
-        return
-    for b in range(0, min(head[0], total) + 1, 2):
-        for rest in _even_below(head[1:], total - b):
-            yield (b,) + rest
-
-
-def quotient_read(quotient: MultiPoly, head: Tuple[int, ...], p: int) -> GaussRat:
-    """[a^head] of (a_1+..+a_k)^p times ``quotient``, with k = len(head):
-
-        sum over even beta <= head, |beta| = |head| - p,
-        of quotient[beta] * p! / prod_i (head_i - beta_i)!.
-
-    Only even beta count, because the quotient has only even exponents.
-    """
-    terms = quotient.terms
-    acc = GaussRat(0)
-    for beta in _even_below(head, sum(head) - p):
-        c = terms.get(beta)
-        if c is not None:
-            ways = factorial(p)
-            for h, b in zip(head, beta):
-                ways //= factorial(h - b)
-            acc = acc + c * ways
-    return acc
-
-
 # ----------------------------------------------------------------------
 # Eulerian polynomials
 
-@lru_cache(maxsize=None)
 def _euler_row(n: int) -> Tuple[int, ...]:
     """Descent counts <n,k> for k < max(n, 1), by the Eulerian recurrence."""
     if n < 0:

@@ -1,4 +1,4 @@
-"""The memo tables: exactly seven lru_caches, and warm values equal cold ones."""
+"""The memo tables: exactly five lru_caches, and warm values equal cold ones."""
 
 import importlib
 import inspect
@@ -16,9 +16,7 @@ MEMO_TABLES = {
     ("qwk.qkdv", "_hamiltonian_term"),
     ("qwk.qkdv", "_prefix"),
     ("qwk.special", "_ehrhart_cached"),
-    ("qwk.special", "_euler_row"),
     ("qwk.special", "power_of_sum"),
-    ("qwk.special", "s_quotient"),
 }
 
 
@@ -47,7 +45,7 @@ def _values():
             + [symmetrize(bracket(h1, integrate_hamiltonian(h1), 1)).to_json()])
 
 
-def test_memo_tables_are_the_seven_lru_caches():
+def test_memo_tables_are_the_five_lru_caches():
     tables = _memo_tables()
     assert set(tables) == MEMO_TABLES
     # no decorated cache hides where the module walk cannot see it

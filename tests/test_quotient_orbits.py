@@ -1,15 +1,17 @@
 """The orbit builds of the quotient, the densities and the Hurwitz read.
 
-``special.s_quotient``, ``qkdv._hamiltonian_term`` and
-``hurwitz.hurwitz_correlator`` write one closed-form coefficient per sorted
-exponent tuple.  The oracles below are the builds they replaced, kept here
-as the slow paths: the quotient as a product of truncated series, a density
-as the quotient with its last slot replaced by the sum of the others, and a
-Hurwitz correlator as one coefficient of the full product with the power of
-the sum.  A density built on demand is checked against the full one.
+``special.s_quotient`` and ``qkdv._hamiltonian_term`` write one closed-form
+coefficient per sorted exponent tuple, and ``hurwitz.hurwitz_correlator``
+sums the closed coefficients it reads.  The oracles below are the builds
+they replaced, kept here as the slow paths: the quotient as a product of
+truncated series, a density as the quotient with its last slot replaced by
+the sum of the others, and a Hurwitz correlator as one coefficient of the
+full product of the quotient with the power of the sum.  A density built on
+demand is checked against the full one.
 """
 
 import itertools
+import random
 from fractions import Fraction
 from math import factorial
 
@@ -17,9 +19,11 @@ from qwk.algebra import MultiPoly
 from qwk.hurwitz import hurwitz_correlator
 from qwk.qkdv import LEFT, RIGHT, _hamiltonian_term, hamiltonian_density
 from qwk.series import s_series, s_series_of, series_inverse, series_product
-from qwk.special import (_even_below, power_of_sum, rearrangements,
-                         s_quotient, slot_names, sorted_exponents)
+import qwk.hurwitz
+from qwk.special import (power_of_sum, rearrangements, s_quotient, slot_names,
+                         sorted_exponents)
 from qwk.symbols import make_term
+from qwk.cli import _grid_keys
 from test_acceptance import theorem_grid
 from test_algebra import coeff_extract
 
@@ -44,14 +48,18 @@ def _density_term_by_substitution(d, g):
     return make_term(g, m, coeff * Fraction(1, factorial(m)), blocks=(m,))
 
 
-def _hurwitz_correlator_by_product(d, g):
-    """The signed d-coefficient of Q_g times (sum a)^(2g-3+n), from the full product."""
+def _hurwitz_correlator_by_product(d, g, products):
+    """The signed d-coefficient of Q_g times (sum a)^(2g-3+n), from the full product.
+
+    ``products`` keeps each (g, n) product, built once for the keys that share it.
+    """
     n = len(d)
     total = sum(d)
     if (total - n) % 2 == 0 or not 2 * g - 3 + n <= total <= 4 * g - 3 + n:
         return Fraction(0)
-    poly = s_quotient(g, n) * power_of_sum(n, 2 * g - 3 + n)
-    c = coeff_extract(poly, dict(zip(slot_names(n), d)))
+    if (g, n) not in products:
+        products[g, n] = s_quotient(g, n) * power_of_sum(n, 2 * g - 3 + n)
+    c = coeff_extract(products[g, n], dict(zip(slot_names(n), d)))
     assert c.is_real()
     return c.re * (-1) ** ((4 * g - 3 + n - total) // 2)
 
@@ -68,12 +76,6 @@ def test_orbit_primitive_against_brute_force():
                 orbit = list(rearrangements(canon))
                 assert len(orbit) == len(set(orbit))
                 assert set(orbit) == set(itertools.permutations(canon))
-    # the quotient has only even exponents, so a read enumerates only even beta
-    for head in itertools.product(range(5), repeat=3):
-        for total in range(13):
-            expect = [b for b in itertools.product(*(range(h + 1) for h in head))
-                      if sum(b) == total and not any(x % 2 for x in b)]
-            assert list(_even_below(head, total)) == expect, (head, total)
 
 
 def test_s_quotient_matches_series_product():
@@ -121,8 +123,24 @@ def test_demanded_density_is_full_density_restricted():
     assert restricted > 100
 
 
-def test_hurwitz_correlator_matches_full_product():
+def test_hurwitz_correlator_matches_full_product(monkeypatch):
+    def no_quotient(g, n):
+        raise AssertionError("hurwitz_correlator built the quotient")
+
+    monkeypatch.setattr(qwk.hurwitz, "s_quotient", no_quotient)
     keys = list(theorem_grid(g_max=3, slack=3))
     assert len(keys) == 441
+    # a seeded sample at genus 4 to 6, four-point keys among them, in and
+    # around the level interval
+    deep = [k for k in _grid_keys(6, 4, slack=3) if k[1] >= 4]
+    keys += random.Random(23).sample(deep, 120)
+    products = {}
+    nonzero = []
     for d, g in keys:
-        assert hurwitz_correlator(d, g) == _hurwitz_correlator_by_product(d, g), (d, g)
+        got = hurwitz_correlator(d, g)
+        assert type(got) is Fraction, (d, g)
+        assert got == _hurwitz_correlator_by_product(d, g, products), (d, g)
+        if got and g >= 4:
+            nonzero.append(len(d))
+    # 41 of the sample are nonzero, 24 of them four-point keys
+    assert len(nonzero) >= 40 and nonzero.count(4) >= 20
