@@ -37,7 +37,7 @@ from .algebra import GaussRat, MultiPoly, rat_str
 from .correlators import (correlator, correlator_table, series_coefficient,
                           vanishes_by_level)
 from .hurwitz import (DEFAULT_DEGREE_CAP, Partition, aut_factor,
-                      factorization_count, hurwitz_correlator,
+                      factorization_count, factorization_counts, hurwitz_correlator,
                       one_part_number, partitions_of)
 from .qkdv import bracket
 from .symbols import (DENSITY, INTEGRATED, FourierSymbol, make_term,
@@ -341,11 +341,12 @@ def _suite_hurwitz_oracle(args) -> Tuple[List[dict], dict]:
             f"within bounds {json.dumps({'degree_cap': d_cap, 'g_max': g_max}, sort_keys=True)}")
     checks = []
     for d in range(1, d_cap + 1):
+        counts = factorization_counts(d, g_max)
         for parts in partitions_of(d):
             mu = Partition(parts)
             for g in range(g_max + 1):
                 closed = one_part_number(g, mu)
-                count = factorization_count(g, mu)
+                count = counts[mu.parts, g]
                 aut = aut_factor(mu)
                 checks.append({
                     "key": {"mu": list(mu.parts), "g": g},

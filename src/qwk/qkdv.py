@@ -48,22 +48,23 @@ ordered slot choices over the orderings of the modes within one left block,
 since perm(b, v)/v! = comb(b, v).  The survivors keep their order: left
 blocks (b_i - v_i), then the right block (m_r - q).
 
-Each strike works on exponent tuples: both operands' terms are split into
-survivor exponents and coefficients grouped by strike-mode exponents, the
-right one with its struck slots set to -k_t, and the splits are multiplied
-group by group.  The Ehrhart expansion of that product, with the prefactor
-folded into the Ehrhart coefficients, is summed per output monomial of the
-strike's (grade, blocks).
+Each strike works on exponent tuples.  One walk, ``_strikes``, serves both
+``bracket`` and the contracted last bracket: it splits each side once per
+term, strike shape and bound (a left term per (counts, allowed), a right one
+per (q, allowed)) into survivor exponents and coefficients grouped by
+strike-mode exponents, the right one with its struck slots set to -k_t, and
+drops rule B's terms (below) in the same pass.  ``bracket`` multiplies the
+two splits of a strike group by group; the Ehrhart expansion of that
+product, with the prefactor folded into the Ehrhart coefficients, is summed
+per output monomial of the strike's (grade, blocks).
 
 Symbols carry GaussRat coefficients, but between those boundaries the values
-are Python integers over one denominator per strike.  ``bracket`` reads each
-operand term once as integer numerators over the lcm of its denominators, dl
-for a left term and dr for a right one.  The Ehrhart coefficients of a strike
-are read as integers over one de = (D-1)!, the largest denominator of its
-tables, and the multinomials of the N-power as ints.  So products and sums
-are integer operations, and each strike adds one
-Fraction(numerator, dl*dr*de) per output monomial into the output term
-(per strike, at the last bracket of a nested commutator, rule A below);
+are Python integers: ``_strikes`` reads each operand term once as integer
+numerators over the lcm of its denominators, dl for a left term and dr for a
+right one, the Ehrhart coefficients of a strike are read over one
+de = (D-1)!, the largest denominator of its tables, and the N-power
+multinomials are ints.  Each strike adds one Fraction(numerator, dl*dr*de)
+per output monomial (per strike at the last bracket, rule A below), and
 ``bracket`` wraps each output value in a GaussRat once.  A non-real
 coefficient, as in a random test symbol, travels as a GaussRat with integer
 parts through the same code.
@@ -82,7 +83,7 @@ strike at most g - grade + L of a term's slots in all.
     a left split term with more than ``allowed`` survivor exponents other
     than 1, or a right split term with more than ``allowed`` survivor
     exponents of 2 or more, can never become multilinear and is dropped
-    before the product.  The same bound holds on the output: only the
+    as its side is split.  The same bound holds on the output: only the
     monomials of the N-power expansion with at most ``allowed`` exponents
     other than 1, left and right survivors together, are multiplied and
     written.  They are enumerated directly, not filtered from the whole
@@ -93,15 +94,13 @@ strike at most g - grade + L of a term's slots in all.
     strike is left to move a survivor: every left survivor exponent must be
     1 and every right one 0 or 1, and of the N-power expansion only the
     all-ones monomial is kept, N^z giving it the coefficient z! when z is
-    the number of zero right survivors.  Every strike then lands on that one
-    monomial, so ``nested_bracket`` builds no output symbol for its last
-    bracket but contracts each strike to a number: the left numerators
-    summed by struck exponents k_l, the right ones summed by (k_r, z) with
-    ``_split``'s sign (-1)^|k_r|, and sum pref L[k_l] R[k_r, z]
-    [N^z] C^(k_l+k_r+1) z! in integers over dl*dr*de, one Fraction per
-    strike, which (-i)^m of its output slots adds into its grade.
-    ``bracket`` with no bracket after it writes the same values as
-    monomials, and ``eval_string_point`` of that is the oracle.
+    the number of zero right survivors.  So ``nested_bracket`` builds no
+    output symbol for its last bracket: ``_string_point_bracket`` contracts
+    the same splits, taken at allowed = 0, to sum pref L[k_l] R[k_r, z]
+    [N^z] C^(k_l+k_r+1) z! per strike, one Fraction over dl*dr*de, which
+    (-i)^m of its output slots adds into its grade.  ``bracket`` with no
+    bracket after it writes the same values as monomials, and
+    ``eval_string_point`` of that is the oracle.
 
 The rule counts survivor exponents, which is symmetric under permuting the
 slots of a block, so every output term stays one symmetric term per block
@@ -141,8 +140,8 @@ from operator import add, itemgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .algebra import I_POWERS, GaussRat, MultiPoly, Scalar
-from .special import (ehrhart_convolution, power_of_sum, rearrangements, sigma_coefficients,
-                      slot_names, sorted_exponents)
+from .special import (ehrhart_convolution, power_of_sum, quotient_rows, rearrangements,
+                      sigma_coefficients, slot_names, sorted_exponents)
 from .symbols import (DENSITY, INTEGRATED, FourierSymbol, SymbolTerm,
                       eval_string_point, make_term, symmetrize)
 
@@ -151,7 +150,7 @@ from .symbols import (DENSITY, INTEGRATED, FourierSymbol, SymbolTerm,
 # Hamiltonian densities
 
 # What a density keeps when it serves ``bracket`` as one of its operands: the
-# survivor exponents that can still end at the string point's 1 (``_within``'s
+# survivor exponents that can still end at the string point's 1 (``_split``'s
 # target), a left survivor's being final and a right survivor's only growing.
 LEFT, RIGHT = (1,), (0, 1)
 
@@ -172,18 +171,13 @@ def _hamiltonian_term(d: int, g: int,
         for alpha in sorted_exponents(m, total):
             if demand is not None and sum(x not in demand[0] for x in alpha) > demand[1]:
                 continue
-            # prod_i sum over even beta_i <= alpha_i of comb(alpha_i+1, beta_i+1),
-            # by |beta|/2; a slot with exponent 0 or 1 gives comb / (alpha_i+1)! = 1
-            by_half = [1]
+            # the sum over beta by |beta|/2, over prod_i (alpha_i+1)!; a slot with
+            # exponent 0 or 1 gives comb / (alpha_i+1)! = 1
+            big = [a for a in alpha if a > 1]
+            by_half = quotient_rows(big)
             den = factorial(m) << total
-            for a in alpha:
-                if a < 2:
-                    continue
+            for a in big:
                 den *= factorial(a + 1)
-                row = [comb(a + 1, b + 1) for b in range(0, a + 1, 2)]
-                by_half = [sum(by_half[i - j] * row[j] for j in range(len(row))
-                               if 0 <= i - j < len(by_half))
-                           for i in range(len(by_half) + len(row) - 1)]
             num = sum(c * (common // (total - 2 * h + 1)) for h, c in enumerate(by_half))
             c = GaussRat(Fraction(sig.numerator * num, sig.denominator * den * common))
             for e in rearrangements(alpha):
@@ -264,27 +258,14 @@ def bracket(left: FourierSymbol, right: FourierSymbol, max_grade: int,
         raise ValueError("max_grade must be >= 0")
     if brackets_left is not None and brackets_left < 0:
         raise ValueError("brackets_left must be >= 0")
-    # each operand term is read once, as integer numerators over one denominator
-    lefts = [(tl, *_numerators(tl.coeff.terms)) for tl in left.terms if tl.m]
-    rights = [(tr, *_numerators(tr.coeff.terms)) for tr in symmetrize(right).terms if tr.m]
     merged: Dict[Tuple[int, Tuple[int, ...]], Dict[tuple, Scalar]] = {}
     # the admitted N-power monomials, shared by the pieces of this call
     admitted: Dict[tuple, list] = {}
-
-    for tl, dl, phi in lefts:
-        for tr, dr, psi in rights:
-            q_cap = min(tl.m, tr.m, max_grade + 1 - tl.grade - tr.grade)
-            for q in range(1, q_cap + 1):
-                grade = tl.grade + tr.grade + q - 1
-                # survivor exponents off target that later strikes can still
-                # remove; the full commutator's bound exceeds its survivors
-                if brackets_left is None:
-                    allowed = tl.m + tr.m
-                else:
-                    allowed = max_grade - grade + brackets_left if brackets_left else 0
-                for counts in _strike_counts(tl.blocks, q):
-                    _bracket_piece(merged, admitted, tl, phi, tr, psi, dl * dr,
-                                   grade, counts, allowed)
+    for tl, m_r, den, grade, counts, allowed, ls, rs in _strikes(
+            left, right, max_grade, brackets_left):
+        fwd = _product_by_k(ls, rs)
+        if fwd:
+            _bracket_piece(merged, admitted, fwd, tl, m_r, den, grade, counts, allowed)
 
     out_terms = []
     for (grade, blocks), terms in merged.items():
@@ -295,6 +276,50 @@ def bracket(left: FourierSymbol, right: FourierSymbol, max_grade: int,
                 SymbolTerm(grade, m, MultiPoly(slot_names(m), coeff, _normalized=True), blocks))
     out_terms.sort(key=lambda t: (t.grade, t.m, t.blocks))
     return FourierSymbol(DENSITY, tuple(out_terms))
+
+
+def _strikes(left: FourierSymbol, right: FourierSymbol, max_grade: int,
+             brackets_left: Optional[int], read_right: Optional[Callable] = None):
+    """The strikes of ``bracket(left, right, max_grade, brackets_left)``, as
+    (tl, m_r, den, grade, counts, allowed, left split, right split).
+
+    Each operand term is read once as integer numerators over one denominator;
+    den is the left one times the right one.  ``allowed`` is rule B's bound:
+    0 at the last bracket, at least L with L >= 1 brackets after it, and past
+    the survivors for the full commutator.  Each side is split once per term,
+    strike shape and bound, a right split passing through ``read_right`` when
+    given, and a strike with an empty side is skipped.
+    """
+    lefts = [(tl, *_numerators(tl.coeff.terms)) for tl in left.terms if tl.m]
+    rights = [(tr, *_numerators(tr.coeff.terms)) for tr in symmetrize(right).terms if tr.m]
+    right_splits: Dict[tuple, dict] = {}
+    for tl, dl, phi in lefts:
+        left_splits: Dict[tuple, dict] = {}
+        for j, (tr, dr, psi) in enumerate(rights):
+            m_r = tr.m
+            q_cap = min(tl.m, m_r, max_grade + 1 - tl.grade - tr.grade)
+            for q in range(1, q_cap + 1):
+                grade = tl.grade + tr.grade + q - 1
+                if brackets_left is None:
+                    allowed = tl.m + m_r
+                else:
+                    allowed = max_grade - grade + brackets_left if brackets_left else 0
+                # the right operand strikes its last q slots, so the t-th struck
+                # left slot meets right slot m_r-q+t through the mode k_t
+                rs = right_splits.get((j, q, allowed))
+                if rs is None:
+                    rs = _split(psi, list(range(m_r - q, m_r)), list(range(m_r - q)), -1,
+                                RIGHT, allowed)
+                    rs = right_splits[j, q, allowed] = read_right(rs) if read_right else rs
+                if not rs:
+                    continue
+                for counts in _strike_counts(tl.blocks, q):
+                    ls = left_splits.get((counts, allowed))
+                    if ls is None:
+                        ls = left_splits[counts, allowed] = _split(
+                            phi, *_left_slots(tl.blocks, counts), 1, LEFT, allowed)
+                    if ls:
+                        yield tl, m_r, dl * dr, grade, counts, allowed, ls, rs
 
 
 def _numerators(terms: Dict[tuple, GaussRat]) -> Tuple[int, Dict[tuple, Scalar]]:
@@ -325,38 +350,31 @@ def _picker(slots: List[int]) -> Callable[[tuple], tuple]:
     return itemgetter(*slots) if slots else lambda exps: ()
 
 
-def _split(terms: Dict[tuple, Scalar], struck: List[int], kept: List[int],
-           sign: int) -> Dict[Tuple[int, ...], List[Tuple[tuple, Scalar]]]:
-    """{k-exponents: [(survivor exponents, coefficient)]} over the terms.
+def _split(terms: Dict[tuple, Scalar], struck: List[int], kept: List[int], sign: int,
+           target: Tuple[int, ...], allowed: int) -> Dict[Tuple[int, ...], list]:
+    """{k-exponents: [(survivor exponents, coefficient)]} over the terms with
+    at most ``allowed`` survivor exponents outside ``target``.
 
     Struck slot ``struck[t]`` becomes the strike mode k_t, i.e. is replaced by
     ``sign * k_t``, which negates a coefficient whose k-exponents have an odd
     sum when the sign is negative; the slots in ``kept`` survive in order.
     """
     k_of, rest_of = _picker(struck), _picker(kept)
+    need = len(kept) - allowed      # survivor exponents that must be on target
+    # LEFT has one exponent on target, RIGHT two
+    t0, t1 = target[0], target[-1]
+    both = t0 != t1
     out: Dict[Tuple[int, ...], list] = {}
     for exps, c in terms.items():
-        out.setdefault(k_of(exps), []).append((rest_of(exps), c))
+        rest = rest_of(exps)
+        if need > 0 and rest.count(t0) + (both and rest.count(t1)) < need:
+            continue
+        out.setdefault(k_of(exps), []).append((rest, c))
     if sign < 0:
         for k_exps, items in out.items():
             if sum(k_exps) % 2:
                 out[k_exps] = [(rest, -c) for rest, c in items]
     return out
-
-
-def _within(terms: Dict[tuple, Scalar], kept: List[int], target: Tuple[int, ...],
-            allowed: int) -> Dict[tuple, Scalar]:
-    """The terms with at most ``allowed`` survivor exponents outside ``target``."""
-    if len(kept) <= allowed:
-        return terms
-    survivors = _picker(kept)
-    need = len(kept) - allowed      # survivor exponents that must be on target
-    if len(target) == 1:
-        t, = target
-        return {exps: c for exps, c in terms.items() if survivors(exps).count(t) >= need}
-    t0, t1 = target
-    return {exps: c for exps, c in terms.items()
-            if (on := survivors(exps)).count(t0) + on.count(t1) >= need}
 
 
 def _product_by_k(left, right) -> Dict[Tuple[int, ...], Dict[tuple, Scalar]]:
@@ -427,33 +445,16 @@ def _left_slots(blocks: Tuple[int, ...], counts: Tuple[int, ...]) -> Tuple[List[
     return struck, [p for p in range(end) if p not in struck]
 
 
-def _bracket_piece(merged, admitted, tl: SymbolTerm, phi: Dict[tuple, Scalar],
-                   tr: SymbolTerm, psi: Dict[tuple, Scalar], den: int, grade: int,
+def _bracket_piece(merged, admitted, fwd: Dict[Tuple[int, ...], Dict[tuple, Scalar]],
+                   tl: SymbolTerm, m_r: int, den: int, grade: int,
                    counts: Tuple[int, ...], allowed: int):
-    """Add the strike of counts[i] slots of each left block i against tr's one block.
-
-    ``phi`` and ``psi`` are the integer numerators of tl's and tr's
-    coefficients, over denominators whose product is ``den``.  ``allowed`` is
-    rule B's bound on survivor exponents off target: 0 at the last bracket,
-    at least L >= 1 with L brackets after this one, and more than the
-    survivors for the full strike, where it never binds.  ``admitted`` caches
-    the N-power monomials within one ``bracket`` call.
+    """Add one strike of ``_strikes``, with ``fwd`` the product of its splits,
+    into ``merged``: counts[i] slots of each left block i against the right
+    operand's m_r slots.  ``admitted`` caches the N-power monomials within one
+    ``bracket`` call.
     """
     q = sum(counts)
-    m_r = tr.m
     pref = _prefactor(tl.blocks, counts, m_r)
-    # the right operand strikes its last q slots, so struck_l[t] meets right
-    # slot m_r-q+t through the mode k_t
-    struck_l, kept_l = _left_slots(tl.blocks, counts)
-    struck_r = list(range(m_r - q, m_r))
-    kept_r = list(range(m_r - q))
-
-    # a left survivor's exponent is final, a right survivor's only grows
-    phi = _within(phi, kept_l, LEFT, allowed)
-    psi = _within(psi, kept_r, RIGHT, allowed)
-    fwd = _product_by_k(_split(phi, struck_l, kept_l, 1), _split(psi, struck_r, kept_r, -1))
-    if not fwd:
-        return
 
     # E_fwd(N) with N := sum of surviving right slots, via the Ehrhart
     # convolution.  The table of k-exponents r has the one denominator (D-1)!,
@@ -472,9 +473,9 @@ def _bracket_piece(merged, admitted, tl: SymbolTerm, phi: Dict[tuple, Scalar],
     # on its left survivors only through their count off 1, and on each right
     # survivor only through 0, 1 or >= 2, so the admitted monomials are
     # enumerated once per such group, before any summed exponent tuple is built
-    n_left = len(kept_l)
+    n_left = tl.m - q
     left_zeros = (0,) * n_left
-    twos = (2,) * len(kept_r)
+    twos = (2,) * (m_r - q)
     acc: Dict[tuple, Scalar] = {}
     for k_exps, bucket in fwd.items():
         groups = {}
@@ -548,7 +549,7 @@ def _right_operand(d: int, g: int, brackets_left: int) -> FourierSymbol:
 def _prefix(prefix: Tuple[int, ...], g: int, brackets_left: int) -> FourierSymbol:
     """The demanded nested commutator of ``prefix``, with brackets_left >= 1
     brackets after it, memoized on that triple."""
-    # each density keeps only what its bracket's _within can pass: a strike of
+    # each density keeps only what its bracket's _split can pass: a strike of
     # q slots, with L brackets after it, allows g - grade + L survivor
     # exponents off target at grade = grade_l + grade_r + q - 1, so a term
     # uses at most g - grade_l - grade_r + 1 + L in all its slots, whatever q;
@@ -563,49 +564,39 @@ def _string_point_bracket(left: FourierSymbol, right: FourierSymbol,
                           max_grade: int) -> Dict[int, GaussRat]:
     """eval_string_point(bracket(left, right, max_grade, 0)), one value per strike.
 
-    Under rule A only the all-ones output monomial is kept, so a strike is a
-    contraction: the left terms whose survivors are all 1, summed by struck
-    exponents k_l; the right terms whose survivors are 0 or 1, summed by
-    (k_r, z) with z the number of zeros and ``_split``'s sign (-1)^|k_r|;
-    and of C^(k_l+k_r+1)(N), N the sum of the right survivors, the
-    coefficient of N^z, which the all-ones monomial reads z! times.
+    Rule A contracts ``_strikes``' splits at allowed = 0: each left group is
+    one term, its survivors all 1, read by struck exponents k_l; each right
+    split is summed once by (k_r, z), z its zero survivors, as ``_by_zeros``.
     """
-    lefts = [(tl, *_numerators(tl.coeff.terms)) for tl in left.terms if tl.m]
-    rights = [(tr, *_numerators(tr.coeff.terms)) for tr in symmetrize(right).terms if tr.m]
-    # the left sums depend on (left term, counts) and the right ones on
-    # (right term, q), so each is built once per call
-    left_sums: Dict[tuple, Dict[tuple, Scalar]] = {}
-    right_sums: Dict[tuple, Dict[tuple, Dict[int, Scalar]]] = {}
     # the Ehrhart tables by k, shared by the strikes of this call
     tables: Dict[tuple, Dict[tuple, GaussRat]] = {}
     # per (grade, power of i), (-i)^m = i^(-m) for m output slots, applied at the end
     sums: Dict[Tuple[int, int], Scalar] = {}
-    for i, (tl, dl, phi) in enumerate(lefts):
-        for j, (tr, dr, psi) in enumerate(rights):
-            m_r = tr.m
-            q_cap = min(tl.m, m_r, max_grade + 1 - tl.grade - tr.grade)
-            for q in range(1, q_cap + 1):
-                rs = right_sums.get((j, q))
-                if rs is None:
-                    rs = right_sums[j, q] = _right_sums(psi, q, m_r)
-                if not rs:
-                    continue
-                grade = tl.grade + tr.grade + q - 1
-                power = (2 * q - tl.m - m_r) % 4
-                for counts in _strike_counts(tl.blocks, q):
-                    ls = left_sums.get((i, counts))
-                    if ls is None:
-                        ls = left_sums[i, counts] = _left_sums(phi, tl.blocks, counts)
-                    if not ls:
-                        continue
-                    num, de = _strike_value(ls, rs, q, tables)
-                    if not num:
-                        continue
-                    pref = _prefactor(tl.blocks, counts, m_r)
-                    den = dl * dr * de
-                    value = (Fraction(num * pref, den) if type(num) is int
-                             else num * Fraction(pref, den))
-                    sums[grade, power] = sums.get((grade, power), 0) + value
+    for tl, m_r, den, grade, counts, _, ls, rs in _strikes(left, right, max_grade, 0, _by_zeros):
+        by_k: Dict[tuple, Dict[int, Scalar]] = {}
+        for kl, [(_, cl)] in ls.items():
+            for kr, by_z in rs.items():
+                acc = by_k.setdefault(tuple(a + b + 1 for a, b in zip(kl, kr)), {})
+                for z, cr in by_z.items():
+                    acc[z] = acc.get(z, 0) + cl * cr
+        q = sum(counts)
+        # in integers over de = (D-1)!, the largest Ehrhart denominator of the strike
+        de = factorial(q - 1 + max(map(sum, by_k)))
+        num = 0
+        for k, by_z in by_k.items():
+            table = tables.get(k)
+            if table is None:
+                table = tables[k] = ehrhart_convolution(k).terms
+            for z, c in by_z.items():
+                cn = table.get((z,))
+                if c and cn is not None:
+                    num += c * (_over(cn, de) * factorial(z))
+        if num:
+            pref = _prefactor(tl.blocks, counts, m_r)
+            den *= de
+            value = Fraction(num * pref, den) if type(num) is int else num * Fraction(pref, den)
+            power = (2 * q - tl.m - m_r) % 4
+            sums[grade, power] = sums.get((grade, power), 0) + value
     out: Dict[int, GaussRat] = {}
     for (grade, power), s in sums.items():
         if s:
@@ -613,55 +604,12 @@ def _string_point_bracket(left: FourierSymbol, right: FourierSymbol,
     return {g: c for g, c in out.items() if c}
 
 
-def _left_sums(phi: Dict[tuple, Scalar], blocks: Tuple[int, ...],
-               counts: Tuple[int, ...]) -> Dict[tuple, Scalar]:
-    """{k_l: summed numerators} of the terms whose survivors are all 1, when
-    left block i strikes its last counts[i] slots."""
-    struck, kept = _left_slots(blocks, counts)
-    k_of, rest_of = _picker(struck), _picker(kept)
-    ones = (1,) * len(kept)
-    out: Dict[tuple, Scalar] = {}
-    for exps, c in phi.items():
-        if rest_of(exps) == ones:
-            k = k_of(exps)
-            out[k] = out.get(k, 0) + c
-    return {k: c for k, c in out.items() if c}
-
-
-def _right_sums(psi: Dict[tuple, Scalar], q: int,
-                m_r: int) -> Dict[tuple, Dict[int, Scalar]]:
-    """{k_r: {z: summed numerators}} of ``_split``'s signed terms whose
-    survivors are each 0 or 1, z of them 0, when the last q slots strike."""
+def _by_zeros(split) -> Dict[tuple, Dict[int, Scalar]]:
+    """{k: {z: summed numerators}} of a right split, z the survivors that are 0."""
     out: Dict[tuple, Dict[int, Scalar]] = {}
-    for k, items in _split(psi, list(range(m_r - q, m_r)), list(range(m_r - q)), -1).items():
-        by_z: Dict[int, Scalar] = {}
+    for k, items in split.items():
+        by_z = out[k] = {}
         for rest, c in items:
             z = rest.count(0)
-            if z + rest.count(1) == len(rest):
-                by_z[z] = by_z.get(z, 0) + c
-        if nonzero := {z: c for z, c in by_z.items() if c}:
-            out[k] = nonzero
+            by_z[z] = by_z.get(z, 0) + c
     return out
-
-
-def _strike_value(ls: Dict[tuple, Scalar], rs: Dict[tuple, Dict[int, Scalar]], q: int,
-                  tables: Dict[tuple, Dict[tuple, GaussRat]]) -> Tuple[Scalar, int]:
-    """(numerator, de): the sum of L[k_l] R[k_r][z] [N^z] C^(k_l+k_r+1) z! over
-    de = (D-1)!, the largest Ehrhart denominator of the strike."""
-    by_k: Dict[tuple, Dict[int, Scalar]] = {}
-    for kl, cl in ls.items():
-        for kr, by_z in rs.items():
-            acc = by_k.setdefault(tuple(a + b + 1 for a, b in zip(kl, kr)), {})
-            for z, cr in by_z.items():
-                acc[z] = acc.get(z, 0) + cl * cr
-    de = factorial(q - 1 + max(map(sum, by_k)))
-    total = 0
-    for k, by_z in by_k.items():
-        table = tables.get(k)
-        if table is None:
-            table = tables[k] = ehrhart_convolution(k).terms
-        for z, c in by_z.items():
-            cn = table.get((z,))
-            if c and cn is not None:
-                total += c * (_over(cn, de) * factorial(z))
-    return total, de

@@ -40,8 +40,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
-from typing import List, Sequence, Tuple
+from math import comb, factorial
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .algebra import GaussRat, MultiPoly
 
@@ -109,6 +109,25 @@ def s_quotient(g: int, n: int) -> MultiPoly:
             for e in rearrangements(tuple(2 * l for l in lam)):
                 terms[e] = c
     return MultiPoly(slot_names(n), terms, _normalized=True)
+
+
+def quotient_rows(exponents: Iterable[int], top: Optional[int] = None) -> List[int]:
+    """Entry k: the sum over even beta <= a with |beta| = 2k of prod_i
+    comb(a_i+1, beta_i+1), to k = ``top`` if given; the quotient's beta sum
+    over prod_i (a_i+1)!, as the densities and the Hurwitz correlators read it."""
+    out = [1]
+    for a in exponents:
+        if a < 2:       # the one entry comb(a+1, 1)
+            out = [x * (a + 1) for x in out]
+            continue
+        row = [comb(a + 1, b + 1) for b in range(0, a + 1, 2)]
+        size = len(out) + len(row) - 1
+        if top is not None:
+            size = min(size, top + 1)
+        out = [sum(out[j] * row[i - j]
+                   for j in range(max(0, i - len(row) + 1), min(i + 1, len(out))))
+               for i in range(size)]
+    return out
 
 
 # ----------------------------------------------------------------------

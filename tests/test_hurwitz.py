@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from qwk.algebra import MultiPoly
 from qwk.hurwitz import (DEFAULT_DEGREE_CAP, Partition, _cut_and_join, aut_factor,
-                         factorization_count, hurwitz_correlator,
+                         factorization_count, factorization_counts, hurwitz_correlator,
                          one_part_number, one_part_polynomial, partitions_of)
 from qwk.special import s_quotient, slot_names
 
@@ -279,6 +279,34 @@ def test_factorization_count_examples():
     assert factorization_count(1, Partition((3,))) == 2
     with pytest.raises(ValueError):
         factorization_count(0, Partition((DEFAULT_DEGREE_CAP + 1,)))
+
+
+def test_one_walk_per_degree_matches_the_per_key_counts():
+    # one walk from the d-cycle, read after each r = 2g-1+n steps, against a
+    # walk of its own for every key
+    keys = 0
+    for d in range(1, 11):
+        counts = factorization_counts(d, 3)
+        assert len(counts) == 4 * len(list(partitions_of(d)))
+        for parts in partitions_of(d):
+            for g in range(4):
+                assert counts[parts, g] == factorization_count(g, Partition(parts)), (parts, g)
+                keys += 1
+    assert keys == 552
+    # r = 0, 1, 2: the 3-cycle itself, then one and two transpositions, over 3
+    assert factorization_counts(3, 0) == {((3,), 0): Fraction(1, 3), ((2, 1), 0): 1,
+                                          ((1, 1, 1), 0): 1}
+
+
+def test_one_walk_per_degree_refuses_what_the_per_key_count_refuses():
+    with pytest.raises(ValueError, match="negative genus grade"):
+        factorization_counts(4, -1)
+    with pytest.raises(ValueError, match="factorization-count cap"):
+        factorization_counts(DEFAULT_DEGREE_CAP + 1, 1)
+    with pytest.raises(ValueError, match="factorization-count cap"):
+        factorization_counts(5, 1, cap=4)
+    with pytest.raises(ValueError, match="factorization-count cap"):
+        factorization_counts(0, 1)
 
 
 def test_factorization_count_convention_invariance():

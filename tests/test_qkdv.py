@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from qwk.algebra import GaussRat, I, MultiPoly
 from qwk.diffpoly import d_dp0
-from qwk.qkdv import (LEFT, _prefix, _string_point_bracket, bracket, hamiltonian_density,
-                      integrate_hamiltonian, nested_bracket)
+from qwk.qkdv import (LEFT, RIGHT, _picker, _prefix, _split, _string_point_bracket, bracket,
+                      hamiltonian_density, integrate_hamiltonian, nested_bracket)
 from qwk.symbols import (DENSITY, INTEGRATED, FourierSymbol, d_x,
                          density, eval_string_point, make_term, slot_names,
                          symbols_equal, symmetrize, u0_symbol)
@@ -275,6 +275,63 @@ def test_contracted_last_bracket_on_random_left_operands():
         nonzero += bool(value)
         nonreal += not all(c.is_real() for c in value.values())
     assert nonzero >= 14 and nonreal >= 12
+
+
+def _within(terms, kept, target, allowed):
+    """The terms with at most ``allowed`` survivor exponents outside ``target``:
+    the survivor filter as it ran before the split, kept as the reference."""
+    if len(kept) <= allowed:
+        return terms
+    survivors = _picker(kept)
+    need = len(kept) - allowed      # survivor exponents that must be on target
+    if len(target) == 1:
+        t, = target
+        return {exps: c for exps, c in terms.items() if survivors(exps).count(t) >= need}
+    t0, t1 = target
+    return {exps: c for exps, c in terms.items()
+            if (on := survivors(exps)).count(t0) + on.count(t1) >= need}
+
+
+def _split_unfiltered(terms, struck, kept, sign):
+    """The split with no survivor filter, as it ran after ``_within``."""
+    k_of, rest_of = _picker(struck), _picker(kept)
+    out = {}
+    for exps, c in terms.items():
+        out.setdefault(k_of(exps), []).append((rest_of(exps), c))
+    if sign < 0:
+        for k_exps, items in out.items():
+            if sum(k_exps) % 2:
+                out[k_exps] = [(rest, -c) for rest, c in items]
+    return out
+
+
+def test_split_filters_survivors_as_filter_then_split():
+    # _split drops the terms with more than ``allowed`` survivor exponents off
+    # target in the pass that groups them; the reference filters, then splits
+    rng = random.Random(24)
+    compared = dropped = kept_some = 0
+    for _ in range(300):
+        m = rng.randint(1, 5)
+        terms = {}
+        for _ in range(rng.randint(1, 12)):
+            e = tuple(rng.choice((0, 1, 1, 2, 3)) for _ in range(m))
+            terms[e] = (GaussRat(rng.randint(-4, 4) or 1, rng.randint(-1, 1)) if rng.random() < 0.2
+                        else rng.choice((-3, -1, 1, 2, 5)))
+        slots = list(range(m))
+        rng.shuffle(slots)
+        q = rng.randint(1, m)
+        struck, kept = slots[:q], sorted(slots[q:])
+        sign = rng.choice((1, -1))
+        for target in (LEFT, RIGHT):
+            for allowed in range(len(kept) + 2):
+                filtered = _within(terms, kept, target, allowed)
+                expected = _split_unfiltered(filtered, struck, kept, sign)
+                assert _split(terms, struck, kept, sign, target, allowed) == expected, (
+                    terms, struck, kept, sign, target, allowed)
+                compared += 1
+                dropped += len(filtered) < len(terms)
+                kept_some += bool(filtered)
+    assert compared > 1000 and dropped > 300 and kept_some > 700
 
 
 def test_bracket_refuses_negative_brackets_left():
