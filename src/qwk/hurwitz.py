@@ -203,14 +203,14 @@ def factorization_count(g: int, mu: Partition, cap: int = DEFAULT_DEGREE_CAP) ->
     return _walk(d, [(r, mu.parts)])[0]
 
 
-def factorization_counts(d: int, g_max: int,
-                         cap: int = DEFAULT_DEGREE_CAP) -> Dict[Tuple[Tuple[int, ...], int], Rat]:
+def factorization_counts(d: int, g_max: int) -> Dict[Tuple[Tuple[int, ...], int], Rat]:
     """{(mu.parts, g): factorization_count(g, mu)} for every partition mu of d
     and every g <= g_max, read from one walk."""
     if g_max < 0:
         raise ValueError("negative genus grade")
-    if not 1 <= d <= cap:
-        raise ValueError(f"degree {d} outside 1..{cap}, the factorization-count cap")
+    if not 1 <= d <= DEFAULT_DEGREE_CAP:
+        raise ValueError(
+            f"degree {d} outside 1..{DEFAULT_DEGREE_CAP}, the factorization-count cap")
     keys = sorted((2 * g - 1 + len(parts), parts, g)
                   for parts in partitions_of(d) for g in range(g_max + 1))
     counts = _walk(d, [(r, parts) for r, parts, _ in keys])

@@ -361,13 +361,16 @@ def _split(terms: Dict[tuple, Scalar], struck: List[int], kept: List[int], sign:
     """
     k_of, rest_of = _picker(struck), _picker(kept)
     need = len(kept) - allowed      # survivor exponents that must be on target
-    # LEFT has one exponent on target, RIGHT two
+    # LEFT has one exponent on target, RIGHT two; at bound 0, LEFT's survivors
+    # must equal one tuple, which is the cheaper test
     t0, t1 = target[0], target[-1]
     both = t0 != t1
+    whole = None if both or allowed else (t0,) * need
     out: Dict[Tuple[int, ...], list] = {}
     for exps, c in terms.items():
         rest = rest_of(exps)
-        if need > 0 and rest.count(t0) + (both and rest.count(t1)) < need:
+        if need > 0 and (rest != whole if whole
+                         else rest.count(t0) + (both and rest.count(t1)) < need):
             continue
         out.setdefault(k_of(exps), []).append((rest, c))
     if sign < 0:
@@ -605,11 +608,14 @@ def _string_point_bracket(left: FourierSymbol, right: FourierSymbol,
 
 
 def _by_zeros(split) -> Dict[tuple, Dict[int, Scalar]]:
-    """{k: {z: summed numerators}} of a right split, z the survivors that are 0."""
+    """{k: {z: summed numerators}} of a right split, z the survivors that are 0,
+    without the sums that cancel."""
     out: Dict[tuple, Dict[int, Scalar]] = {}
     for k, items in split.items():
-        by_z = out[k] = {}
+        by_z: Dict[int, Scalar] = {}
         for rest, c in items:
             z = rest.count(0)
             by_z[z] = by_z.get(z, 0) + c
+        if nonzero := {z: c for z, c in by_z.items() if c}:
+            out[k] = nonzero
     return out

@@ -304,8 +304,6 @@ def test_one_walk_per_degree_refuses_what_the_per_key_count_refuses():
     with pytest.raises(ValueError, match="factorization-count cap"):
         factorization_counts(DEFAULT_DEGREE_CAP + 1, 1)
     with pytest.raises(ValueError, match="factorization-count cap"):
-        factorization_counts(5, 1, cap=4)
-    with pytest.raises(ValueError, match="factorization-count cap"):
         factorization_counts(0, 1)
 
 
