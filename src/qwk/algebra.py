@@ -11,13 +11,17 @@ field equality, hash, repr and pickling without the ``dataclasses`` machinery.
 
 A polynomial is a dict mapping exponent tuples (aligned with the ``variables``
 tuple) to nonzero GaussRat coefficients.  The zero polynomial is the empty
-dict.  Exponents may be negative, so sums, products and comparisons also serve
-Laurent polynomials (the lattice sums of ``qwk.identities``), and
-``evaluate`` takes a negative power of a value exactly (zero raises
-ZeroDivisionError), while ``__pow__``, ``substitute`` and ``degree`` stay
-polynomial-only.  Values are immutable by convention: no operation mutates
-its inputs, so polynomials can be shared freely between workers; both types
-copy and pickle by rebuilding through their constructors.
+dict.  Exponents may be negative, so sums, products, ``derivative`` and
+comparisons also serve Laurent polynomials (the lattice sums of
+``qwk.identities``), and ``evaluate`` takes a negative power of a value
+exactly (zero raises ZeroDivisionError), while ``__pow__``, ``substitute``
+and ``degree`` stay polynomial-only.  MultiPoly is the one sparse polynomial
+type of the package: the u-representation of ``qwk.diffpoly`` and the
+Weyl-algebra elements of ``qwk.weyl`` are MultiPolys too, with the grade as
+the exponent of a variable ``h``.  Values are immutable by convention: no
+operation mutates its inputs, so polynomials can be shared freely between
+workers; both types copy and pickle by rebuilding through their
+constructors.
 
 Truncated power series are not a MultiPoly feature: they are lists of
 coefficient layers, one per power of the series variable, and their kernels
@@ -385,6 +389,16 @@ class MultiPoly:
 
     def is_zero(self) -> bool:
         return not self.terms
+
+    def derivative(self, var: str) -> "MultiPoly":
+        """d/d(var), exact on negative exponents too; zero when ``var`` is not a variable."""
+        if var not in self.variables:
+            return MultiPoly(self.variables, {}, _normalized=True)
+        j = self.variables.index(var)
+        return MultiPoly(self.variables,
+                         {exps[:j] + (exps[j] - 1,) + exps[j + 1:]: c * exps[j]
+                          for exps, c in self.terms.items() if exps[j]},
+                         _normalized=True)
 
     # ------------------------------------------------------------------
     # queries

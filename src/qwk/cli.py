@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import random
 import sys
 import time
 from fractions import Fraction
@@ -387,12 +388,11 @@ def _bracket_oracle_draw(rng: random.Random, modes: int) -> Optional[dict]:
     via_symbol = symbol_to_weyl(sym, modes)
     mismatches = 0
     compared = 0
-    for key in set(direct) | set(via_symbol):
-        grade, e = key
-        if monomial_mode_sum(e, modes) > modes:
+    for key in set(direct.terms) | set(via_symbol.terms):
+        if monomial_mode_sum(key[1:], modes) > modes:
             continue
         compared += 1
-        if direct.get(key, GaussRat(0)) != via_symbol.get(key, GaussRat(0)):
+        if direct.terms.get(key, GaussRat(0)) != via_symbol.terms.get(key, GaussRat(0)):
             mismatches += 1
     if compared == 0:
         return None
@@ -412,7 +412,6 @@ def _suite_bracket_oracle(args) -> Tuple[List[dict], dict]:
     if modes < 1:
         # no monomial has a mode sum within 0 modes, so every case compares nothing
         raise _nothing_to_verify(bounds)
-    import random
     rng = random.Random(args.seed if args.seed is not None else 20240)
     checks = []
     for case in range(1, cases + 1):

@@ -1,12 +1,15 @@
 """Differential polynomials in the u-representation, and the mode derivatives.
 
-A ``DiffPoly`` is a finite combination of monomials u_{s_1}...u_{s_n} hbar_u^g
-with u_s the s-th x-derivative of u.  The Fourier substitution
-u_s = sum_a (i a)^s p_a e^{iax} turns it into a density symbol
-(``from_diff_poly``), one orbit of slot exponents per monomial, and
+A differential polynomial is a finite combination of monomials
+u_{s_1}...u_{s_n} hbar_u^g with u_s the s-th x-derivative of u.  It is a
+``MultiPoly`` over h, u0, u1, ..., the exponent of h being the grade g;
+``DiffPoly`` builds one from {(derivative orders, grade): coefficient}.  The
+Fourier substitution u_s = sum_a (i a)^s p_a e^{iax} turns it into a density
+symbol (``from_diff_poly``), one orbit of slot exponents per monomial, and
 ``to_diff_poly`` reads a finitely supported symbol back through its orbit
 sums.  ``variational_derivative`` is sum_s (-d_x)^s d/du_s, computed on the
-u-side; ``mode_derivative_zero_mode`` is its mode-derivative side, computed
+u-side with ``MultiPoly.derivative`` and d_x = sum_s u_(s+1) d/du_s;
+``mode_derivative_zero_mode`` is its mode-derivative side, computed
 slotwise, and ``d_dp0`` the mode derivative at p_0.  Both mode derivatives
 drop one slot per block of a term.
 
@@ -18,7 +21,7 @@ from __future__ import annotations
 
 from typing import Mapping, Optional, Tuple
 
-from .algebra import I_POWERS, GaussRat, MultiPoly
+from .algebra import I_POWERS, GaussRat, MultiPoly, Scalar
 from .special import slot_names
 from .symbols import (DENSITY, FourierSymbol, SymbolTerm, _merge_terms, _orbit_sums,
                       _spread)
@@ -83,101 +86,40 @@ def mode_derivative_zero_mode(s: FourierSymbol) -> FourierSymbol:
 # ----------------------------------------------------------------------
 # differential polynomials in the u-representation
 
-class DiffPoly:
-    """Finite C-linear combination of monomials u_{s_1}...u_{s_n} * hbar_u^g.
-
-    Keys are (sorted tuple of derivative orders, grade).
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Optional[Mapping[Tuple[Tuple[int, ...], int], GaussRat]] = None):
-        clean = {}
-        if terms:
-            for (orders, g), c in terms.items():
-                c = c if isinstance(c, GaussRat) else GaussRat(c)
-                if c:
-                    key = (tuple(sorted(orders)), g)
-                    prev = clean.get(key)
-                    s = prev + c if prev is not None else c
-                    if s:
-                        clean[key] = s
-                    elif key in clean:
-                        del clean[key]
-        self.terms = clean
-
-    def __eq__(self, other):
-        return isinstance(other, DiffPoly) and self.terms == other.terms
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "DiffPoly") -> "DiffPoly":
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k, GaussRat(0)) + c
-            if s:
-                out[k] = s
-            elif k in out:
-                del out[k]
-        d = DiffPoly()
-        d.terms = out
-        return d
-
-    def scale(self, c) -> "DiffPoly":
-        c = c if isinstance(c, GaussRat) else GaussRat(c)
-        d = DiffPoly()
-        if c:
-            d.terms = {k: v * c for k, v in self.terms.items()}
-        return d
-
-    def du(self, s: int) -> "DiffPoly":
-        """Partial derivative with respect to u_s."""
-        out: dict = {}
-        for (orders, g), c in self.terms.items():
-            mult = orders.count(s)
-            if not mult:
-                continue
-            rest = list(orders)
-            rest.remove(s)
-            key = (tuple(rest), g)
-            v = c * mult
-            prev = out.get(key)
-            out[key] = prev + v if prev is not None else v
-        d = DiffPoly()
-        d.terms = {k: v for k, v in out.items() if v}
-        return d
-
-    def d_x(self) -> "DiffPoly":
-        """Formal x-derivative: Leibniz with d_x u_s = u_{s+1}."""
-        out = DiffPoly()
-        for (orders, g), c in self.terms.items():
-            for j in range(len(orders)):
-                bumped = list(orders)
-                bumped[j] += 1
-                out = out + DiffPoly({(tuple(bumped), g): c})
-        return out
-
-    def max_order(self) -> int:
-        return max((max(o) for o, _ in self.terms if o), default=-1)
-
-    def __repr__(self):
-        parts = []
-        for (orders, g), c in sorted(self.terms.items()):
-            mono = "*".join(f"u{s}" for s in orders) or "1"
-            grade = f"*h^{g}" if g else ""
-            parts.append(f"({c.to_str()})*{mono}{grade}")
-        return " + ".join(parts) or "0"
+def _u_variables(top: int) -> Tuple[str, ...]:
+    """h, u0, ..., u_top: a differential polynomial's variables up to order ``top``."""
+    return ("h",) + tuple(f"u{s}" for s in range(top + 1))
 
 
-def from_diff_poly(d: DiffPoly) -> FourierSymbol:
+def DiffPoly(terms: Optional[Mapping[Tuple[Tuple[int, ...], int], Scalar]] = None) -> MultiPoly:
+    """sum c * u_{s_1}...u_{s_n} * hbar_u^g over ``{((s_1, ..., s_n), g): c}``,
+    as a MultiPoly over h, u0, ..., u_top with h's exponent the grade g."""
+    terms = terms or {}
+    every = [s for orders, _ in terms for s in orders]
+    if min(every, default=0) < 0:
+        raise ValueError("derivative orders are nonnegative")
+    top = max(every, default=-1)
+    out: dict = {}
+    for (orders, g), c in terms.items():
+        e = [g] + [0] * (top + 1)
+        for s in orders:
+            e[s + 1] += 1
+        key = tuple(e)
+        prev = out.get(key)
+        out[key] = c if prev is None else prev + c
+    return MultiPoly(_u_variables(top), out)
+
+
+def from_diff_poly(d: MultiPoly) -> FourierSymbol:
     """Fourier substitution u_s = sum (i a)^s p_a e^{iax}, symmetrized."""
-    return FourierSymbol(DENSITY, _merge_terms(tuple(
-        _spread(g, len(orders), {orders: c * I_POWERS[sum(orders) % 4]})
-        for (orders, g), c in d.terms.items())))
+    spread = []
+    for e, c in d.terms.items():
+        orders = tuple(s for s, x in enumerate(e[1:]) for _ in range(x))
+        spread.append(_spread(e[0], len(orders), {orders: c * I_POWERS[sum(orders) % 4]}))
+    return FourierSymbol(DENSITY, _merge_terms(tuple(spread)))
 
 
-def to_diff_poly(s: FourierSymbol) -> DiffPoly:
+def to_diff_poly(s: FourierSymbol) -> MultiPoly:
     """Inverse of ``from_diff_poly`` on finitely supported symbols."""
     if s.kind != DENSITY:
         raise ValueError("conversion applies to density symbols")
@@ -185,14 +127,25 @@ def to_diff_poly(s: FourierSymbol) -> DiffPoly:
                      for (g, canon), c in _orbit_sums(s.terms).items()})
 
 
-def variational_derivative(d: DiffPoly) -> FourierSymbol:
-    """sum_s (-d_x)^s d(phi)/du_s, computed in the u-representation."""
-    total = DiffPoly()
-    for s in range(d.max_order() + 1):
-        g = d.du(s)
-        if g.is_zero():
-            continue
-        for _ in range(s):
-            g = g.d_x()
-        total = total + (g if s % 2 == 0 else g.scale(-1))
+def _d_x(f: MultiPoly) -> MultiPoly:
+    """Formal x-derivative sum_s u_(s+1) d/du_s, over f's variables h, u0, u1, ..."""
+    vs = f.variables
+    out: dict = {}
+    for s in range(len(vs) - 2):
+        # d/du_s times u_(s+1); u_s is vs[s + 1]
+        for e, c in f.derivative(vs[s + 1]).terms.items():
+            key = e[:s + 2] + (e[s + 2] + 1,) + e[s + 3:]
+            prev = out.get(key)
+            out[key] = c if prev is None else prev + c
+    return MultiPoly(vs, out)
+
+
+def variational_derivative(d: MultiPoly) -> FourierSymbol:
+    """sum_s (-d_x)^s d(phi)/du_s, computed in the u-representation by Horner's rule."""
+    top = len(d.variables) - 2
+    # (d_x)^s d/du_s reaches order top + s <= 2 top
+    total = MultiPoly(_u_variables(2 * top))
+    d = total + d
+    for s in range(top, -1, -1):
+        total = d.derivative(f"u{s}") - _d_x(total)
     return from_diff_poly(total)

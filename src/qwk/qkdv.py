@@ -50,13 +50,15 @@ blocks (b_i - v_i), then the right block (m_r - q).
 
 Each strike works on exponent tuples.  One walk, ``_strikes``, serves both
 ``bracket`` and the contracted last bracket: it splits each side once per
-term, strike shape and bound (a left term per (counts, allowed), a right one
-per (q, allowed)) into survivor exponents and coefficients grouped by
-strike-mode exponents, the right one with its struck slots set to -k_t, and
-drops rule B's terms (below) in the same pass.  ``bracket`` multiplies the
-two splits of a strike group by group; the Ehrhart expansion of that
-product, with the prefactor folded into the Ehrhart coefficients, is summed
-per output monomial of the strike's (grade, blocks).
+term, strike shape and bound (a left term per (counts, bound), a right one
+per (q, bound), with rule B's ``allowed`` clamped to that side's survivor
+count, past which it filters nothing) into survivor exponents and
+coefficients grouped by strike-mode exponents, the right one with its struck
+slots set to -k_t, and drops rule B's terms (below) in the same pass.
+``bracket`` multiplies the two splits of a strike group by group; the
+Ehrhart expansion of that product, with the prefactor folded into the
+Ehrhart coefficients, is summed per output monomial of the strike's
+(grade, blocks).
 
 Symbols carry GaussRat coefficients, but between those boundaries the values
 are Python integers: ``_strikes`` reads each operand term once as integer
@@ -287,8 +289,9 @@ def _strikes(left: FourierSymbol, right: FourierSymbol, max_grade: int,
     den is the left one times the right one.  ``allowed`` is rule B's bound:
     0 at the last bracket, at least L with L >= 1 brackets after it, and past
     the survivors for the full commutator.  Each side is split once per term,
-    strike shape and bound, a right split passing through ``read_right`` when
-    given, and a strike with an empty side is skipped.
+    strike shape and bound clamped to its survivors, a right split passing
+    through ``read_right`` when given, and a strike with an empty side is
+    skipped.
     """
     lefts = [(tl, *_numerators(tl.coeff.terms)) for tl in left.terms if tl.m]
     rights = [(tr, *_numerators(tr.coeff.terms)) for tr in symmetrize(right).terms if tr.m]
@@ -305,19 +308,23 @@ def _strikes(left: FourierSymbol, right: FourierSymbol, max_grade: int,
                 else:
                     allowed = max_grade - grade + brackets_left if brackets_left else 0
                 # the right operand strikes its last q slots, so the t-th struck
-                # left slot meets right slot m_r-q+t through the mode k_t
-                rs = right_splits.get((j, q, allowed))
+                # left slot meets right slot m_r-q+t through the mode k_t; a bound
+                # at or past a side's survivor count filters nothing, so each side
+                # is split and cached at the bound clamped to its survivors
+                bound = min(allowed, m_r - q)
+                rs = right_splits.get((j, q, bound))
                 if rs is None:
                     rs = _split(psi, list(range(m_r - q, m_r)), list(range(m_r - q)), -1,
-                                RIGHT, allowed)
-                    rs = right_splits[j, q, allowed] = read_right(rs) if read_right else rs
+                                RIGHT, bound)
+                    rs = right_splits[j, q, bound] = read_right(rs) if read_right else rs
                 if not rs:
                     continue
+                bound = min(allowed, tl.m - q)
                 for counts in _strike_counts(tl.blocks, q):
-                    ls = left_splits.get((counts, allowed))
+                    ls = left_splits.get((counts, bound))
                     if ls is None:
-                        ls = left_splits[counts, allowed] = _split(
-                            phi, *_left_slots(tl.blocks, counts), 1, LEFT, allowed)
+                        ls = left_splits[counts, bound] = _split(
+                            phi, *_left_slots(tl.blocks, counts), 1, LEFT, bound)
                     if ls:
                         yield tl, m_r, dl * dr, grade, counts, allowed, ls, rs
 

@@ -1,12 +1,13 @@
 """The finite-mode Weyl-algebra oracle for the commutator engine.
 
-Elements of the truncated algebra are polynomials in p_{-M}..p_M graded by
-hbar_u, stored as {(grade, exponent tuple): coefficient}.  The star product
-is evaluated directly from its derivative expansion, which is exactly the
-normal-ordered product for polynomials supported on modes |a| <= M.  So
+Elements of the truncated algebra are MultiPolys over h, p_-M, ..., p_M,
+with h's exponent the hbar_u grade.  The star product is evaluated directly
+from its derivative expansion, which is exactly the normal-ordered product
+for polynomials supported on modes |a| <= M.  So
 ``weyl_commutator_over_hbar`` of two symbols put on explicit p-monomials
 (``symbol_to_weyl``) must equal ``qkdv.bracket`` put on them, on every
-monomial whose mode sum stays within M (``monomial_mode_sum``).
+monomial whose mode sum stays within M (``monomial_mode_sum`` of the
+p-exponents, an exponent tuple's ``[1:]``).
 
 Nothing on the engine path imports this module: the tests and
 ``qwk verify bracket-oracle`` do.
@@ -17,51 +18,23 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import factorial
-from typing import Dict, Tuple
+from typing import Tuple
 
-from .algebra import GaussRat
+from .algebra import MultiPoly
 from .special import slot_names
 from .symbols import INTEGRATED, FourierSymbol
 
-WeylPoly = Dict[Tuple[int, Tuple[int, ...]], GaussRat]
+
+def _variables(mode_bound: int) -> Tuple[str, ...]:
+    """h, p-M, ..., pM: an element's variables, p_a at position mode_bound + 1 + a."""
+    return ("h",) + tuple(f"p{a}" for a in range(-mode_bound, mode_bound + 1))
 
 
-def _wp_add_into(target: WeylPoly, key, c):
-    prev = target.get(key)
-    s = prev + c if prev is not None else c
-    if s:
-        target[key] = s
-    elif prev is not None:
-        del target[key]
-
-
-def weyl_mul(a: WeylPoly, b: WeylPoly) -> WeylPoly:
-    out: WeylPoly = {}
-    for (ga, ea), ca in a.items():
-        for (gb, eb), cb in b.items():
-            key = (ga + gb, tuple(x + y for x, y in zip(ea, eb)))
-            _wp_add_into(out, key, ca * cb)
-    return out
-
-
-def weyl_derivative(f: WeylPoly, mode_index: int) -> WeylPoly:
-    out: WeylPoly = {}
-    for (g, e), c in f.items():
-        x = e[mode_index]
-        if not x:
-            continue
-        e2 = list(e)
-        e2[mode_index] -= 1
-        _wp_add_into(out, (g, tuple(e2)), c * x)
-    return out
-
-
-def weyl_star(f: WeylPoly, g: WeylPoly, mode_bound: int) -> WeylPoly:
+def weyl_star(f: MultiPoly, g: MultiPoly, mode_bound: int) -> MultiPoly:
     """f * g from the derivative expansion; exact for mode support <= mode_bound."""
-    out: WeylPoly = dict(weyl_mul(f, g))
-    max_q = max((sum(e) for _, e in f.keys()), default=0)
+    out = dict((f * g).terms)
+    max_q = max((sum(e[1:]) for e in f.terms), default=0)
     for q in range(1, max_q + 1):
-        layer: WeylPoly = {}
         for ks in itertools.combinations_with_replacement(range(1, mode_bound + 1), q):
             weight = Fraction(1)
             for k in set(ks):
@@ -71,41 +44,32 @@ def weyl_star(f: WeylPoly, g: WeylPoly, mode_bound: int) -> WeylPoly:
             fd = f
             gd = g
             for k in ks:
-                fd = weyl_derivative(fd, mode_bound + k)
-                if not fd:
+                fd = fd.derivative(f"p{k}")
+                if fd.is_zero():
                     break
-                gd = weyl_derivative(gd, mode_bound - k)
-                if not gd:
+                gd = gd.derivative(f"p{-k}")
+                if gd.is_zero():
                     break
             else:
-                for key, c in weyl_mul(fd, gd).items():
-                    _wp_add_into(layer, key, c * weight)
-        for (grade, e), c in layer.items():
-            _wp_add_into(out, (grade + q, e), c)
-    return out
+                for e, c in (fd * gd).terms.items():
+                    key = (e[0] + q,) + e[1:]
+                    prev = out.get(key)
+                    out[key] = c * weight if prev is None else prev + c * weight
+    return MultiPoly(f.variables, {e: c for e, c in out.items() if c}, _normalized=True)
 
 
-def weyl_commutator_over_hbar(f: WeylPoly, g: WeylPoly, mode_bound: int) -> WeylPoly:
+def weyl_commutator_over_hbar(f: MultiPoly, g: MultiPoly, mode_bound: int) -> MultiPoly:
     """(f*g - g*f)/hbar_u; the grade-0 layer cancels exactly."""
-    fg = weyl_star(f, g, mode_bound)
-    gf = weyl_star(g, f, mode_bound)
-    out: WeylPoly = {}
-    for key, c in fg.items():
-        _wp_add_into(out, key, c)
-    for key, c in gf.items():
-        _wp_add_into(out, key, -c)
-    shifted: WeylPoly = {}
-    for (grade, e), c in out.items():
-        if grade == 0:
-            raise AssertionError("commutator kept a grade-0 term")
-        shifted[(grade - 1, e)] = c
-    return shifted
+    diff = weyl_star(f, g, mode_bound) - weyl_star(g, f, mode_bound)
+    if any(e[0] == 0 for e in diff.terms):
+        raise AssertionError("commutator kept a grade-0 term")
+    return MultiPoly(diff.variables, {(e[0] - 1,) + e[1:]: c for e, c in diff.terms.items()},
+                     _normalized=True)
 
 
-def symbol_to_weyl(s: FourierSymbol, mode_bound: int) -> WeylPoly:
+def symbol_to_weyl(s: FourierSymbol, mode_bound: int) -> MultiPoly:
     """Evaluate a symbol on explicit p-monomials with modes in [-M, M]."""
-    width = 2 * mode_bound + 1
-    out: WeylPoly = {}
+    out: dict = {}
     for t in s.terms:
         vs = slot_names(t.m)
         for assign in itertools.product(range(-mode_bound, mode_bound + 1), repeat=t.m):
@@ -114,12 +78,16 @@ def symbol_to_weyl(s: FourierSymbol, mode_bound: int) -> WeylPoly:
             val = t.coeff.evaluate(dict(zip(vs, assign)))
             if not val:
                 continue
-            e = [0] * width
+            e = [t.grade] + [0] * (2 * mode_bound + 1)
             for a in assign:
-                e[mode_bound + a] += 1
-            _wp_add_into(out, (t.grade, tuple(e)), val)
-    return out
+                e[mode_bound + 1 + a] += 1
+            key = tuple(e)
+            prev = out.get(key)
+            out[key] = val if prev is None else prev + val
+    return MultiPoly(_variables(mode_bound), {e: c for e, c in out.items() if c},
+                     _normalized=True)
 
 
 def monomial_mode_sum(e: Tuple[int, ...], mode_bound: int) -> int:
+    """Sum of |a| over the modes of p-exponents ``e`` (p_-M first)."""
     return sum(abs(i - mode_bound) * x for i, x in enumerate(e) if x)

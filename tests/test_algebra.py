@@ -202,6 +202,27 @@ def test_laurent_exponents():
         x ** -1
 
 
+def _laurent(variables):
+    return st.dictionaries(st.tuples(*[st.integers(-3, 3)] * len(variables)),
+                           _GAUSS.map(lambda g: g[0]), max_size=4).map(
+        lambda terms: MultiPoly(variables, terms))
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(p=_laurent(("x", "y")), q=_laurent(("y", "z")), c=_GAUSS, n=st.integers(-4, 4))
+def test_derivative_is_a_derivation_on_laurent_polynomials(p, q, c, n):
+    c = c[0]
+    # q lacks x and p lacks z, so each side also meets an absent variable
+    for v in ("x", "y", "z"):
+        assert (p + q * c).derivative(v) == p.derivative(v) + q.derivative(v) * c
+        assert (p * q).derivative(v) == p.derivative(v) * q + p * q.derivative(v)
+    x_n = MultiPoly(("x", "y"), {(n, 0): 1})
+    assert x_n.derivative("x") == MultiPoly(("x", "y"), {(n - 1, 0): n})
+    assert x_n.derivative("y").is_zero()
+    absent = p.derivative("z")
+    assert absent.is_zero() and absent.variables == p.variables
+
+
 def test_laurent_evaluate_is_exact():
     x = MultiPoly(("x",), {(1,): 1})
     x_inv = MultiPoly(("x",), {(-1,): 1})

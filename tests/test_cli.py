@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import typing
 
 import pytest
 
@@ -261,3 +262,13 @@ def test_bracket_oracle_out_of_redraws_exits_2(monkeypatch, capsys):
     assert captured.out == ""
     assert "case 1: 21 draws compared no monomial" in captured.err
     assert '"cases": 2' in captured.err and '"modes": 3' in captured.err
+
+
+def test_cli_annotations_resolve():
+    # annotations are strings under ``from __future__ import annotations``;
+    # each must name something ``qwk.cli`` imports at module level
+    functions = [f for f in vars(cli).values()
+                 if callable(f) and getattr(f, "__module__", None) == "qwk.cli"]
+    assert cli._random_symbol in functions
+    for f in functions:
+        typing.get_type_hints(f)

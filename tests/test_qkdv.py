@@ -417,12 +417,12 @@ def weyl_comparisons(left, right, sym, modes, max_grade=None):
         symbol_to_weyl(left, modes), symbol_to_weyl(right, modes), modes)
     via = symbol_to_weyl(sym, modes)
     comparisons = 0
-    for key in set(direct) | set(via):
-        if monomial_mode_sum(key[1], modes) > modes or (
+    for key in set(direct.terms) | set(via.terms):
+        if monomial_mode_sum(key[1:], modes) > modes or (
                 max_grade is not None and key[0] > max_grade):
             continue
         comparisons += 1
-        assert direct.get(key, GaussRat(0)) == via.get(key, GaussRat(0)), key
+        assert direct.terms.get(key, GaussRat(0)) == via.terms.get(key, GaussRat(0)), key
     return comparisons
 
 

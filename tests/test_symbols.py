@@ -182,6 +182,16 @@ def test_diff_poly_roundtrip():
         assert to_diff_poly(from_diff_poly(d)) == d
 
 
+def test_diff_poly_is_a_multipoly_over_h_and_u():
+    # u0 u2^2 hbar_u written twice, once unsorted: one term, the grade as h's exponent
+    d = DiffPoly({((2, 0, 2), 1): GaussRat(1), ((0, 2, 2), 1): GaussRat(2)})
+    assert d.variables == ("h", "u0", "u1", "u2")
+    assert d.terms == {(1, 1, 0, 2): GaussRat(3)}
+    # a negative order would land on h's exponent
+    with pytest.raises(ValueError, match="nonnegative"):
+        DiffPoly({((-1,), 0): GaussRat(1)})
+
+
 def test_from_diff_poly_u1_squared():
     d = DiffPoly({((1, 1), 0): GaussRat(1)})
     s = from_diff_poly(d)
