@@ -13,19 +13,14 @@ marked approximation and never replaces the exact value.  Exit codes: 0 on
 success, 1 on any verification failure or oracle mismatch, 2 on usage errors,
 which include an empty verification grid (also --cases or --modes below 1,
 and a bracket-oracle case whose redraws all compare nothing), negative table
-bounds, a negative genus grade or insertion, a hurwitz --cap above the
-factorization-count cap and a pool size that is not an integer of at least 1,
-from --jobs or QWK_JOBS.
-Verification grids run on a worker pool sized by --jobs (default from
-QWK_JOBS, else 1); output ordering is deterministic regardless of
-scheduling.
+bounds, a negative genus grade or insertion and a partition above the
+factorization-count cap.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 import time
@@ -78,17 +73,6 @@ def _approx_decimal(value: Fraction) -> str:
     return f"approx {float(value):.12g}"
 
 
-def _pool_size(text: str) -> int:
-    """--jobs and QWK_JOBS: a worker count of at least 1."""
-    try:
-        jobs = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if jobs < 1:
-        raise argparse.ArgumentTypeError(f"pool size {jobs} is below 1")
-    return jobs
-
-
 # ----------------------------------------------------------------------
 # subcommands
 
@@ -121,9 +105,6 @@ def cmd_correlator(args) -> int:
 
 
 def cmd_hurwitz(args) -> int:
-    if args.cap > DEFAULT_DEGREE_CAP:
-        raise ValueError(
-            f"--cap {args.cap} above the factorization-count cap {DEFAULT_DEGREE_CAP}")
     record: dict = {"kind": "hurwitz", "g": args.g}
     exit_code = 0
     if args.mu:
@@ -132,7 +113,7 @@ def cmd_hurwitz(args) -> int:
         record["mu"] = list(mu.parts)
         record["value"] = rat_str(value)
         if args.oracle:
-            count = factorization_count(args.g, mu, cap=args.cap)
+            count = factorization_count(args.g, mu)
             aut = aut_factor(mu)
             record["factorization_count"] = rat_str(count)
             record["aut"] = aut
@@ -263,14 +244,6 @@ def _check_level(key) -> dict:
             "value": rat_str(value), "ok": ok}
 
 
-def _run_keys(keys, worker, jobs: int) -> List[dict]:
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(worker, keys, chunksize=4))
-    return [worker(k) for k in keys]
-
-
 def _suite_main_theorem(args) -> Tuple[List[dict], dict]:
     g_max = args.g_max if args.g_max is not None else 2
     n_max = args.n_max if args.n_max is not None else 3
@@ -279,7 +252,7 @@ def _suite_main_theorem(args) -> Tuple[List[dict], dict]:
             if 2 * k[1] - 3 + len(k[0]) >= 0]
     if args.sum_max is not None:
         keys = [k for k in keys if sum(k[0]) <= args.sum_max]
-    checks = _run_keys(keys, _check_main_theorem, args.jobs)
+    checks = [_check_main_theorem(k) for k in keys]
     return checks, {"g_max": g_max, "n_max": n_max,
                     "sum_max": args.sum_max, "keys": len(keys)}
 
@@ -290,7 +263,7 @@ def _suite_string(args) -> Tuple[List[dict], dict]:
     keys = _grid_keys(g_max, n_max, slack=1)
     if args.sum_max is not None:
         keys = [k for k in keys if sum(k[0]) <= args.sum_max]
-    checks = _run_keys(keys, _check_string, args.jobs)
+    checks = [_check_string(k) for k in keys]
     return checks, {"g_max": g_max, "n_max": n_max, "sum_max": args.sum_max,
                     "keys": len(keys)}
 
@@ -299,7 +272,7 @@ def _suite_levels(args) -> Tuple[List[dict], dict]:
     g_max = args.g_max if args.g_max is not None else 2
     n_max = args.n_max if args.n_max is not None else 3
     keys = _grid_keys(g_max, n_max, slack=3, sum_cap=args.sum_max)
-    checks = _run_keys(keys, _check_level, args.jobs)
+    checks = [_check_level(k) for k in keys]
     return checks, {"g_max": g_max, "n_max": n_max, "sum_max": args.sum_max,
                     "keys": len(keys)}
 
@@ -336,10 +309,13 @@ def _suite_identities(args) -> Tuple[List[dict], dict]:
 def _suite_hurwitz_oracle(args) -> Tuple[List[dict], dict]:
     d_cap = args.degree_cap if args.degree_cap is not None else 5
     g_max = args.g_max if args.g_max is not None else 2
+    bounds = {"degree_cap": d_cap, "g_max": g_max}
+    if g_max < 0:
+        raise _nothing_to_verify(bounds)
     if d_cap > DEFAULT_DEGREE_CAP:
         raise ValueError(
             f"degree cap {d_cap} above the factorization-count cap {DEFAULT_DEGREE_CAP} "
-            f"within bounds {json.dumps({'degree_cap': d_cap, 'g_max': g_max}, sort_keys=True)}")
+            f"within bounds {json.dumps(bounds, sort_keys=True)}")
     checks = []
     for d in range(1, d_cap + 1):
         counts = factorization_counts(d, g_max)
@@ -354,7 +330,7 @@ def _suite_hurwitz_oracle(args) -> Tuple[List[dict], dict]:
                     "closed_form": rat_str(closed),
                     "aut_times_count": rat_str(aut * count),
                     "ok": closed == aut * count})
-    return checks, {"degree_cap": d_cap, "g_max": g_max, "keys": len(checks)}
+    return checks, {**bounds, "keys": len(checks)}
 
 
 def _random_symbol(rng: random.Random, kind: str) -> FourierSymbol:
@@ -475,8 +451,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=str, help="correlator insertions instead of a partition")
     p.add_argument("--oracle", action="store_true",
                    help="with --mu: compare against the factorization count")
-    p.add_argument("--cap", type=int, default=DEFAULT_DEGREE_CAP,
-                   help=f"degree cap for the count, at most {DEFAULT_DEGREE_CAP}")
     p.add_argument("--decimal", action="store_true")
     p.set_defaults(func=cmd_hurwitz)
 
@@ -497,8 +471,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--modes", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--degree-cap", type=int, default=None)
-    # argparse converts a string default itself, so a bad QWK_JOBS is a usage error
-    p.add_argument("--jobs", type=_pool_size, default=os.environ.get("QWK_JOBS", "1"))
     p.set_defaults(func=cmd_verify)
     return parser
 

@@ -110,43 +110,15 @@ def test_verify_exit_code_contract():
     assert all(c["ok"] for c in record["checks"])
 
 
-def test_verify_parallel_matches_serial():
-    code1, out1, _ = run_cli("verify", "levels", "--g-max", "1", "--n-max", "2",
-                             "--jobs", "1")
-    code2, out2, _ = run_cli("verify", "levels", "--g-max", "1", "--n-max", "2",
-                             "--jobs", "2")
-    assert code1 == code2 == 0
-    r1, r2 = json.loads(out1), json.loads(out2)
-    assert r1["checks"] == r2["checks"]
-
-
-def test_jobs_default_from_environment():
-    import os
-    env = dict(os.environ, QWK_JOBS="2")
-    proc = subprocess.run(
-        [sys.executable, "-m", "qwk", "verify", "string", "--g-max", "0",
-         "--n-max", "2"],
-        capture_output=True, text=True, env=env)
-    assert proc.returncode == 0
-    assert json.loads(proc.stdout)["ok"] is True
-
-
-def test_jobs_from_environment_must_be_an_integer():
-    import os
-    grid = ("verify", "string", "--g-max", "0", "--n-max", "2")
-    # (QWK_JOBS, extra arguments, what stderr must name): a pool size that is
-    # not an integer of at least 1 is a usage error, from the flag or the variable
-    for env_jobs, extra, named in (("abc", (), "'abc'"),
-                                   ("0", (), "pool size 0 is below 1"),
-                                   ("1", ("--jobs", "0"), "pool size 0 is below 1"),
-                                   ("1", ("--jobs", "-3"), "pool size -3 is below 1")):
-        env = dict(os.environ, QWK_JOBS=env_jobs)
-        proc = subprocess.run([sys.executable, "-m", "qwk", *grid, *extra],
-                              capture_output=True, text=True, env=env)
-        assert proc.returncode == 2, (env_jobs, extra)
-        assert proc.stdout == ""
-        assert "--jobs" in proc.stderr and named in proc.stderr, proc.stderr
-        assert "Traceback" not in proc.stderr
+def test_removed_pool_and_cap_options_exit_2():
+    # verification grids run in one process, and the factorization-count cap is fixed
+    for argv, named in ((("verify", "string", "--g-max", "0", "--n-max", "2", "--jobs", "2"),
+                         "--jobs"),
+                        (("hurwitz", "--g", "1", "--mu", "3", "--oracle", "--cap", "5"),
+                         "--cap")):
+        code, out, err = run_cli(*argv)
+        assert code == 2 and out == "", argv
+        assert named in err, err
 
 
 def test_main_entry_point_in_process(capsys):
@@ -192,6 +164,7 @@ def test_hurwitz_genus_zero_single_part():
 
 def test_empty_verification_grid_exits_2():
     for argv, bound in ((("hurwitz-oracle", "--degree-cap", "0"), '"degree_cap": 0'),
+                        (("hurwitz-oracle", "--g-max", "-1"), '"g_max": -1'),
                         (("main-theorem", "--sum-max", "-1"), '"sum_max": -1'),
                         (("bracket-oracle", "--cases", "0"), '"cases": 0'),
                         (("identities", "--cases", "0"), '"cases": 0'),
@@ -233,12 +206,11 @@ def test_hurwitz_negative_genus_partition_exits_2():
         assert "negative genus grade" in err, err
 
 
-def test_hurwitz_cap_above_count_cap_exits_2():
-    # refused before any work, so a larger cap cannot lift the cost guard
-    code, out, err = run_cli("hurwitz", "--g", "1", "--mu", "3", "--oracle", "--cap", "30")
+def test_hurwitz_oracle_partition_above_count_cap_exits_2():
+    code, out, err = run_cli("hurwitz", "--g", "1", "--mu", "21", "--oracle")
     assert code == 2 and out == ""
-    assert "--cap 30 above the factorization-count cap 20" in err, err
-    code, out, _ = run_cli("hurwitz", "--g", "1", "--mu", "3", "--oracle", "--cap", "20")
+    assert "factorization-count cap 20" in err and "Traceback" not in err, err
+    code, out, _ = run_cli("hurwitz", "--g", "1", "--mu", "3", "--oracle")
     assert code == 0 and json.loads(out)["match"] is True
 
 
