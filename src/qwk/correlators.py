@@ -6,6 +6,8 @@ Two routes feed every value:
       <tau_0 tau_{d_1} .. tau_{d_n}>_g = (-1)^g i^(n-1) * v_g,
     v = nested_bracket((d_1..d_n), g).  The i-power converts the internal
     i*hbar grading back to hbar coefficients; the result must be real.
+    A key outside the commutator's degree window (sum d - n odd, or
+    sum d > 4g - 2 + n) is zero and never reaches a bracket.
   * every other key is defined by inverting the string equation
       <tau_0 tau_{d_1}..tau_{d_n}> = sum_i <.. tau_{d_i - 1} ..>,
     solved downward until a tau_0 appears.  The recursion terminates because

@@ -36,6 +36,22 @@ E_rev's coefficient of C^r is E_fwd's times (-1)^(q+|r|), and C^r(-N) is
 ``special._ehrhart_cached`` asserts for every table it builds.  So the two
 branches glue into the single polynomial E_fwd, the only one computed.
 
+The same two facts bound the degree of a nested commutator, which gives its
+degree window.  A grade-g density term has monomials of even degree <= 2g.  A
+strike of q slots takes left and right monomials of degrees D_l and D_r, with
+struck exponents k_l and k_r, to survivors of degree D_l + D_r - |k_l| - |k_r|
+times the powers N^e of C^r, r = k_l + k_r + 1; C^r has degree
+q - 1 + |r| = 2q - 1 + |k_l| + |k_r| and pure parity, and N^e puts degree e on
+the survivors.  So the output has degree <= D_l + D_r + 2q - 1 and parity
+D_l + D_r + 1, at grade grade_l + grade_r + q - 1.  By induction over the
+n - 1 brackets of [[..[H_(d_1-1), Hbar_(d_2)].., Hbar_(d_n)]], each grade-g
+term has degree <= 2g + n - 1, of the parity of n - 1, on m = S + 1 - 2g
+slots, S = d_1 + .. + d_n.  The string point reads the all-ones monomial, of
+degree m, so grade g is zero unless S - n is even and 4g >= S + 2 - n: at the
+budget g these are the l = 0 level conditions on the key (0, d_1..d_n).
+``nested_bracket`` returns {} outside that window without building anything;
+``_nested`` is the same evaluation without the window, its oracle.
+
 The right operand is symmetrized on entry.  That is exact, because an
 integrated symbol's operator sees only its symmetrization, and free for a
 Hamiltonian, whose terms are already one symmetric block (m_r,).  A strike of
@@ -533,9 +549,13 @@ def _fold(out: Dict[tuple, Scalar], acc: Dict[tuple, Scalar], den: int):
 def nested_bracket(d_list: Sequence[int], g: int) -> Dict[int, GaussRat]:
     """Evaluate [[..[H_{d_1-1}, Hbar_{d_2}].., Hbar_{d_n}]] at the string point.
 
-    Returns the map hbar-grade -> value for grades up to the budget g.  The
-    brackets before the last are ``_prefix``'s; the last one is contracted
-    straight to its string-point value, with no output symbol.
+    Returns the map hbar-grade -> value for grades up to the budget g.  With
+    S = sum d_list and n = len(d_list), the grades below (S + 2 - n) / 4 are
+    absent, and so is every grade when S - n is odd (the degree window of the
+    module docstring): a key outside the window returns {} before any density
+    or bracket is built.  Inside it, the brackets before the last are
+    ``_prefix``'s; the last one is contracted straight to its string-point
+    value, with no output symbol.
     """
     d_list = tuple(d_list)
     if not d_list:
@@ -544,6 +564,15 @@ def nested_bracket(d_list: Sequence[int], g: int) -> Dict[int, GaussRat]:
         raise ValueError("insertions must be >= 0")
     if g < 0:
         raise ValueError("genus grade must be >= 0")
+    total, n = sum(d_list), len(d_list)
+    if (total - n) % 2 or 4 * g < total + 2 - n:
+        return {}
+    return _nested(d_list, g)
+
+
+def _nested(d_list: Tuple[int, ...], g: int) -> Dict[int, GaussRat]:
+    """``nested_bracket`` without the degree window: every key builds its
+    densities and brackets, the oracle of that window."""
     if len(d_list) == 1:
         return eval_string_point(hamiltonian_density(d_list[0] - 1, max_grade=g, demand=(LEFT, g)))
     return _string_point_bracket(_prefix(d_list[:-1], g, 1), _right_operand(d_list[-1], g, 0), g)

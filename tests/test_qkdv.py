@@ -9,9 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qwk.algebra import GaussRat, I, MultiPoly
+from qwk.correlators import correlator_tau0
 from qwk.diffpoly import d_dp0
-from qwk.qkdv import (LEFT, RIGHT, _picker, _prefix, _split, _string_point_bracket, bracket,
-                      hamiltonian_density, integrate_hamiltonian, nested_bracket)
+from qwk.hurwitz import hurwitz_correlator
+from qwk.qkdv import (LEFT, RIGHT, _hamiltonian_term, _nested, _picker, _prefix, _split,
+                      _string_point_bracket, bracket, hamiltonian_density,
+                      integrate_hamiltonian, nested_bracket)
+from qwk.special import _ehrhart_cached
 from qwk.symbols import (DENSITY, INTEGRATED, FourierSymbol, d_x,
                          density, eval_string_point, make_term, slot_names,
                          symbols_equal, symmetrize, u0_symbol)
@@ -167,8 +171,62 @@ def test_shared_prefixes_give_cold_values():
         assert nested_bracket(*key) == warm[key], key
     # the last bracket is never kept, so a one-bracket key leaves only its density
     _prefix.cache_clear()
-    nested_bracket((3, 2), 1)
+    nested_bracket((3, 1), 1)
     assert _prefix.cache_info().currsize == 1
+
+
+def in_window(d_list, g):
+    """Whether (0, d_list) at genus grade g lies in the commutator's degree window."""
+    total, n = sum(d_list), len(d_list)
+    return (total - n) % 2 == 0 and 4 * g >= total + 2 - n
+
+
+def test_degree_window_against_unwindowed_engine():
+    # every tau_0 key with g <= 4, n <= 4 (n <= 3 at g = 4) and sum d <= 4g + n + 2:
+    # the window returns what the engine without it computes, a key outside it
+    # evaluates to nothing, and inside it no grade below (S + 2 - n) / 4 appears
+    outside = inside = 0
+    for g in range(5):
+        for n in range(1, (4 if g < 4 else 3) + 1):
+            cap = 4 * g + n + 2
+            for d in itertools.combinations_with_replacement(range(cap + 1), n):
+                if sum(d) > cap:
+                    continue
+                d_list = d[::-1]
+                full = _nested(d_list, g)
+                assert nested_bracket(d_list, g) == full, (d_list, g)
+                if in_window(d_list, g):
+                    inside += 1
+                    assert all(4 * grade >= sum(d) + 2 - n for grade in full), (d_list, g, full)
+                else:
+                    outside += 1
+                    assert full == {}, (d_list, g, full)
+    assert (outside, inside) == (1500, 557)
+
+
+@pytest.mark.parametrize("g", range(1, 6))
+@pytest.mark.parametrize("n", range(1, 4))
+def test_top_of_degree_window_is_nonzero(g, n):
+    # (0, 4g-1, 1^(n-1)) sits on the window's bound 4g = S + 2 - n
+    d_list = (4 * g - 1,) + (1,) * (n - 1)
+    assert in_window(d_list, g) and 4 * g == sum(d_list) + 2 - n
+    value = correlator_tau0(d_list, g)
+    assert value != 0
+    assert value == hurwitz_correlator((0,) + d_list, g)
+
+
+@pytest.mark.parametrize("d_list, g", [((3, 2), 2), ((9, 4, 2), 2)])
+def test_keys_outside_degree_window_build_nothing(d_list, g):
+    # (3, 2) at g = 2 is ruled out by parity alone, (9, 4, 2) at g = 2 by the
+    # bound alone; neither builds a density, a bracket or an Ehrhart table
+    assert not in_window(d_list, g)
+    memos = (_prefix, _hamiltonian_term, _ehrhart_cached)
+    for memo in memos:
+        memo.cache_clear()
+    assert nested_bracket(d_list, g) == {}
+    assert [memo.cache_info().misses for memo in memos] == [0, 0, 0]
+    assert _nested(d_list, g) == {}
+    assert all(memo.cache_info().misses for memo in memos)
 
 
 def test_demanded_intermediate_brackets_obey_rule_b():
