@@ -28,7 +28,8 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import List, Optional, Sequence, Tuple
 
-from . import correlators as _correlators, qkdv as _qkdv, special as _special
+from . import (correlators as _correlators, hurwitz as _hurwitz, qkdv as _qkdv,
+               special as _special)
 from .algebra import GaussRat, MultiPoly, rat_str
 from .correlators import (correlator, correlator_table, series_coefficient,
                           vanishes_by_level)
@@ -46,7 +47,8 @@ _UNSET = object()
 
 # every memo table of the engine; runtime_ms means little without their state
 _MEMO_TABLES = (_qkdv._hamiltonian_term, _qkdv._prefix, _special._ehrhart_cached,
-                _special.power_of_sum, _correlators._correlator_cached)
+                _special.power_of_sum, _correlators._correlator_cached,
+                _hurwitz._transitions)
 
 
 def _memo_state() -> str:

@@ -33,21 +33,26 @@ types: it runs as a dynamic program over the p(d) partitions of d, one
 cut-and-join step per branch point (Goulden-Jackson 1997), in exact
 integers.  A type is its vector of multiplicities, and its row has one
 entry per cut or join of part sizes, weighted by those multiplicities, so
-nothing is sorted and repeated parts give one entry.  After r steps the walk
-holds every type at once, so ``factorization_counts`` serves every (mu, g)
-of a degree from one walk.  DEFAULT_DEGREE_CAP =
-20 is a cost guard: at that degree, the count for (1^20) at g = 5 (29
-branch points) takes about 0.015 s on a 2-vCPU Xeon, and the closed formula
-0.2 ms.  The closed formula equals aut_factor(mu) times this count: the
-formula counts covers with labeled preimages of infinity, the count weights
-unlabeled covers by 1/|Aut|.
+nothing is sorted and repeated parts give one entry.  The rows of a degree
+are built once per process, in the memo table ``_transitions(d)``: the p(d)
+types numbered over ``partitions_of(d)``, each row as (type number, weight)
+pairs, so the walk is a plain count vector stepped along the rows, and every
+count of that degree shares the table.  After r steps the walk holds every
+type at once, so ``factorization_counts`` serves every (mu, g) of a degree
+from one walk.  DEFAULT_DEGREE_CAP = 20 is a cost guard: at that degree the
+table has p(20) = 627 rows and 7,090 entries, and a cold count for (1^20)
+at g = 5 (29 branch points), table build included, takes about 0.02 s on a
+2-vCPU Xeon, and the closed formula 0.2 ms.  The closed formula equals
+aut_factor(mu) times this count: the formula counts covers with labeled
+preimages of infinity, the count weights unlabeled covers by 1/|Aut|.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .algebra import MultiPoly, Rat, Record
 from .special import power_of_sum, quotient_rows, s_quotient, sigma_coefficients
@@ -56,11 +61,14 @@ DEFAULT_DEGREE_CAP = 20
 
 
 class Partition(Record):
-    """Partition with positive parts, stored sorted descending."""
+    """Partition with positive integer parts, stored sorted descending."""
 
     __slots__ = ("parts",)
 
     def __init__(self, parts: Sequence[int]):
+        for p in parts:
+            if isinstance(p, bool) or not isinstance(p, int):
+                raise ValueError(f"part {p!r} is not an integer")
         if not parts or any(p < 1 for p in parts):
             raise ValueError("parts must be positive")
         object.__setattr__(self, "parts", tuple(sorted(parts, reverse=True)))
@@ -190,7 +198,9 @@ def factorization_count(g: int, mu: Partition, cap: int = DEFAULT_DEGREE_CAP) ->
     """(1/d) * #{transposition tuples (t_1..t_r): sigma_0 t_1..t_r has type mu}.
 
     sigma_0 is the fixed d-cycle (1 2 .. d); r = 2g-1+n.  The 1/d absorbs the
-    (d-1)! choices of the full cycle over the d! normalization of covers.
+    (d-1)! choices of the full cycle over the d! normalization of covers.  The
+    walk reads the degree's cut-and-join table, ``_transitions(d)``, which is
+    built on the first count of that degree and shared by every later one.
     """
     if g < 0:
         raise ValueError("negative genus grade")
@@ -205,7 +215,8 @@ def factorization_count(g: int, mu: Partition, cap: int = DEFAULT_DEGREE_CAP) ->
 
 def factorization_counts(d: int, g_max: int) -> Dict[Tuple[Tuple[int, ...], int], Rat]:
     """{(mu.parts, g): factorization_count(g, mu)} for every partition mu of d
-    and every g <= g_max, read from one walk."""
+    and every g <= g_max, read from one walk over the same per-degree table
+    as ``factorization_count``."""
     if g_max < 0:
         raise ValueError("negative genus grade")
     if not 1 <= d <= DEFAULT_DEGREE_CAP:
@@ -219,43 +230,44 @@ def factorization_counts(d: int, g_max: int) -> Dict[Tuple[Tuple[int, ...], int]
 
 def _walk(d: int, wanted: List[Tuple[int, tuple]]) -> List[Rat]:
     """The count over d of each (r, parts) in ``wanted``, sorted by r, from one
-    walk of cut-and-join steps from the d-cycle over the cycle types of the
-    partial product, as vectors of multiplicities."""
-    # types are numbered on first visit; rows[i] lists (type number, weight)
-    start = (0,) * (d - 1) + (1,)
-    number = {start: 0}
-    types = [start]
-    rows: List[Optional[List[Tuple[int, int]]]] = [None]
-    counts = [1]
+    walk of cut-and-join steps from the d-cycle: a count vector over the type
+    numbers of ``_transitions(d)``, stepped along the table's rows."""
+    number, rows = _transitions(d)
+    counts = [0] * len(rows)
+    counts[0] = 1  # partitions_of(d) starts at (d,), the d-cycle
     out = []
     done = 0
     for r, parts in wanted:
         for _ in range(r - done):
-            nxt = [0] * len(types)
-            for i, c in enumerate(counts):
-                if not c:
-                    continue
-                row = rows[i]
-                if row is None:
-                    row = rows[i] = []
-                    for new, weight in _cut_and_join(types[i]):
-                        j = number.get(new)
-                        if j is None:
-                            j = number[new] = len(types)
-                            types.append(new)
-                            rows.append(None)
-                        row.append((j, weight))
-                    nxt.extend([0] * (len(types) - len(nxt)))
-                for j, weight in row:
-                    nxt[j] += c * weight
+            nxt = [0] * len(rows)
+            for c, row in zip(counts, rows):
+                if c:
+                    for j, weight in row:
+                        nxt[j] += c * weight
             counts = nxt
         done = r
-        target = [0] * d
-        for part in parts:
-            target[part - 1] += 1
-        j = number.get(tuple(target))
-        out.append(Fraction(0 if j is None else counts[j], d))
+        out.append(Fraction(counts[number[_multiplicities(parts, d)]], d))
     return out
+
+
+@lru_cache(maxsize=None)
+def _transitions(d: int) -> Tuple[Dict[Tuple[int, ...], int],
+                                  Tuple[Tuple[Tuple[int, int], ...], ...]]:
+    """The cut-and-join table of S_d: every cycle type, as its multiplicity
+    vector, numbered in the order of ``partitions_of(d)``, and each type's
+    row as (type number, weight) pairs.  p(d) rows, p(20) = 627 at the cap."""
+    number = {_multiplicities(parts, d): i for i, parts in enumerate(partitions_of(d))}
+    rows = tuple(tuple((number[new], weight) for new, weight in _cut_and_join(m))
+                 for m in number)
+    return number, rows
+
+
+def _multiplicities(parts: Sequence[int], d: int) -> Tuple[int, ...]:
+    """The multiplicity vector of a partition of d: entry a-1 counts the parts a."""
+    m = [0] * d
+    for part in parts:
+        m[part - 1] += 1
+    return tuple(m)
 
 
 def aut_factor(mu: Partition) -> int:

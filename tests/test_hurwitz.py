@@ -10,6 +10,8 @@ series in z^2 of ``one_part_number`` replaces.
 """
 
 import itertools
+import random
+import re
 from fractions import Fraction
 from math import comb, factorial
 
@@ -18,9 +20,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qwk.algebra import MultiPoly
-from qwk.hurwitz import (DEFAULT_DEGREE_CAP, Partition, _cut_and_join, aut_factor,
-                         factorization_count, factorization_counts, hurwitz_correlator,
-                         one_part_number, one_part_polynomial, partitions_of)
+from qwk.hurwitz import (DEFAULT_DEGREE_CAP, Partition, _cut_and_join, _transitions,
+                         aut_factor, factorization_count, factorization_counts,
+                         hurwitz_correlator, one_part_number, one_part_polynomial,
+                         partitions_of)
 from qwk.special import s_quotient, slot_names
 
 
@@ -169,6 +172,51 @@ def test_cut_and_join_rows_sum_to_all_transpositions():
                 key = _multiplicities(new, d)
                 expect[key] = expect.get(key, 0) + weight
             assert row == expect, parts
+
+
+@pytest.mark.parametrize("d", list(range(1, 13)) + [20])
+def test_transition_table_numbers_every_type_once(d):
+    number, rows = _transitions(d)
+    types = list(partitions_of(d))
+    # one number per partition of d, in the order of partitions_of
+    assert list(number) == [_multiplicities(parts, d) for parts in types]
+    assert list(number.values()) == list(range(len(types))) == list(range(len(rows)))
+    for parts, row in zip(types, rows):
+        targets = [j for j, _ in row]
+        assert len(set(targets)) == len(targets) and number[_multiplicities(parts, d)] not in targets
+        assert sum(weight for _, weight in row) == comb(d, 2), parts
+    if d == 20:
+        assert (len(rows), sum(map(len, rows))) == (627, 7090)
+
+
+def test_counts_of_one_degree_share_its_table():
+    keys = [(g, parts) for d in range(1, 8) for parts in partitions_of(d) for g in range(4)]
+    assert len(keys) == 176
+    _transitions.cache_clear()
+    canonical = [factorization_count(g, Partition(parts)) for g, parts in keys]
+    shuffled = keys.copy()
+    random.Random(28).shuffle(shuffled)
+    _transitions.cache_clear()
+    counts = {key: factorization_count(key[0], Partition(key[1])) for key in shuffled}
+    # one build per degree, whichever key of it comes first
+    assert _transitions.cache_info().misses == 7
+    assert [counts[key] for key in keys] == canonical
+
+
+@pytest.mark.parametrize("parts", [(1,) * 20, (20,), (7, 7, 6), (5, 4, 3, 2, 2, 1, 1, 1, 1)])
+def test_degree_20_count_matches_sorted_type_count(parts):
+    mu = Partition(parts)
+    for g in range(6):
+        assert factorization_count(g, mu) == _count_by_sorted_types(g, mu), g
+
+
+def test_partition_refuses_parts_that_are_not_integers():
+    # 1.5 used to construct and make one_part_number raise TypeError
+    for parts, bad in (((1.5,), 1.5), ((True, 1), True), ((2, Fraction(3)), Fraction(3)),
+                       ((3, "1"), "1")):
+        with pytest.raises(ValueError, match=re.escape(f"part {bad!r} is not an integer")):
+            Partition(parts)
+    assert Partition((3, 1, 2)).parts == (3, 2, 1)
 
 
 def test_one_part_polynomial_examples():

@@ -1,4 +1,4 @@
-"""The memo tables: exactly five lru_caches, and warm values equal cold ones."""
+"""The memo tables: exactly the listed lru_caches, and warm values equal cold ones."""
 
 import importlib
 import inspect
@@ -6,13 +6,14 @@ import pkgutil
 
 import qwk
 from qwk.correlators import correlator
-from qwk.hurwitz import Partition, hurwitz_correlator, one_part_number
+from qwk.hurwitz import Partition, factorization_count, hurwitz_correlator, one_part_number
 from qwk.qkdv import bracket, hamiltonian_density, integrate_hamiltonian
 from qwk.symbols import symmetrize
 
 # A change that adds or drops a memo table updates this list.
 MEMO_TABLES = {
     ("qwk.correlators", "_correlator_cached"),
+    ("qwk.hurwitz", "_transitions"),
     ("qwk.qkdv", "_hamiltonian_term"),
     ("qwk.qkdv", "_prefix"),
     ("qwk.special", "_ehrhart_cached"),
@@ -41,11 +42,12 @@ def _values():
     return ([correlator(d, g) for d, g in (([2], 1), ([1, 2], 2), ([1, 1, 3], 2))]
             + [hurwitz_correlator(d, g) for d, g in (([1, 2], 2), ([0, 1, 1, 2], 1))]
             + [one_part_number(g, Partition(mu)) for g, mu in ((1, (3,)), (2, (2, 2, 1)))]
+            + [factorization_count(2, Partition((2, 2, 1)))]
             + [hamiltonian_density(d, max_grade=2).to_json() for d in (-1, 0, 5)]
             + [symmetrize(bracket(h1, integrate_hamiltonian(h1), 1)).to_json()])
 
 
-def test_memo_tables_are_the_five_lru_caches():
+def test_memo_tables_are_the_listed_lru_caches():
     tables = _memo_tables()
     assert set(tables) == MEMO_TABLES
     # no decorated cache hides where the module walk cannot see it
