@@ -134,9 +134,17 @@ so no term with more than that many exponents off target, in all its slots,
 is ever used.  ``nested_bracket`` therefore asks the first density
 H_(d_1-1) (a left operand, target 1) for at most g - grade + n - 1 exponents
 other than 1, and the right operand Hbar_d of a bracket with L brackets after
-it (target 0 or 1) for at most g - grade + 1 + L exponents of 2 or more; the
-other orbits are never summed or written.  At the last bracket, allowed = 0
-and q <= g + 1 - grade_l - grade_r bound the same sum.
+it (target 0 or 1) for at most g - grade + 1 + L exponents of 2 or more.  At
+the last bracket, allowed = 0 and q <= g + 1 - grade_l - grade_r bound the
+same sum.  The admitted orbits are enumerated directly, never filtered from
+all of them (``_admitted_orbits``): a sorted exponent tuple is its zeros, its
+ones and its exponents of 2 or more, and the demand bounds how few ones (LEFT)
+or how many exponents of 2 or more (RIGHT) it has, so the other orbits are
+never generated, summed or written.  The memo key of a demanded term is its
+bound clamped to the most exponents a grade-g term on m slots can have off
+target: m off 1, and min(m, g) of 2 or more, since their total is at most 2g.
+Demands that admit the same orbits therefore share one term, and a grade whose
+m - k slots on 1 would pass the degree 2g is skipped without a build.
 
 Nested commutators share their intermediates.  The i-th one depends only on
 the triple (d_1..d_(i+1), g, n - i - 1): the insertions so far, the budget and
@@ -177,7 +185,11 @@ LEFT, RIGHT = (1,), (0, 1)
 def _hamiltonian_term(d: int, g: int,
                       demand: Optional[Tuple[Tuple[int, ...], int]] = None) -> Optional[SymbolTerm]:
     """The grade-g term of H_d, or with ``demand`` = (target, k) its orbits with
-    at most k exponents off target; None when no orbit is left."""
+    at most k exponents off target; None when no orbit is left.
+
+    A demanded term enumerates only its admitted orbits (``_admitted_orbits``),
+    in the order of the full build, so it equals the full term restricted.
+    """
     m = d + 2 - 2 * g
     if m < 0:
         return None
@@ -186,9 +198,9 @@ def _hamiltonian_term(d: int, g: int,
     for total in range(0, 2 * g + 1, 2):
         sig = sigma[g - total // 2]
         common = lcm(*range(1, total + 2))
-        for alpha in sorted_exponents(m, total):
-            if demand is not None and sum(x not in demand[0] for x in alpha) > demand[1]:
-                continue
+        orbits = (sorted_exponents(m, total) if demand is None
+                  else _admitted_orbits(m, total, *demand))
+        for alpha in orbits:
             # the sum over beta by |beta|/2, over prod_i (alpha_i+1)!; a slot with
             # exponent 0 or 1 gives comb / (alpha_i+1)! = 1
             big = [a for a in alpha if a > 1]
@@ -205,13 +217,33 @@ def _hamiltonian_term(d: int, g: int,
     return make_term(g, m, MultiPoly(slot_names(m), terms, _normalized=True), blocks=(m,))
 
 
+def _admitted_orbits(m: int, total: int, target: Tuple[int, ...], k: int):
+    """The sorted exponent tuples of m slots with the given total and at most k
+    exponents off target, in the order of ``sorted_exponents(m, total)``.
+
+    Such a tuple is z zeros, then o ones, then j = w - o exponents of 2 or
+    more, w = m - z, which sum to total - o >= 2j.  Off LEFT's 1 are z + j =
+    m - o of them, off RIGHT's 0 and 1 are j, so the demand is a lower bound
+    on o.  Fewer zeros, then fewer ones, come later in lexicographic order.
+    """
+    for w in range(max(0, m - k) if target == LEFT else 0, min(m, total) + 1):
+        low = max(0, 2 * w - total, m - k if target == LEFT else w - k)
+        head = (0,) * (m - w)
+        for o in range(min(total, w), low - 1, -1):
+            for big in sorted_exponents(w - o, total - o, 2):
+                yield head + (1,) * o + big
+
+
 def hamiltonian_density(d: int, max_grade: Optional[int] = None,
                         demand: Optional[Tuple[Tuple[int, ...], int]] = None) -> FourierSymbol:
     """H_d at epsilon = 0; one term per genus grade with m = d+2-2g >= 0 slots.
 
     With ``demand`` = (target, bound), target LEFT or RIGHT, the term of grade
     g keeps only the orbits with at most bound - g exponents off target, and
-    is dropped when that is negative; without it, H_d is complete.
+    is dropped when that is negative or no orbit is left; without it, H_d is
+    complete.  Each term is built under bound - g clamped to the most
+    exponents it can have off target, so every bound that admits the same
+    orbits reads one memoized term.
     """
     if d < -1:
         raise ValueError("d must be >= -1")
@@ -232,7 +264,13 @@ def hamiltonian_density(d: int, max_grade: Optional[int] = None,
         if demand is not None:
             if bound < g:
                 break
-            term_demand = (target, bound - g)
+            # clamped to the most exponents a grade-g term has off target: every
+            # slot off 1, and at most g slots of 2 or more, whose total is <= 2g
+            m = d + 2 - 2 * g
+            k = min(bound - g, m) if target == LEFT else min(bound - g, m, g)
+            if target == LEFT and m - k > 2 * g:
+                continue        # its m - k slots on 1 pass the degree 2g
+            term_demand = (target, k)
         t = _hamiltonian_term(d, g, term_demand)
         if t is not None:
             terms.append(t)

@@ -5,7 +5,9 @@ Contents:
   * the even series S(z) = sh(z/2)/(z/2) = sum z^(2l) / (4^l (2l+1)!),
     which carries every intersection-number coefficient in the engine, read
     through its coefficients s_l = 1/(4^l (2l+1)!) and the coefficients
-    sigma_k of 1/S (``sigma_coefficients``, from S * (1/S) = 1);
+    sigma_k of 1/S (``sigma_coefficients``, from S * (1/S) = 1, memoized
+    per genus grade, since every density term and Hurwitz correlator of that
+    grade reads the same values);
   * the quotient Q_g(a_1..a_n) = [z^(2g)] prod_i S(a_i z) / S(z) over the
     slots a1..an, built as ``s_quotient(g, n)`` for ``one_part_polynomial``.
     It is symmetric, and its coefficient of a^(2 lambda) is
@@ -14,8 +16,11 @@ Contents:
     (``sorted_exponents``), written on each distinct rearrangement
     (``rearrangements``, an iterative next-permutation in lexicographic
     order).  ``symbols``, the densities and ``power_of_sum`` use the same two
-    generators.  The Hurwitz numbers and correlators and the densities never
-    build it;
+    generators.  ``sorted_exponents`` recurses once per slot, but a tuple of
+    more slots than its total starts with zeros, which it writes as one
+    prefix, so it goes at most ``total`` deep, however many slots there are.
+    The Hurwitz numbers and correlators and the densities never build the
+    quotient;
   * ``power_of_sum(n, power)`` = (a_1+..+a_n)^power over the same slots,
     written in closed form, one multinomial power!/prod_i e_i! per sorted
     exponent tuple e, and memoized;
@@ -46,12 +51,17 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 from .algebra import GaussRat, MultiPoly
 
 
-def sigma_coefficients(g: int) -> List[Fraction]:
-    """sigma_0..sigma_g, sigma_k = [z^(2k)] 1/S(z), from S * (1/S) = 1 with s_l = 1/(4^l (2l+1)!)."""
+@lru_cache(maxsize=None)
+def sigma_coefficients(g: int) -> Tuple[Fraction, ...]:
+    """sigma_0..sigma_g, sigma_k = [z^(2k)] 1/S(z), from S * (1/S) = 1 with s_l = 1/(4^l (2l+1)!).
+
+    Memoized, since every density term and Hurwitz correlator of genus grade
+    g reads the same g + 1 values.
+    """
     sigma = [Fraction(1)]
     for k in range(1, g + 1):
         sigma.append(-sum(sigma[k - l] / (4 ** l * factorial(2 * l + 1)) for l in range(1, k + 1)))
-    return sigma
+    return tuple(sigma)
 
 
 def slot_names(n: int) -> Tuple[str, ...]:
@@ -82,7 +92,17 @@ def rearrangements(canon: Tuple[int, ...]):
 
 
 def sorted_exponents(n: int, total: int, low: int = 0):
-    """The ascending length-n tuples of integers >= low with the given total."""
+    """The ascending length-n tuples of integers >= low with the given total.
+
+    With low = 0 and n > total, at most ``total`` entries are nonzero, so
+    every tuple starts with n - total zeros; that prefix is written once, and
+    the recursion, one level per slot, goes at most ``total`` deep.
+    """
+    if low == 0 and n > total >= 0:
+        pad = (0,) * (n - total)
+        for rest in sorted_exponents(total, total):
+            yield pad + rest
+        return
     if n == 0:
         if total == 0:
             yield ()

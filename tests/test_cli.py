@@ -36,6 +36,15 @@ def test_correlator_with_oracle():
     assert record["match"] is True
 
 
+def test_deep_one_point_key_with_oracle():
+    # the density builds only the orbit its demand admits, and the 239-slot
+    # full build at grade 0 never recurses once per slot
+    code, out, err = run_cli("correlator", "--g", "60", "--d", "238", "--hurwitz-oracle")
+    assert code == 0, err
+    record = json.loads(out)
+    assert record["match"] is True and record["value"] == record["hurwitz"] != "0"
+
+
 def test_correlator_three_point():
     code, out, _ = run_cli("correlator", "--g", "0", "--d", "0,0,0")
     assert code == 0

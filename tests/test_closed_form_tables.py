@@ -20,7 +20,7 @@ import pytest
 
 from qwk import qkdv
 from qwk.algebra import MultiPoly
-from qwk.qkdv import _admitted_powers
+from qwk.qkdv import _admitted_powers, hamiltonian_density
 from qwk.special import (ehrhart_convolution, eulerian_polynomial, power_of_sum,
                          rearrangements, slot_names, sorted_exponents)
 
@@ -116,6 +116,16 @@ def test_power_of_sum_matches_repeated_power():
     for n, power in ((-1, 0), (2, -1)):
         with pytest.raises(ValueError, match="must be >= 0"):
             power_of_sum(n, power)
+
+
+def test_many_slots_stay_within_recursion_depth():
+    # sorted_exponents writes the leading zeros of a tuple of more slots than
+    # its total as one prefix, so 1000 or 1002 slots recurse at most 2 deep
+    assert list(sorted_exponents(1000, 2)) == [(0,) * 998 + (0, 2), (0,) * 998 + (1, 1)]
+    linear = power_of_sum(1000, 1)
+    assert len(linear.terms) == 1000 and {c.re for c in linear.terms.values()} == {1}
+    constant, = hamiltonian_density(1000, max_grade=0).terms
+    assert list(constant.coeff.terms) == [(0,) * 1002]
 
 
 def test_ehrhart_convolution_matches_linear_factor_products():

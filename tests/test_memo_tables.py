@@ -8,6 +8,7 @@ import qwk
 from qwk.correlators import correlator
 from qwk.hurwitz import Partition, factorization_count, hurwitz_correlator, one_part_number
 from qwk.qkdv import bracket, hamiltonian_density, integrate_hamiltonian
+from qwk.special import sigma_coefficients
 from qwk.symbols import symmetrize
 
 # A change that adds or drops a memo table updates this list.
@@ -18,6 +19,7 @@ MEMO_TABLES = {
     ("qwk.qkdv", "_prefix"),
     ("qwk.special", "_ehrhart_cached"),
     ("qwk.special", "power_of_sum"),
+    ("qwk.special", "sigma_coefficients"),
 }
 
 
@@ -43,6 +45,7 @@ def _values():
             + [hurwitz_correlator(d, g) for d, g in (([1, 2], 2), ([0, 1, 1, 2], 1))]
             + [one_part_number(g, Partition(mu)) for g, mu in ((1, (3,)), (2, (2, 2, 1)))]
             + [factorization_count(2, Partition((2, 2, 1)))]
+            + [sigma_coefficients(g) for g in (0, 3)]
             + [hamiltonian_density(d, max_grade=2).to_json() for d in (-1, 0, 5)]
             + [symmetrize(bracket(h1, integrate_hamiltonian(h1), 1)).to_json()])
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qwk.algebra import GaussRat, I, MultiPoly
-from qwk.correlators import correlator_tau0
+from qwk.correlators import correlator, correlator_tau0
 from qwk.diffpoly import d_dp0
 from qwk.hurwitz import hurwitz_correlator
 from qwk.qkdv import (LEFT, RIGHT, _hamiltonian_term, _nested, _picker, _prefix, _split,
@@ -213,6 +213,19 @@ def test_top_of_degree_window_is_nonzero(g, n):
     value = correlator_tau0(d_list, g)
     assert value != 0
     assert value == hurwitz_correlator((0,) + d_list, g)
+
+
+@pytest.mark.parametrize("g", (10, 15, 20))
+def test_one_point_key_at_top_of_window_builds_one_orbit(g):
+    # <tau_(4g-2)> = <tau_0 tau_(4g-1)> reads H_(4g-2), asked for at most g - t
+    # exponents off 1 at grade t, on 4g - 2t slots; 3g - t of them on 1 fit
+    # the degree 2t only at t = g, whose one orbit is 2g ones
+    _hamiltonian_term.cache_clear()
+    value = correlator((4 * g - 2,), g)
+    assert value != 0 and value == hurwitz_correlator((4 * g - 2,), g)
+    assert _hamiltonian_term.cache_info().misses == 1
+    term = _hamiltonian_term(4 * g - 2, g, (LEFT, 0))
+    assert list(term.coeff.terms) == [(1,) * (2 * g)]
 
 
 @pytest.mark.parametrize("d_list, g", [((3, 2), 2), ((9, 4, 2), 2)])

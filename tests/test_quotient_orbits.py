@@ -15,6 +15,8 @@ import random
 from fractions import Fraction
 from math import factorial
 
+import pytest
+
 from qwk.algebra import MultiPoly
 from qwk.hurwitz import hurwitz_correlator
 from qwk.qkdv import LEFT, RIGHT, _hamiltonian_term, hamiltonian_density
@@ -100,27 +102,72 @@ def test_density_terms_match_substitution():
 
 def test_demanded_density_is_full_density_restricted():
     # the term of grade t keeps exactly the monomials with at most bound - t
-    # exponents off target, and is dropped when none is left
+    # exponents off target, in the full term's order, and is dropped when none
+    # is left; the bounds run past every grade's slot count, so past the clamp
     restricted = 0
-    for g in range(4):
-        for d in range(-1, 13):
-            full = {t.grade: t for t in hamiltonian_density(d, max_grade=g).terms}
-            for target in (LEFT, RIGHT):
-                for bound in range(g + 4):
-                    got = hamiltonian_density(d, max_grade=g, demand=(target, bound)).terms
-                    expect = {}
-                    for grade, t in full.items():
-                        kept = {e: c for e, c in t.coeff.terms.items()
-                                if sum(x not in target for x in e) <= bound - grade}
-                        if kept:
-                            expect[grade] = kept
-                    assert [t.grade for t in got] == sorted(expect), (d, g, target, bound)
-                    for t in got:
-                        f = full[t.grade]
-                        assert (t.m, t.blocks, t.coeff.variables) == (f.m, f.blocks, f.coeff.variables)
-                        assert t.coeff.terms == expect[t.grade], (d, g, target, bound, t.grade)
-                        restricted += len(t.coeff.terms) < len(f.coeff.terms)
-    assert restricted > 100
+    for d in range(-1, 17):
+        full = {t.grade: t for t in hamiltonian_density(d, max_grade=6).terms}
+        for target in (LEFT, RIGHT):
+            off = {grade: {e: sum(x not in target for x in e) for e in t.coeff.terms}
+                   for grade, t in full.items()}
+            kept, checked = {}, {}
+            for bound in range(d + 10):
+                got = hamiltonian_density(d, max_grade=6, demand=(target, bound)).terms
+                expect = {}
+                for grade, t in full.items():
+                    k = min(bound - grade, t.m)     # no term has more than m off target
+                    if (grade, k) not in kept:
+                        kept[grade, k] = {e: c for e, c in t.coeff.terms.items()
+                                          if off[grade][e] <= k}
+                    if kept[grade, k]:
+                        expect[grade] = (grade, k)
+                assert [t.grade for t in got] == sorted(expect), (d, target, bound)
+                for t in got:
+                    # a term shared with a smaller bound was compared there
+                    if checked.get(expect[t.grade]) is t:
+                        continue
+                    f = full[t.grade]
+                    assert (t.m, t.blocks, t.coeff.variables) == (f.m, f.blocks, f.coeff.variables)
+                    expect_terms = kept[expect[t.grade]]
+                    assert list(t.coeff.terms) == list(expect_terms), (d, target, bound, t.grade)
+                    # each build writes one value object per orbit on all its
+                    # rearrangements, so each pair of value objects is compared once
+                    pairs = {(id(a), id(b)): (a, b)
+                             for a, b in zip(t.coeff.terms.values(), expect_terms.values())}
+                    assert all(a == b for a, b in pairs.values()), (d, target, bound, t.grade)
+                    checked[expect[t.grade]] = t
+                    restricted += len(t.coeff.terms) < len(f.coeff.terms)
+                for g in range(6):
+                    lower = hamiltonian_density(d, max_grade=g, demand=(target, bound)).terms
+                    assert lower == tuple(t for t in got if t.grade <= g), (d, g, target, bound)
+    assert restricted > 300
+
+
+@pytest.mark.parametrize("d, max_grade, demands, misses", [
+    # grade 0 of H_5 has 7 slots and no exponent of 2 or more
+    (5, 0, ((RIGHT, 0), (RIGHT, 5)), 1),
+    # grade 0 of H_2 has 4 slots, so at most 4 exponents off 1
+    (2, 0, ((LEFT, 4), (LEFT, 7)), 1),
+    # grades 0, 1, 2 of H_6 have at most 0, 1, 2 exponents of 2 or more
+    (6, 2, ((RIGHT, 4), (RIGHT, 10)), 3),
+])
+def test_demands_that_clamp_alike_share_one_term(d, max_grade, demands, misses):
+    _hamiltonian_term.cache_clear()
+    first, second = (hamiltonian_density(d, max_grade=max_grade, demand=demand)
+                     for demand in demands)
+    assert second.terms == first.terms and len(first.terms) == misses
+    info = _hamiltonian_term.cache_info()
+    assert (info.misses, info.hits) == (misses, misses)
+
+
+def test_left_demand_no_orbit_meets_builds_nothing():
+    # every orbit of grade t of H_9 keeps at least 11 - 2t - (1 - t) slots on
+    # 1, more than the degree 2t allows
+    _hamiltonian_term.cache_clear()
+    assert hamiltonian_density(9, max_grade=1, demand=(LEFT, 1)).terms == ()
+    assert _hamiltonian_term.cache_info().misses == 0
+    for grade in range(2):
+        assert _hamiltonian_term(9, grade, (LEFT, 1 - grade)) is None
 
 
 def test_hurwitz_correlator_matches_full_product(monkeypatch):
