@@ -519,3 +519,10 @@ class Record:
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{type(self).__name__}({fields})"
+
+
+def require_ints(what: str, values) -> None:
+    """Refuse any value that is not an int, bools included, naming it as ``what``."""
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise ValueError(f"{what} {v!r} is not an integer")

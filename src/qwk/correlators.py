@@ -28,7 +28,7 @@ from itertools import combinations_with_replacement
 from math import factorial
 from typing import Dict, Optional, Sequence, Tuple
 
-from .algebra import I_POWERS, GaussRat, Rat, Record
+from .algebra import I_POWERS, GaussRat, Rat, Record, require_ints
 from .qkdv import nested_bracket
 
 
@@ -75,6 +75,9 @@ def correlator_tau0(rest: Sequence[int], g: int) -> Rat:
 
 def correlator(d: Sequence[int], g: int) -> Rat:
     """<tau_{d_1}..tau_{d_n}>_{0,g} for any list of insertions (possibly empty)."""
+    d = tuple(d)
+    require_ints("genus grade", (g,))
+    require_ints("insertion", d)
     key = tuple(sorted(d, reverse=True))
     if g < 0 or any(x < 0 for x in key):
         raise ValueError("negative genus grade or insertion")

@@ -8,7 +8,9 @@ branch points) is
 a polynomial in the parts.  ``one_part_number`` reads it at one partition
 without building that polynomial: in w = z^2 each S(mu_i z), truncated at
 w^g, is an integer list over the one denominator D = 4^g (2g+1)!, the lists
-are multiplied over the parts, and an integer recurrence divides by S, so
+are multiplied over the parts, and [w^g] of their product with 1/S is summed
+against the coefficients of 1/S that the densities and the Hurwitz
+correlators read (``special.sigma_coefficients``), with no division by S, so
 the value is one ``Fraction``.  Only ``one_part_polynomial`` builds the
 polynomial.  Its quotient is ``special.s_quotient`` (the Hamiltonian
 densities are the same quotient on one more slot, summed in closed form by
@@ -51,10 +53,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
 from typing import Dict, List, Sequence, Tuple
 
-from .algebra import MultiPoly, Rat, Record
+from .algebra import MultiPoly, Rat, Record, require_ints
 from .special import power_of_sum, quotient_rows, s_quotient, sigma_coefficients
 
 DEFAULT_DEGREE_CAP = 20
@@ -66,9 +68,7 @@ class Partition(Record):
     __slots__ = ("parts",)
 
     def __init__(self, parts: Sequence[int]):
-        for p in parts:
-            if isinstance(p, bool) or not isinstance(p, int):
-                raise ValueError(f"part {p!r} is not an integer")
+        require_ints("part", parts)
         if not parts or any(p < 1 for p in parts):
             raise ValueError("parts must be positive")
         object.__setattr__(self, "parts", tuple(sorted(parts, reverse=True)))
@@ -96,8 +96,9 @@ def one_part_number(g: int, mu: Partition) -> Rat:
     part), where d^(r-1) is the rational 1/d.  The series are integer lists
     in w = z^2 over the one denominator D = 4^g (2g+1)!: S(mu_i z) is
     t_l mu_i^(2l) / D with t_l = D / (4^l (2l+1)!), so their product P
-    carries D^n, and R_k = P_k D^k - sum_{l>=1} t_l D^(l-1) R_(k-l) divides
-    it by S, with [w^g] of the quotient equal to R_g / D^(n+g).
+    carries D^n.  With sigma_k the coefficients of 1/S (``sigma_coefficients``)
+    as integers over the lcm of their denominators, [w^g] of the quotient is
+    sum_k sigma_(g-k) P_k over that lcm times D^n.
     """
     if g < 0:
         raise ValueError("negative genus grade")
@@ -111,11 +112,10 @@ def one_part_number(g: int, mu: Partition) -> Rat:
     for part in mu.parts:
         series = [t[l] * part ** (2 * l) for l in range(g + 1)]
         prod = [sum(prod[j] * series[k - j] for j in range(k + 1)) for k in range(g + 1)]
-    rem = []
-    for k in range(g + 1):
-        rem.append(prod[k] * big ** k
-                   - sum(t[l] * big ** (l - 1) * rem[k - l] for l in range(1, k + 1)))
-    num, den = rem[g] * factorial(r), big ** (n + g)
+    sigma = sigma_coefficients(g)
+    common = lcm(*(s.denominator for s in sigma))
+    num = sum(s.numerator * (common // s.denominator) * p for s, p in zip(reversed(sigma), prod))
+    num, den = num * factorial(r), common * big ** n
     if r:
         num *= mu.degree ** (r - 1)
     else:
@@ -135,6 +135,8 @@ def hurwitz_correlator(d: Sequence[int], g: int) -> Fraction:
     ``special.quotient_rows(d)``.
     """
     d = tuple(d)
+    require_ints("genus grade", (g,))
+    require_ints("insertion", d)
     if g < 0 or any(x < 0 for x in d):
         raise ValueError("negative genus grade or insertion")
     n = len(d)

@@ -24,6 +24,7 @@ through the relation s*(1-t) = 1 at the end.
 from __future__ import annotations
 
 import random
+from itertools import combinations
 from fractions import Fraction
 from math import factorial
 from typing import Dict, List, Mapping, Sequence, Tuple
@@ -323,7 +324,7 @@ def check_sinh_formula(n: int, a: Sequence[int], b: int, order: int) -> Identity
         return out
 
     lhs = MultiPoly(basis)
-    subsets = [T for T in _subsets(range(1, n + 1)) if T]
+    subsets = [T for k in range(1, n + 1) for T in combinations(range(1, n + 1), k)]
     for T in subsets:
         for js in _compositions(b, len(T)):
             j_of = dict(zip(T, js))
@@ -351,31 +352,13 @@ def check_sinh_formula(n: int, a: Sequence[int], b: int, order: int) -> Identity
                           order, _discrepancy(lhs - rhs))
 
 
-def _subsets(items) -> List[Tuple]:
-    items = list(items)
-    out: List[Tuple] = [()]
-    for x in items:
-        out += [s + (x,) for s in out]
-    return out
-
-
 def _compositions(total: int, parts: int) -> List[Tuple[int, ...]]:
-    """Compositions of ``total`` into ``parts`` positive parts."""
-    if parts == 0:
-        return [()] if total == 0 else []
+    """Compositions of ``total`` into ``parts`` >= 1 positive parts, read off
+    their parts - 1 cut points in 1..total-1; none when total < parts."""
     if total < parts:
         return []
-    out = []
-
-    def rec(remaining, left, acc):
-        if left == 1:
-            out.append(tuple(acc + [remaining]))
-            return
-        for k in range(1, remaining - left + 2):
-            rec(remaining - k, left - 1, acc + [k])
-
-    rec(total, parts, [])
-    return out
+    return [tuple(b - a for a, b in zip((0,) + cuts, cuts + (total,)))
+            for cuts in combinations(range(1, total), parts - 1)]
 
 
 # ----------------------------------------------------------------------

@@ -137,12 +137,13 @@ other than 1, and the right operand Hbar_d of a bracket with L brackets after
 it (target 0 or 1) for at most g - grade + 1 + L exponents of 2 or more.  At
 the last bracket, allowed = 0 and q <= g + 1 - grade_l - grade_r bound the
 same sum.  The admitted orbits are enumerated directly, never filtered from
-all of them (``_admitted_orbits``): a sorted exponent tuple is its zeros, its
-ones and its exponents of 2 or more, and the demand bounds how few ones (LEFT)
-or how many exponents of 2 or more (RIGHT) it has, so the other orbits are
-never generated, summed or written.  The memo key of a demanded term is its
-bound clamped to the most exponents a grade-g term on m slots can have off
-target: m off 1, and min(m, g) of 2 or more, since their total is at most 2g.
+all of them: ``special.sorted_exponents`` writes a sorted exponent tuple as its
+zeros, its ones and its exponents of 2 or more, and the demand bounds how few
+ones (LEFT) or how many exponents of 2 or more (RIGHT) it has, so the other
+orbits are never generated, summed or written.  The memo key of a demanded
+term is its bound clamped to the most exponents a grade-g term on m slots can
+have off target: m off 1, and min(m, g) of 2 or more, since their total is at
+most 2g.
 Demands that admit the same orbits therefore share one term, and a grade whose
 m - k slots on 1 would pass the degree 2g is skipped without a build.
 
@@ -165,7 +166,7 @@ from math import comb, factorial, lcm, perm
 from operator import add, itemgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .algebra import I_POWERS, GaussRat, MultiPoly, Scalar
+from .algebra import I_POWERS, GaussRat, MultiPoly, Scalar, require_ints
 from .special import (ehrhart_convolution, power_of_sum, quotient_rows, rearrangements,
                       sigma_coefficients, slot_names, sorted_exponents)
 from .symbols import (DENSITY, INTEGRATED, FourierSymbol, SymbolTerm,
@@ -187,20 +188,23 @@ def _hamiltonian_term(d: int, g: int,
     """The grade-g term of H_d, or with ``demand`` = (target, k) its orbits with
     at most k exponents off target; None when no orbit is left.
 
-    A demanded term enumerates only its admitted orbits (``_admitted_orbits``),
-    in the order of the full build, so it equals the full term restricted.
+    A demanded term enumerates only its admitted orbits, in the order of the
+    full build, so it equals the full term restricted: off LEFT's 1 are all
+    but the ones, off RIGHT's 0 and 1 the exponents of 2 or more.
     """
     m = d + 2 - 2 * g
     if m < 0:
         return None
+    min_ones, max_big = 0, None
+    if demand is not None:
+        target, k = demand
+        min_ones, max_big = (m - k, None) if target == LEFT else (0, k)
     sigma = sigma_coefficients(g)
     terms = {}
     for total in range(0, 2 * g + 1, 2):
         sig = sigma[g - total // 2]
         common = lcm(*range(1, total + 2))
-        orbits = (sorted_exponents(m, total) if demand is None
-                  else _admitted_orbits(m, total, *demand))
-        for alpha in orbits:
+        for alpha in sorted_exponents(m, total, min_ones, max_big):
             # the sum over beta by |beta|/2, over prod_i (alpha_i+1)!; a slot with
             # exponent 0 or 1 gives comb / (alpha_i+1)! = 1
             big = [a for a in alpha if a > 1]
@@ -215,23 +219,6 @@ def _hamiltonian_term(d: int, g: int,
     if not terms:
         return None
     return make_term(g, m, MultiPoly(slot_names(m), terms, _normalized=True), blocks=(m,))
-
-
-def _admitted_orbits(m: int, total: int, target: Tuple[int, ...], k: int):
-    """The sorted exponent tuples of m slots with the given total and at most k
-    exponents off target, in the order of ``sorted_exponents(m, total)``.
-
-    Such a tuple is z zeros, then o ones, then j = w - o exponents of 2 or
-    more, w = m - z, which sum to total - o >= 2j.  Off LEFT's 1 are z + j =
-    m - o of them, off RIGHT's 0 and 1 are j, so the demand is a lower bound
-    on o.  Fewer zeros, then fewer ones, come later in lexicographic order.
-    """
-    for w in range(max(0, m - k) if target == LEFT else 0, min(m, total) + 1):
-        low = max(0, 2 * w - total, m - k if target == LEFT else w - k)
-        head = (0,) * (m - w)
-        for o in range(min(total, w), low - 1, -1):
-            for big in sorted_exponents(w - o, total - o, 2):
-                yield head + (1,) * o + big
 
 
 def hamiltonian_density(d: int, max_grade: Optional[int] = None,
@@ -598,6 +585,8 @@ def nested_bracket(d_list: Sequence[int], g: int) -> Dict[int, GaussRat]:
     d_list = tuple(d_list)
     if not d_list:
         raise ValueError("empty insertion list")
+    require_ints("genus grade", (g,))
+    require_ints("insertion", d_list)
     if any(d < 0 for d in d_list):
         raise ValueError("insertions must be >= 0")
     if g < 0:
@@ -645,8 +634,6 @@ def _string_point_bracket(left: FourierSymbol, right: FourierSymbol,
     one term, its survivors all 1, read by struck exponents k_l; each right
     split is summed once by (k_r, z), z its zero survivors, as ``_by_zeros``.
     """
-    # the Ehrhart tables by k, shared by the strikes of this call
-    tables: Dict[tuple, Dict[tuple, GaussRat]] = {}
     # per (grade, power of i), (-i)^m = i^(-m) for m output slots, applied at the end
     sums: Dict[Tuple[int, int], Scalar] = {}
     for tl, m_r, den, grade, counts, _, ls, rs in _strikes(left, right, max_grade, 0, _by_zeros):
@@ -661,9 +648,7 @@ def _string_point_bracket(left: FourierSymbol, right: FourierSymbol,
         de = factorial(q - 1 + max(map(sum, by_k)))
         num = 0
         for k, by_z in by_k.items():
-            table = tables.get(k)
-            if table is None:
-                table = tables[k] = ehrhart_convolution(k).terms
+            table = ehrhart_convolution(k).terms
             for z, c in by_z.items():
                 cn = table.get((z,))
                 if c and cn is not None:

@@ -6,8 +6,8 @@ Contents:
     which carries every intersection-number coefficient in the engine, read
     through its coefficients s_l = 1/(4^l (2l+1)!) and the coefficients
     sigma_k of 1/S (``sigma_coefficients``, from S * (1/S) = 1, memoized
-    per genus grade, since every density term and Hurwitz correlator of that
-    grade reads the same values);
+    per genus grade, since every density term, Hurwitz correlator and
+    one-part Hurwitz number of that grade reads the same values);
   * the quotient Q_g(a_1..a_n) = [z^(2g)] prod_i S(a_i z) / S(z) over the
     slots a1..an, built as ``s_quotient(g, n)`` for ``one_part_polynomial``.
     It is symmetric, and its coefficient of a^(2 lambda) is
@@ -16,16 +16,18 @@ Contents:
     (``sorted_exponents``), written on each distinct rearrangement
     (``rearrangements``, an iterative next-permutation in lexicographic
     order).  ``symbols``, the densities and ``power_of_sum`` use the same two
-    generators.  ``sorted_exponents`` recurses once per slot, but a tuple of
-    more slots than its total starts with zeros, which it writes as one
-    prefix, so it goes at most ``total`` deep, however many slots there are.
-    The Hurwitz numbers and correlators and the densities never build the
-    quotient;
+    generators.  ``sorted_exponents`` writes a tuple as its zeros, its ones
+    and its exponents of 2 or more, and takes a lower bound on the ones and
+    an upper bound on the rest, which the densities' demands set.  Only the
+    exponents of 2 or more recurse, one level each, so it goes at most
+    total/2 deep, however many slots there are.  The Hurwitz numbers and
+    correlators and the densities never build the quotient;
   * ``power_of_sum(n, power)`` = (a_1+..+a_n)^power over the same slots,
     written in closed form, one multinomial power!/prod_i e_i! per sorted
     exponent tuple e, and memoized;
-  * Eulerian polynomials E_n(t) via the descent recurrence, one row per
-    call (the memoized Ehrhart table below is their only hot reader);
+  * Eulerian polynomials E_n(t) via the descent recurrence, built row by
+    row in a loop on each call (the memoized Ehrhart table below is their
+    only hot reader);
   * the power-sum convolution C^r(N) = sum over compositions
     k_1+...+k_q = N (k_i >= 1) of prod k_i^(r_i), expanded as an exact
     polynomial in N through the Carlitz identity
@@ -55,8 +57,8 @@ from .algebra import GaussRat, MultiPoly
 def sigma_coefficients(g: int) -> Tuple[Fraction, ...]:
     """sigma_0..sigma_g, sigma_k = [z^(2k)] 1/S(z), from S * (1/S) = 1 with s_l = 1/(4^l (2l+1)!).
 
-    Memoized, since every density term and Hurwitz correlator of genus grade
-    g reads the same g + 1 values.
+    Memoized, since every density term, Hurwitz correlator and one-part
+    Hurwitz number of genus grade g reads the same g + 1 values.
     """
     sigma = [Fraction(1)]
     for k in range(1, g + 1):
@@ -91,24 +93,34 @@ def rearrangements(canon: Tuple[int, ...]):
         a[i + 1:] = a[:i:-1]
 
 
-def sorted_exponents(n: int, total: int, low: int = 0):
-    """The ascending length-n tuples of integers >= low with the given total.
+def sorted_exponents(n: int, total: int, min_ones: int = 0, max_big: Optional[int] = None):
+    """The ascending length-n tuples of integers >= 0 with the given total, at
+    least ``min_ones`` of them 1 and, when given, at most ``max_big`` of them
+    2 or more, in lexicographic order.
 
-    With low = 0 and n > total, at most ``total`` entries are nonzero, so
-    every tuple starts with n - total zeros; that prefix is written once, and
-    the recursion, one level per slot, goes at most ``total`` deep.
+    Such a tuple is z zeros, then o ones, then j = w - o exponents of 2 or
+    more, w = n - z, which sum to total - o >= 2j.  Fewer zeros, then fewer
+    ones, come later in lexicographic order, and only the last part recurses
+    (``_big_exponents``), so the depth is at most total/2 however many slots
+    there are.
     """
-    if low == 0 and n > total >= 0:
-        pad = (0,) * (n - total)
-        for rest in sorted_exponents(total, total):
-            yield pad + rest
-        return
-    if n == 0:
+    min_ones = max(0, min_ones)
+    for w in range(min_ones, min(n, total) + 1):
+        head = (0,) * (n - w)
+        low = max(min_ones, 2 * w - total, 0 if max_big is None else w - max_big)
+        for o in range(min(total, w), low - 1, -1):
+            for big in _big_exponents(w - o, total - o, 2):
+                yield head + (1,) * o + big
+
+
+def _big_exponents(j: int, total: int, low: int):
+    """The ascending length-j tuples of integers >= low with the given total."""
+    if j == 0:
         if total == 0:
             yield ()
         return
-    for x in range(low, total // n + 1):
-        for rest in sorted_exponents(n - 1, total - x, x):
+    for x in range(low, total // j + 1):
+        for rest in _big_exponents(j - 1, total - x, x):
             yield (x,) + rest
 
 
@@ -154,15 +166,14 @@ def quotient_rows(exponents: Iterable[int], top: Optional[int] = None) -> List[i
 # Eulerian polynomials
 
 def _euler_row(n: int) -> Tuple[int, ...]:
-    """Descent counts <n,k> for k < max(n, 1), by the Eulerian recurrence."""
+    """Descent counts <n,k> for k < max(n, 1), by the Eulerian recurrence, row by row."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n == 0:
-        return (1,)
-    prev = _euler_row(n - 1)
-    return tuple((k + 1) * (prev[k] if k < len(prev) else 0)
-                 + (n - k) * (prev[k - 1] if k >= 1 else 0)
-                 for k in range(n))
+    row = [1]
+    for i in range(1, n + 1):
+        row = [(k + 1) * (row[k] if k < len(row) else 0) + (i - k) * (row[k - 1] if k else 0)
+               for k in range(i)]
+    return tuple(row)
 
 
 def eulerian_number(n: int, k: int) -> int:

@@ -119,8 +119,9 @@ def test_power_of_sum_matches_repeated_power():
 
 
 def test_many_slots_stay_within_recursion_depth():
-    # sorted_exponents writes the leading zeros of a tuple of more slots than
-    # its total as one prefix, so 1000 or 1002 slots recurse at most 2 deep
+    # sorted_exponents writes a tuple's zeros and ones without recursion and
+    # recurses once per exponent of 2 or more, so 1000 or 1002 slots recurse
+    # at most total/2 = 1 deep
     assert list(sorted_exponents(1000, 2)) == [(0,) * 998 + (0, 2), (0,) * 998 + (1, 1)]
     linear = power_of_sum(1000, 1)
     assert len(linear.terms) == 1000 and {c.re for c in linear.terms.values()} == {1}

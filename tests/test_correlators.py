@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,8 @@ from hypothesis import strategies as st
 from qwk.correlators import (CorrelatorKey, _correlator_cached, constant_term,
                              correlator, correlator_table, correlator_tau0,
                              series_coefficient, vanishes_by_level)
+from qwk.hurwitz import hurwitz_correlator
+from qwk.qkdv import nested_bracket
 
 
 def test_tau0_route_examples():
@@ -20,6 +23,18 @@ def test_tau0_route_examples():
     assert correlator_tau0([7], 2) == Fraction(1, 1920)
     with pytest.raises(ValueError):
         correlator_tau0([], 1)
+
+
+@pytest.mark.parametrize("fn", [correlator, hurwitz_correlator, nested_bracket])
+@pytest.mark.parametrize("d, g, bad", [
+    ([1.5], 1, "insertion 1.5"), ([3.0], 1, "insertion 3.0"), ([2, True], 1, "insertion True"),
+    ([1, Fraction(2)], 2, "insertion Fraction(2, 1)"), ([1, 2], 2.5, "genus grade 2.5"),
+    ([2], True, "genus grade True"),
+])
+def test_keys_that_are_not_integers_are_refused(fn, d, g, bad):
+    # these used to read as 0, or as the integer key they equal
+    with pytest.raises(ValueError, match=re.escape(f"{bad} is not an integer")):
+        fn(d, g)
 
 
 def test_correlator_examples():

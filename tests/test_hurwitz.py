@@ -24,6 +24,7 @@ from qwk.hurwitz import (DEFAULT_DEGREE_CAP, Partition, _cut_and_join, _transiti
                          aut_factor, factorization_count, factorization_counts,
                          hurwitz_correlator, one_part_number, one_part_polynomial,
                          partitions_of)
+from qwk.series import s_series, s_series_of, series_inverse, series_product
 from qwk.special import s_quotient, slot_names
 
 
@@ -142,6 +143,19 @@ def test_one_part_number_matches_quotient_polynomial():
         assert one_part_number(0, mu) == _one_part_number_by_quotient(0, mu) == 1, parts
     mu = Partition((1,) * 20)
     assert one_part_number(5, mu) == _one_part_number_by_quotient(5, mu)
+
+
+@pytest.mark.parametrize("g", [20, 40, 60])
+def test_deep_one_part_number_matches_series_quotient(g):
+    # r! d^(r-1) [z^(2g)] prod S(mu_i z) / S(z), the quotient by truncated
+    # rational series with 1/S from series_inverse
+    for parts in ((4 * g - 2,), (2 * g, 2 * g - 3, 1)):
+        quotient = series_inverse(s_series(2 * g))
+        for part in parts:
+            quotient = series_product(quotient, s_series_of(Fraction(part), 2 * g))
+        r = 2 * g - 1 + len(parts)
+        expect = factorial(r) * sum(parts) ** (r - 1) * quotient[2 * g]
+        assert one_part_number(g, Partition(parts)) == expect, (g, parts)
 
 
 def test_multiplicity_count_matches_sorted_type_count():

@@ -67,13 +67,21 @@ def _hurwitz_correlator_by_product(d, g, products):
 
 
 def test_orbit_primitive_against_brute_force():
-    for n in range(5):
-        for total in range(7):
+    for n in range(7):
+        for total in range(9):
             expect = sorted({tuple(sorted(e))
                              for e in itertools.product(range(total + 1), repeat=n)
                              if sum(e) == total})
             got = list(sorted_exponents(n, total))
             assert got == expect, (n, total)
+            # the bounds a demanded density passes: at least min_ones ones, at
+            # most max_big exponents of 2 or more; a negative min_ones binds nothing
+            for min_ones in range(-1, n + 1):
+                for max_big in (None, *range(n + 1)):
+                    bounded = [e for e in expect if e.count(1) >= min_ones
+                               and (max_big is None or sum(x > 1 for x in e) <= max_big)]
+                    assert list(sorted_exponents(n, total, min_ones, max_big)) == bounded, \
+                        (n, total, min_ones, max_big)
             for canon in got:
                 orbit = list(rearrangements(canon))
                 assert len(orbit) == len(set(orbit))

@@ -131,6 +131,11 @@ def test_eulerian_polynomials_against_descent_enumeration():
     assert eulerian_number(5, 1) == 26
 
 
+def test_eulerian_rows_are_built_without_recursion():
+    # <n,1> = 2^n - n - 1; rows used to recurse once per n
+    assert eulerian_number(2000, 1) == 2**2000 - 2001
+
+
 def test_eulerian_cache_concurrent_growth():
     # rows must come out right when many threads ask for them at once
     from concurrent.futures import ThreadPoolExecutor
