@@ -47,8 +47,8 @@ _UNSET = object()
 
 # every memo table of the engine; runtime_ms means little without their state
 _MEMO_TABLES = (_qkdv._hamiltonian_term, _qkdv._prefix, _special._ehrhart_cached,
-                _special.power_of_sum, _special.sigma_coefficients,
-                _correlators._correlator_cached, _hurwitz._transitions)
+                _special.power_of_sum, _special.genus_table,
+                _correlators._correlator_cached, _hurwitz._walk_state)
 
 
 def _memo_state() -> str:

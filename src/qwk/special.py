@@ -5,9 +5,11 @@ Contents:
   * the even series S(z) = sh(z/2)/(z/2) = sum z^(2l) / (4^l (2l+1)!),
     which carries every intersection-number coefficient in the engine, read
     through its coefficients s_l = 1/(4^l (2l+1)!) and the coefficients
-    sigma_k of 1/S (``sigma_coefficients``, from S * (1/S) = 1, memoized
-    per genus grade, since every density term, Hurwitz correlator and
-    one-part Hurwitz number of that grade reads the same values);
+    sigma_k of 1/S (``sigma_coefficients``), in closed form from the tangent
+    numbers.  Both lists, to w^g, sit in one table per genus grade
+    (``genus_table``, memoized, since every density term, Hurwitz
+    correlator and one-part Hurwitz number of that grade reads the same
+    values), as ``Fraction``s and as integers over one denominator each;
   * the quotient Q_g(a_1..a_n) = [z^(2g)] prod_i S(a_i z) / S(z) over the
     slots a1..an, built as ``s_quotient(g, n)`` for ``one_part_polynomial``.
     It is symmetric, and its coefficient of a^(2 lambda) is
@@ -32,9 +34,11 @@ Contents:
     k_1+...+k_q = N (k_i >= 1) of prod k_i^(r_i), expanded as an exact
     polynomial in N through the Carlitz identity
         sum_{k>=1} k^d t^k = t E_d(t) / (1-t)^(d+1).
-    The Eulerian numerator prod_i t E_(r_i)(t) is a polynomial product; the
-    sum of its coefficients against binomials in N is kept as integer
-    coefficient lists over the one denominator (D-1)!, D = q + sum(r).
+    The Eulerian numerator prod_i t E_(r_i)(t) is a polynomial product,
+    D = q + sum(r) prefix sums divide it by (1-t)^D, and the polynomial is
+    interpolated from D consecutive coefficients by forward differences,
+    as integer coefficients over the one denominator (D-1)!, in O(D^2)
+    steps.
 
 C^r(N) has degree q-1+sum(r) and all its monomials share the parity of that
 degree; both facts are asserted at construction because the commutator
@@ -47,23 +51,71 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from itertools import accumulate
+from math import comb, factorial, lcm
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .algebra import GaussRat, MultiPoly
+from .algebra import GaussRat, MultiPoly, Record
+
+
+class GenusTable(Record):
+    """The coefficients of S and 1/S to w^g (w = z^2) at one genus grade g.
+
+    ``sigma`` holds sigma_0..sigma_g as ``Fraction``s, ``sigma_num`` the
+    same as integers over their lcm ``sigma_den``; ``s_num`` holds
+    s_0..s_g, s_l = 1/(4^l (2l+1)!), as integers over ``s_den`` =
+    4^g (2g+1)!, the one denominator of the one-part Hurwitz numbers.
+    """
+
+    __slots__ = ("sigma", "sigma_num", "sigma_den", "s_num", "s_den")
+
+    def __init__(self, sigma, sigma_num, sigma_den, s_num, s_den):
+        for name, value in zip(self.__slots__, (sigma, sigma_num, sigma_den, s_num, s_den)):
+            object.__setattr__(self, name, value)
 
 
 @lru_cache(maxsize=None)
-def sigma_coefficients(g: int) -> Tuple[Fraction, ...]:
-    """sigma_0..sigma_g, sigma_k = [z^(2k)] 1/S(z), from S * (1/S) = 1 with s_l = 1/(4^l (2l+1)!).
+def genus_table(g: int) -> GenusTable:
+    """The coefficients of S and 1/S to genus grade g, built once per g.
 
+    1/S(z) = (z/2)/sinh(z/2), so sigma_k = (2 - 4^k) B_(2k) / ((2k)! 4^k);
+    with B_(2k) = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)), T_k the tangent
+    numbers 1, 2, 16, 272, .. (``_tangent_numbers``), that is
+    sigma_k = (-1)^k (4^k - 2) T_k / ((4^k - 1) (2k-1)! 16^k) for k >= 1.
     Memoized, since every density term, Hurwitz correlator and one-part
-    Hurwitz number of genus grade g reads the same g + 1 values.
+    Hurwitz number of genus grade g reads the same table.
     """
     sigma = [Fraction(1)]
-    for k in range(1, g + 1):
-        sigma.append(-sum(sigma[k - l] / (4 ** l * factorial(2 * l + 1)) for l in range(1, k + 1)))
-    return tuple(sigma)
+    fact = 1                                  # (2k-1)!
+    for k, tangent in enumerate(_tangent_numbers(g), 1):
+        four = 4 ** k
+        sigma.append(Fraction((-1) ** k * (four - 2) * tangent, (four - 1) * fact * four * four))
+        fact *= 2 * k * (2 * k + 1)
+    sigma_den = lcm(*(s.denominator for s in sigma))
+    s_num = [1]                               # s_l 4^g (2g+1)!, from l = g down
+    for l in range(g, 0, -1):
+        s_num.append(s_num[-1] * 4 * 2 * l * (2 * l + 1))
+    sigma_num = tuple(s.numerator * (sigma_den // s.denominator) for s in sigma)
+    return GenusTable(tuple(sigma), sigma_num, sigma_den, tuple(reversed(s_num)), s_num[-1])
+
+
+def _tangent_numbers(n: int) -> List[int]:
+    """T_1..T_n, tan z = sum T_k z^(2k-1) / (2k-1)!, by the integer recurrence
+    of Knuth and Buckholtz (1967), in O(n^2) steps."""
+    t = [0] * (n + 1)
+    if n > 0:
+        t[1] = 1
+    for k in range(2, n + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, n + 1):
+        for j in range(k, n + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return t[1:]
+
+
+def sigma_coefficients(g: int) -> Tuple[Fraction, ...]:
+    """sigma_0..sigma_g, sigma_k = [z^(2k)] 1/S(z), read from ``genus_table(g)``."""
+    return genus_table(g).sigma
 
 
 def slot_names(n: int) -> Tuple[str, ...]:
@@ -192,28 +244,44 @@ def eulerian_polynomial(n: int, var: str = "t") -> MultiPoly:
 
 @lru_cache(maxsize=None)
 def _ehrhart_cached(r: Tuple[int, ...]) -> MultiPoly:
+    """C^r(N) as [t^N] prod_i t E_(r_i)(t) / (1-t)^D, D = q + sum(r).
+
+    That coefficient is sum_j num_j binom(N-j+D-1, D-1), a polynomial of
+    degree D-1 in N, and it equals the series coefficient from N0 = the
+    numerator's degree - (D-1) on (there every binomial with j > N is 0).
+    So D prefix sums give its values at N0..N0+D-1, and their forward
+    differences Delta^k at N0 give it in Newton form,
+    sum_k Delta^k (D-1)!/k! prod_(i<k) (N-N0-i) over (D-1)!, which Horner's
+    rule expands into integer coefficients of N^e.
+    """
     q = len(r)
     total = sum(r)
     degree = q - 1 + total
+    d_total = q + total
     # numerator of prod_i t*E_{r_i}(t) / (1-t)^(r_i+1) over (1-t)^D
     num = MultiPoly.const(1, ("t",))
     t = MultiPoly.var("t")
     for ri in r:
         num = num * t * eulerian_polynomial(ri)
-    d_total = q + total
-    # [t^N] num/(1-t)^D = sum_j num_j * binom(N-j+D-1, D-1), a polynomial in N:
-    # integer coefficients acc[e] of N^e over the one denominator (D-1)!
-    acc = [0] * d_total
+    top = num.degree()
+    low = max(0, top + 1 - d_total)
+    series = [0] * (low + d_total)
     for (j,), cj in num.terms.items():
-        rising = [1]            # prod_{i < D-1} (N + D-1-j-i), lowest power first
-        for i in range(d_total - 1):
-            shift = d_total - 1 - j - i
-            rising = [shift * a + b for a, b in zip(rising + [0], [0] + rising)]
-        cj = int(cj.re)
-        for e, a in enumerate(rising):
-            acc[e] += cj * a
-    fact = factorial(d_total - 1)
-    poly = MultiPoly(("N",), {(e,): GaussRat(Fraction(a, fact)) for e, a in enumerate(acc) if a},
+        series[j] = int(cj.re)
+    for _ in range(d_total):
+        series = list(accumulate(series))
+    diffs = []
+    values = series[low:]
+    while values:
+        diffs.append(values[0])
+        values = [b - a for a, b in zip(values, values[1:])]
+    acc = [diffs[-1]]
+    weight = 1                  # (D-1)!/k!
+    for k in range(d_total - 2, -1, -1):
+        weight *= k + 1
+        acc = [b - (low + k) * a for a, b in zip(acc + [0], [0] + acc)]
+        acc[0] += diffs[k] * weight
+    poly = MultiPoly(("N",), {(e,): GaussRat(Fraction(a, weight)) for e, a in enumerate(acc) if a},
                      _normalized=True)
     got_deg = poly.degree()
     if got_deg != degree:

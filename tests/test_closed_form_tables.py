@@ -1,13 +1,14 @@
 """The commutator kernel's integer tables, in closed form, against the builds they replaced.
 
 ``special.power_of_sum`` writes each multinomial once per sorted exponent
-tuple, ``special._ehrhart_cached`` sums integer coefficient lists over the one
-denominator (D-1)!, ``special.rearrangements`` steps through the next
-permutation, and ``qkdv._admitted_powers`` enumerates rule B's N-power
-monomials, building their multinomials as it walks.  The oracles below are
-the slow paths they replaced: a repeated polynomial power, a product of D-1
-linear factors per numerator coefficient, the recursive generator, and the
-filter over the whole power-of-sum table.
+tuple, ``special._ehrhart_cached`` interpolates integer coefficient lists
+over the one denominator (D-1)! from D prefix sums, ``special.rearrangements``
+steps through the next permutation, and ``qkdv._admitted_powers`` enumerates
+rule B's N-power monomials, building their multinomials as it walks.  The
+oracles below are the slow paths they replaced: a repeated polynomial power,
+a product of D-1 linear factors per numerator coefficient (as ``MultiPoly``s,
+and as the integer rising factorials the table was summed from before), the
+recursive generator, and the filter over the whole power-of-sum table.
 """
 
 from fractions import Fraction
@@ -21,6 +22,7 @@ import pytest
 from qwk import qkdv
 from qwk.algebra import MultiPoly
 from qwk.qkdv import _admitted_powers, hamiltonian_density
+from qwk.series import ehrhart_brute_force
 from qwk.special import (ehrhart_convolution, eulerian_polynomial, power_of_sum,
                          rearrangements, slot_names, sorted_exponents)
 
@@ -48,6 +50,26 @@ def _ehrhart_by_products(r):
             prod = prod * (n_var + (d_total - 1 - j - i))
         acc = acc + prod
     return acc
+
+
+def _ehrhart_by_rising_factorials(r):
+    """sum_j num_j * prod_(i<D-1) (N+D-1-j-i) over (D-1)!, one integer rising
+    factorial per numerator coefficient."""
+    d_total = len(r) + sum(r)
+    num = MultiPoly.const(1, ("t",))
+    t = MultiPoly.var("t")
+    for ri in r:
+        num = num * t * eulerian_polynomial(ri)
+    acc = [0] * d_total
+    for (j,), cj in num.terms.items():
+        rising = [1]
+        for i in range(d_total - 1):
+            shift = d_total - 1 - j - i
+            rising = [shift * a + b for a, b in zip(rising + [0], [0] + rising)]
+        for e, a in enumerate(rising):
+            acc[e] += int(cj.re) * a
+    fact = factorial(d_total - 1)
+    return MultiPoly(("N",), {(e,): Fraction(a, fact) for e, a in enumerate(acc) if a})
 
 
 def _rearrangements_recursive(canon):
@@ -139,6 +161,20 @@ def test_ehrhart_convolution_matches_linear_factor_products():
                 assert got.terms == expect.terms, r
                 checked += 1
     assert checked == 128
+
+
+def test_ehrhart_tables_match_rising_factorials_and_brute_force():
+    checked = 0
+    for q in range(1, 4):
+        for total in range(13):
+            for r in sorted_exponents(q, total):
+                got = ehrhart_convolution(r)
+                assert got.terms == _ehrhart_by_rising_factorials(r).terms, r
+                # D = q + total values pin a polynomial of degree D - 1
+                values = [got.evaluate({"N": n}) for n in range(q, 2 * q + total)]
+                assert values == [ehrhart_brute_force(r, n) for n in range(q, 2 * q + total)], r
+                checked += 1
+    assert checked == 13 + 49 + 102
 
 
 def test_rearrangements_match_recursive_order():

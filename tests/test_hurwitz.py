@@ -1,17 +1,21 @@
 """Closed-formula Hurwitz numbers against the factorization oracle.
 
 The library counts transposition factorizations on cycle-type multiplicities
-(cut-and-join); ``_count_by_sorted_types`` is the same dynamic program on
-sorted part tuples, one state per part, and ``_count_by_permutations``
-counts the same tuples over all d! permutations, the reference for small
-degrees.  ``_one_part_number_by_quotient`` evaluates the n-slot quotient
-polynomial ``special.s_quotient`` at the partition, the route the integer
-series in z^2 of ``one_part_number`` replaces.
+(cut-and-join) from one walk state per degree; ``_count_by_own_walk`` is
+the walk of its own that every count took before, over the same table,
+``_count_by_sorted_types`` is the same dynamic program on sorted part
+tuples, one state per part, and ``_count_by_permutations`` counts the same
+tuples over all d! permutations, the reference for small degrees.
+``_one_part_number_by_quotient`` evaluates the n-slot quotient polynomial
+``special.s_quotient`` at the partition, the route the integer series in z^2
+of ``one_part_number`` replaces.
 """
 
 import itertools
 import random
 import re
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from math import comb, factorial
 
@@ -21,6 +25,7 @@ from hypothesis import strategies as st
 
 from qwk.algebra import MultiPoly
 from qwk.hurwitz import (DEFAULT_DEGREE_CAP, Partition, _cut_and_join, _transitions,
+                         _walk_state,
                          aut_factor, factorization_count, factorization_counts,
                          hurwitz_correlator, one_part_number, one_part_polynomial,
                          partitions_of)
@@ -125,6 +130,22 @@ def _multiplicities(parts, d):
     return tuple(m)
 
 
+def _count_by_own_walk(g, mu):
+    """factorization_count from a count vector of its own, stepped r times
+    from the d-cycle along the rows of ``_transitions(d)``."""
+    d = mu.degree
+    number, rows = _transitions(d)
+    counts = [0] * len(rows)
+    counts[0] = 1
+    for _ in range(2 * g - 1 + len(mu)):
+        nxt = [0] * len(rows)
+        for c, row in zip(counts, rows):
+            for j, weight in row:
+                nxt[j] += c * weight
+        counts = nxt
+    return Fraction(counts[number[_multiplicities(mu.parts, d)]], d)
+
+
 def test_one_part_number_matches_quotient_polynomial():
     keys = 0
     for d in range(1, 11):
@@ -206,15 +227,82 @@ def test_transition_table_numbers_every_type_once(d):
 def test_counts_of_one_degree_share_its_table():
     keys = [(g, parts) for d in range(1, 8) for parts in partitions_of(d) for g in range(4)]
     assert len(keys) == 176
-    _transitions.cache_clear()
+    _walk_state.cache_clear()
     canonical = [factorization_count(g, Partition(parts)) for g, parts in keys]
     shuffled = keys.copy()
     random.Random(28).shuffle(shuffled)
-    _transitions.cache_clear()
+    _walk_state.cache_clear()
     counts = {key: factorization_count(key[0], Partition(key[1])) for key in shuffled}
     # one build per degree, whichever key of it comes first
-    assert _transitions.cache_info().misses == 7
+    assert _walk_state.cache_info().misses == 7
     assert [counts[key] for key in keys] == canonical
+
+
+@pytest.mark.parametrize("d_max, g_max, size", [(7, 3, 176), (12, 5, 1626)])
+def test_walk_state_serves_keys_in_any_order(d_max, g_max, size):
+    # the hurwitz-oracle workload's keys, then every partition of d <= 12 at
+    # g <= 5; each order starts from empty walk states
+    keys = [(g, parts) for d in range(1, d_max + 1) for parts in partitions_of(d)
+            for g in range(g_max + 1)]
+    assert len(keys) == size
+    expect = {}
+    for g, parts in keys:
+        mu = Partition(parts)
+        expect[g, parts] = _count_by_sorted_types(g, mu)
+        assert _count_by_own_walk(g, mu) == expect[g, parts], (parts, g)
+    shuffled = keys.copy()
+    random.Random(31).shuffle(shuffled)
+    descending = sorted(keys, key=lambda key: -(2 * key[0] - 1 + len(key[1])))
+    for name, order in (("canonical", keys), ("shuffled", shuffled), ("descending r", descending)):
+        _walk_state.cache_clear()
+        for g, parts in order:
+            assert factorization_count(g, Partition(parts)) == expect[g, parts], (name, parts, g)
+        assert _walk_state.cache_info().misses == d_max, name
+
+
+def test_walk_state_keeps_only_the_step_counts_asked_for():
+    _walk_state.cache_clear()
+    asked = (9, 3, 14, 4, 9, 0, 11)
+    for r in asked:
+        # r = 2g - 1 + n, with n = 1 for even r and n = 2 for odd r
+        mu = Partition((6,) if r % 2 == 0 else (5, 1))
+        g = (r + 1 - len(mu)) // 2
+        assert factorization_count(g, mu) == _count_by_own_walk(g, mu), r
+    walk = _walk_state(6)
+    assert walk.steps == sorted(set(asked)) == sorted(walk.vectors)
+
+
+def test_walk_state_under_concurrent_counts():
+    # every thread asks the same degrees in its own order, so steps and
+    # stored vectors are read while others add to them
+    keys = [(g, parts) for d in (6, 9) for parts in partitions_of(d) for g in range(5)]
+    expect = {key: _count_by_own_walk(key[0], Partition(key[1])) for key in keys}
+    orders = []
+    for seed in range(8):
+        order = keys.copy()
+        random.Random(seed).shuffle(order)
+        orders.append(order)
+    _walk_state.cache_clear()
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(lambda order=order: [factorization_count(g, Partition(parts))
+                                                          for g, parts in order])
+                       for order in orders]
+            results = [future.result(timeout=60) for future in futures]
+    finally:
+        sys.setswitchinterval(switch)
+    for order, counts in zip(orders, results):
+        assert counts == [expect[key] for key in order]
+
+
+def test_deep_key_walks_without_recursion():
+    mu = Partition((3, 2, 1))
+    assert one_part_number(300, mu) == aut_factor(mu) * factorization_count(300, mu)
+    # 2001 steps, then keys below and between the stored step counts
+    for g in (1000, 5, 300, 999):
+        assert factorization_count(g, mu) == _count_by_own_walk(g, mu), g
 
 
 @pytest.mark.parametrize("parts", [(1,) * 20, (20,), (7, 7, 6), (5, 4, 3, 2, 2, 1, 1, 1, 1)])

@@ -14,12 +14,12 @@ from qwk.symbols import symmetrize
 # A change that adds or drops a memo table updates this list.
 MEMO_TABLES = {
     ("qwk.correlators", "_correlator_cached"),
-    ("qwk.hurwitz", "_transitions"),
+    ("qwk.hurwitz", "_walk_state"),
     ("qwk.qkdv", "_hamiltonian_term"),
     ("qwk.qkdv", "_prefix"),
     ("qwk.special", "_ehrhart_cached"),
+    ("qwk.special", "genus_table"),
     ("qwk.special", "power_of_sum"),
-    ("qwk.special", "sigma_coefficients"),
 }
 
 

@@ -2,7 +2,7 @@
 
 import itertools
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 import pytest
 
@@ -10,8 +10,9 @@ from qwk.algebra import MultiPoly
 from qwk.qkdv import hamiltonian_density
 from qwk.series import (ehrhart_brute_force, s_series, series_exp_log,
                         series_inverse, series_product)
-from qwk.special import (ehrhart_convolution, eulerian_number, eulerian_polynomial,
-                         s_quotient, slot_names)
+from qwk.special import (_tangent_numbers, ehrhart_convolution, eulerian_number,
+                         eulerian_polynomial, genus_table, s_quotient, sigma_coefficients,
+                         slot_names)
 from test_algebra import coeff_extract
 
 
@@ -32,6 +33,35 @@ def test_series_inverse_of_s():
     assert inv[2] == Fraction(-1, 24)
     assert inv[4] == Fraction(7, 5760)
     assert series_product(s_series(6), series_inverse(s_series(6))) == [1, 0, 0, 0, 0, 0, 0]
+
+
+def _sigma_by_recurrence(g):
+    """sigma_0..sigma_g from S * (1/S) = 1, one Fraction sum per coefficient."""
+    sigma = [Fraction(1)]
+    for k in range(1, g + 1):
+        sigma.append(-sum(sigma[k - l] / (4 ** l * factorial(2 * l + 1)) for l in range(1, k + 1)))
+    return tuple(sigma)
+
+
+def test_sigma_closed_form_matches_recurrence():
+    expect = _sigma_by_recurrence(100)
+    for g in range(101):
+        got = sigma_coefficients(g)
+        assert type(got) is tuple and all(type(x) is Fraction for x in got), g
+        assert got == expect[:g + 1], g
+    assert _tangent_numbers(6) == [1, 2, 16, 272, 7936, 353792]
+    assert _tangent_numbers(0) == []
+
+
+def test_genus_table_integer_forms():
+    for g in (0, 1, 2, 3, 7, 30):
+        table = genus_table(g)
+        assert table.sigma == sigma_coefficients(g)
+        assert table.sigma_den == lcm(*(x.denominator for x in table.sigma))
+        assert tuple(Fraction(x, table.sigma_den) for x in table.sigma_num) == table.sigma
+        assert table.s_den == 4 ** g * factorial(2 * g + 1)
+        assert [Fraction(x, table.s_den) for x in table.s_num] \
+            == [Fraction(1, 4 ** l * factorial(2 * l + 1)) for l in range(g + 1)]
 
 
 def test_series_inverse_geometric():
