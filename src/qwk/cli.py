@@ -33,9 +33,8 @@ from . import (correlators as _correlators, hurwitz as _hurwitz, qkdv as _qkdv,
 from .algebra import GaussRat, MultiPoly, rat_str
 from .correlators import (correlator, correlator_table, series_coefficient,
                           vanishes_by_level)
-from .hurwitz import (DEFAULT_DEGREE_CAP, Partition, aut_factor,
-                      factorization_count, factorization_counts, hurwitz_correlator,
-                      one_part_number, partitions_of)
+from .hurwitz import (DEFAULT_DEGREE_CAP, Partition, aut_factor, factorization_count,
+                      hurwitz_correlator, one_part_number, partitions_of)
 from .qkdv import bracket
 from .symbols import (DENSITY, INTEGRATED, FourierSymbol, make_term,
                       slot_names, symmetrize)
@@ -107,9 +106,11 @@ def cmd_correlator(args) -> int:
 
 
 def cmd_hurwitz(args) -> int:
+    if args.oracle and args.mu is None:
+        raise ValueError("--oracle needs --mu")
     record: dict = {"kind": "hurwitz", "g": args.g}
     exit_code = 0
-    if args.mu:
+    if args.mu is not None:
         mu = Partition(_parse_int_list(args.mu, "--mu"))
         value = one_part_number(args.g, mu)
         record["mu"] = list(mu.parts)
@@ -122,12 +123,10 @@ def cmd_hurwitz(args) -> int:
             record["match"] = value == aut * count
             if not record["match"]:
                 exit_code = 1
-    elif args.d is not None:
+    else:
         d = _parse_int_list(args.d, "--d")
         record["d"] = sorted(d)
         record["value"] = rat_str(hurwitz_correlator(d, args.g))
-    else:
-        raise ValueError("need --mu or --d")
     if args.decimal and "value" in record:
         record["approx_decimal"] = _approx_decimal(Fraction(record["value"]))
     _emit(record)
@@ -320,12 +319,11 @@ def _suite_hurwitz_oracle(args) -> Tuple[List[dict], dict]:
             f"within bounds {json.dumps(bounds, sort_keys=True)}")
     checks = []
     for d in range(1, d_cap + 1):
-        counts = factorization_counts(d, g_max)
         for parts in partitions_of(d):
             mu = Partition(parts)
             for g in range(g_max + 1):
                 closed = one_part_number(g, mu)
-                count = counts[mu.parts, g]
+                count = factorization_count(g, mu)
                 aut = aut_factor(mu)
                 checks.append({
                     "key": {"mu": list(mu.parts), "g": g},
@@ -449,8 +447,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hurwitz", help="one-part double Hurwitz numbers")
     p.add_argument("--g", type=int, required=True)
-    p.add_argument("--mu", type=str, help="partition, comma-separated positive parts")
-    p.add_argument("--d", type=str, help="correlator insertions instead of a partition")
+    which = p.add_mutually_exclusive_group(required=True)
+    which.add_argument("--mu", type=str, help="partition, comma-separated positive parts")
+    which.add_argument("--d", type=str, help="correlator insertions instead of a partition")
     p.add_argument("--oracle", action="store_true",
                    help="with --mu: compare against the factorization count")
     p.add_argument("--decimal", action="store_true")

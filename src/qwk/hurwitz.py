@@ -6,15 +6,15 @@ branch points) is
     H_g(mu) = r! * (mu_1+..+mu_n)^(r-1) * [z^(2g)] prod_i S(mu_i z) / S(z),
 
 a polynomial in the parts.  ``one_part_number`` reads it at one partition
-without building that polynomial: in w = z^2 each S(mu_i z), truncated at
-w^g, is an integer list over the one denominator D = 4^g (2g+1)!, built from
-the powers of mu_i^2, the lists are multiplied over the parts, and [w^g] of
-their product with 1/S is summed against the coefficients of 1/S that the
+without building that polynomial or any series product: prod_i S(mu_i z) is
+a signed sum of exponentials e^(sz/2), s = +-mu_1 +- .. +-mu_n, over z^n,
+so its coefficients are power sums over the at most d positive s, and
+[z^(2g)] of the quotient is summed against the coefficients of 1/S that the
 densities and the Hurwitz correlators read, with no division by S, so the
-value is one ``Fraction``.  D, the coefficients of S over it and those of
-1/S over the lcm of their denominators are built once per genus grade, in
-the memo table ``special.genus_table(g)``.  Only ``one_part_polynomial``
-builds the polynomial.  Its quotient is ``special.s_quotient`` (the Hamiltonian
+value is one ``Fraction``.  Those coefficients are built once per genus
+grade, as integers over their lcm, in the memo table
+``special.genus_table(g)``.  Only ``one_part_polynomial`` builds the
+polynomial.  Its quotient is ``special.s_quotient`` (the Hamiltonian
 densities are the same quotient on one more slot, summed in closed form by
 ``qkdv``), so the polynomials here are over its slot variables a1..an: part
 mu_i is slot a_i.  A Hurwitz correlator is one monomial:
@@ -46,15 +46,18 @@ asked for so far.  A count at r reads the stored vector, or steps forward
 from the largest stored r' < r and stores the new one, so keys can come in
 any order, none is walked past twice when they come in increasing r, and
 no intermediate vector is kept.  After r steps the vector holds every type
-at once, so ``factorization_counts`` and ``factorization_count`` serve every
-(mu, g) of a degree from one walk.  The walk is a loop, not a recursion, so
+at once, so ``factorization_count`` serves every (mu, g) of a degree from
+one walk.  The walk is a loop, not a recursion, so
 ``factorization_count(1000, (3, 2, 1))``, 2,001 steps, runs in about 13 ms.
+``one_part_number`` of that key takes about 0.06 s once the genus-1000
+table, about 1.3 s to build, is there.
 DEFAULT_DEGREE_CAP = 20 is a cost guard: at that degree the table has
 p(20) = 627 rows and 7,090 entries, and a cold count for (1^20) at g = 5
 (29 branch points), table build included, takes about 0.02 s on a 2-vCPU
-Xeon (Python 3.11), and the closed formula 0.3 ms.  The closed formula equals
-aut_factor(mu) times this count: the formula counts covers with labeled
-preimages of infinity, the count weights unlabeled covers by 1/|Aut|.
+Xeon (Python 3.11), and the closed formula about 0.06 ms.  The closed
+formula equals aut_factor(mu) times this count: the formula counts covers
+with labeled preimages of infinity, the count weights unlabeled covers by
+1/|Aut|.
 """
 
 from __future__ import annotations
@@ -62,13 +65,12 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
-from operator import mul
+from math import factorial, prod
+from operator import mul, sub
 from typing import Dict, List, Sequence, Tuple
 
 from .algebra import MultiPoly, Rat, Record, require_ints
-from .special import (genus_table, power_of_sum, quotient_rows, s_quotient,
-                      sigma_coefficients)
+from .special import genus_table, power_of_sum, quotient_rows, s_quotient
 
 DEFAULT_DEGREE_CAP = 20
 
@@ -104,40 +106,50 @@ def one_part_number(g: int, mu: Partition) -> Rat:
     """Closed-form value r! * d^(r-1) * [z^(2g)] prod S(mu_i z)/S(z) at a partition.
 
     Unlike one_part_polynomial this also covers r = 0 (g = 0 with a single
-    part), where d^(r-1) is the rational 1/d.  The series are integer lists
-    in w = z^2 over the one denominator D = 4^g (2g+1)!: S(mu_i z) is
-    t_l (mu_i^2)^l / D with t_l = D / (4^l (2l+1)!), so their product P
-    carries D^n.  With sigma_k the coefficients of 1/S as integers over the
-    lcm of their denominators, [w^g] of the quotient is sum_k sigma_(g-k) P_k
-    over that lcm times D^n.  D, the t_l and the sigma numerators are read
-    from ``special.genus_table(g)``, built once per genus grade.
+    part), where d^(r-1) is the rational 1/d.  With c_s the coefficient of
+    x^s in prod_i (x^(mu_i) - x^(-mu_i)), prod_i sinh(mu_i z/2) is
+    2^(-n) sum_s c_s e^(sz/2), and c_(-s) = (-1)^n c_s, so
+
+        P_k = [z^(2k)] prod_i S(mu_i z)
+            = 2^(1-n) sum_(s>0) c_s s^(2k+n) / (4^k (2k+n)! prod_i mu_i),
+
+    at most d values of s.  With y = x^2 that product is
+    x^(-d) prod_i (y^(mu_i) - 1), so c_(2j-d) is its coefficient of y^j, a
+    list of d + 1 integers.  [z^(2g)] of the quotient is
+    sum_k sigma_(g-k) P_k, summed in integers over sigma's lcm times
+    4^g (2g+n)! by Horner's rule in k; r! / (2g+n)! = 1 / (2g+n) leaves one
+    ``Fraction``.  The sigma numerators and their lcm are read from
+    ``special.genus_table(g)``.
     """
+    require_ints("genus grade", (g,))
     if g < 0:
         raise ValueError("negative genus grade")
     n = len(mu)
     r = 2 * g - 1 + n
     if r < 0:
         raise ValueError("negative number of simple branch points")
-    table = genus_table(g)
-    prod = None
+    d = mu.degree
+    poly = [1]
     for part in mu.parts:
-        square = part * part
-        series = list(table.s_num)
-        power = 1
-        for l in range(1, g + 1):
-            power *= square
-            series[l] *= power
-        if prod is None:
-            prod = series
-        else:
-            series.reverse()    # P_k = sum_j prod_j series_(k-j)
-            prod = [sum(map(mul, prod, series[g - k:])) for k in range(g + 1)]
-    num = sum(map(mul, reversed(table.sigma_num), prod))
-    num, den = num * factorial(r), table.sigma_den * table.s_den ** n
+        pad = [0] * part
+        poly = list(map(sub, pad + poly, poly + pad))
+    terms, squares = [], []
+    for j in range(d // 2 + 1, d + 1):
+        if poly[j]:
+            s = 2 * j - d
+            terms.append(poly[j] * s ** n)
+            squares.append(s * s)
+    sigma, sigma_den = genus_table(g)
+    # num = sum_k sigma_(g-k) 4^(g-k) (2g+n)!/(2k+n)! A_k, A_k = sum_s c_s s^(2k+n)
+    num = 0
+    for k in range(g + 1):
+        num = num * 4 * (2 * k + n) * (2 * k + n - 1) + sigma[g - k] * sum(terms)
+        terms = list(map(mul, terms, squares))
+    den = (sigma_den * (2 * g + n) * prod(mu.parts)) << (2 * g + n - 1)
     if r:
-        num *= mu.degree ** (r - 1)
+        num *= d ** (r - 1)
     else:
-        den *= mu.degree
+        den *= d
     return Fraction(num, den)
 
 
@@ -150,7 +162,8 @@ def hurwitz_correlator(d: Sequence[int], g: int) -> Fraction:
     s_l = 1/(4^l (2l+1)!), every term shares sigma_(g-k) p! / 4^k, and over
     the one denominator prod_i (d_i+1)! slot i gives the integer
     comb(d_i+1, beta_i+1), so the sum over beta is entry k of
-    ``special.quotient_rows(d)``.
+    ``special.quotient_rows(d)``, and sigma_(g-k) is read from the table of
+    grade g, ``special.genus_table(g)``.
     """
     d = tuple(d)
     require_ints("genus grade", (g,))
@@ -173,7 +186,8 @@ def hurwitz_correlator(d: Sequence[int], g: int) -> Fraction:
     for x in d:
         den *= factorial(x + 1)
     sign = -1 if ((4 * g - 3 + n - total) // 2) % 2 else 1
-    return sign * sigma_coefficients(g - k)[-1] * Fraction(factorial(p) * ways[k], den)
+    sigma, sigma_den = genus_table(g)
+    return Fraction(sign * sigma[g - k] * factorial(p) * ways[k], sigma_den * den)
 
 
 # ----------------------------------------------------------------------
@@ -222,6 +236,7 @@ def factorization_count(g: int, mu: Partition, cap: int = DEFAULT_DEGREE_CAP) ->
     count reads the degree's walk state, ``_walk_state(d)``, which is built
     on the first count of that degree and shared by every later one.
     """
+    require_ints("genus grade", (g,))
     if g < 0:
         raise ValueError("negative genus grade")
     d = mu.degree
@@ -231,22 +246,6 @@ def factorization_count(g: int, mu: Partition, cap: int = DEFAULT_DEGREE_CAP) ->
     if r < 0:
         raise ValueError("negative number of simple branch points")
     return _walk_state(d).count(r, mu.parts)
-
-
-def factorization_counts(d: int, g_max: int) -> Dict[Tuple[Tuple[int, ...], int], Rat]:
-    """{(mu.parts, g): factorization_count(g, mu)} for every partition mu of d
-    and every g <= g_max, read from the same walk state as
-    ``factorization_count``, asked in increasing r so that no step is taken
-    twice."""
-    if g_max < 0:
-        raise ValueError("negative genus grade")
-    if not 1 <= d <= DEFAULT_DEGREE_CAP:
-        raise ValueError(
-            f"degree {d} outside 1..{DEFAULT_DEGREE_CAP}, the factorization-count cap")
-    walk = _walk_state(d)
-    keys = sorted((2 * g - 1 + len(parts), parts, g)
-                  for parts in partitions_of(d) for g in range(g_max + 1))
-    return {(parts, g): walk.count(r, parts) for r, parts, g in keys}
 
 
 class _Walk:

@@ -167,8 +167,8 @@ from operator import add, itemgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .algebra import I_POWERS, GaussRat, MultiPoly, Scalar, require_ints
-from .special import (ehrhart_convolution, power_of_sum, quotient_rows, rearrangements,
-                      sigma_coefficients, slot_names, sorted_exponents)
+from .special import (ehrhart_convolution, genus_table, power_of_sum, quotient_rows,
+                      rearrangements, slot_names, sorted_exponents)
 from .symbols import (DENSITY, INTEGRATED, FourierSymbol, SymbolTerm,
                       eval_string_point, make_term, symmetrize)
 
@@ -199,7 +199,7 @@ def _hamiltonian_term(d: int, g: int,
     if demand is not None:
         target, k = demand
         min_ones, max_big = (m - k, None) if target == LEFT else (0, k)
-    sigma = sigma_coefficients(g)
+    sigma, sigma_den = genus_table(g)
     terms = {}
     for total in range(0, 2 * g + 1, 2):
         sig = sigma[g - total // 2]
@@ -213,7 +213,7 @@ def _hamiltonian_term(d: int, g: int,
             for a in big:
                 den *= factorial(a + 1)
             num = sum(c * (common // (total - 2 * h + 1)) for h, c in enumerate(by_half))
-            c = GaussRat(Fraction(sig.numerator * num, sig.denominator * den * common))
+            c = GaussRat(Fraction(sig * num, sigma_den * den * common))
             for e in rearrangements(alpha):
                 terms[e] = c
     if not terms:

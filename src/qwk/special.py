@@ -5,11 +5,11 @@ Contents:
   * the even series S(z) = sh(z/2)/(z/2) = sum z^(2l) / (4^l (2l+1)!),
     which carries every intersection-number coefficient in the engine, read
     through its coefficients s_l = 1/(4^l (2l+1)!) and the coefficients
-    sigma_k of 1/S (``sigma_coefficients``), in closed form from the tangent
-    numbers.  Both lists, to w^g, sit in one table per genus grade
+    sigma_k of 1/S, in closed form from the tangent numbers.
+    sigma_0..sigma_g sit in one table per genus grade
     (``genus_table``, memoized, since every density term, Hurwitz
-    correlator and one-part Hurwitz number of that grade reads the same
-    values), as ``Fraction``s and as integers over one denominator each;
+    correlator, one-part Hurwitz number and quotient of that grade reads the
+    same values), as integers over their lcm;
   * the quotient Q_g(a_1..a_n) = [z^(2g)] prod_i S(a_i z) / S(z) over the
     slots a1..an, built as ``s_quotient(g, n)`` for ``one_part_polynomial``.
     It is symmetric, and its coefficient of a^(2 lambda) is
@@ -55,35 +55,21 @@ from itertools import accumulate
 from math import comb, factorial, lcm
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .algebra import GaussRat, MultiPoly, Record
-
-
-class GenusTable(Record):
-    """The coefficients of S and 1/S to w^g (w = z^2) at one genus grade g.
-
-    ``sigma`` holds sigma_0..sigma_g as ``Fraction``s, ``sigma_num`` the
-    same as integers over their lcm ``sigma_den``; ``s_num`` holds
-    s_0..s_g, s_l = 1/(4^l (2l+1)!), as integers over ``s_den`` =
-    4^g (2g+1)!, the one denominator of the one-part Hurwitz numbers.
-    """
-
-    __slots__ = ("sigma", "sigma_num", "sigma_den", "s_num", "s_den")
-
-    def __init__(self, sigma, sigma_num, sigma_den, s_num, s_den):
-        for name, value in zip(self.__slots__, (sigma, sigma_num, sigma_den, s_num, s_den)):
-            object.__setattr__(self, name, value)
+from .algebra import GaussRat, MultiPoly
 
 
 @lru_cache(maxsize=None)
-def genus_table(g: int) -> GenusTable:
-    """The coefficients of S and 1/S to genus grade g, built once per g.
+def genus_table(g: int) -> Tuple[Tuple[int, ...], int]:
+    """sigma_0..sigma_g, sigma_k = [z^(2k)] 1/S(z), as integer numerators over
+    their lcm: the pair (numerators, lcm), built once per genus grade g.
 
     1/S(z) = (z/2)/sinh(z/2), so sigma_k = (2 - 4^k) B_(2k) / ((2k)! 4^k);
     with B_(2k) = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)), T_k the tangent
     numbers 1, 2, 16, 272, .. (``_tangent_numbers``), that is
     sigma_k = (-1)^k (4^k - 2) T_k / ((4^k - 1) (2k-1)! 16^k) for k >= 1.
-    Memoized, since every density term, Hurwitz correlator and one-part
-    Hurwitz number of genus grade g reads the same table.
+    Memoized, since every density term, Hurwitz correlator, one-part Hurwitz
+    number and quotient of genus grade g reads the same table; each builds
+    the one ``Fraction`` it needs from the integers.
     """
     sigma = [Fraction(1)]
     fact = 1                                  # (2k-1)!
@@ -91,12 +77,8 @@ def genus_table(g: int) -> GenusTable:
         four = 4 ** k
         sigma.append(Fraction((-1) ** k * (four - 2) * tangent, (four - 1) * fact * four * four))
         fact *= 2 * k * (2 * k + 1)
-    sigma_den = lcm(*(s.denominator for s in sigma))
-    s_num = [1]                               # s_l 4^g (2g+1)!, from l = g down
-    for l in range(g, 0, -1):
-        s_num.append(s_num[-1] * 4 * 2 * l * (2 * l + 1))
-    sigma_num = tuple(s.numerator * (sigma_den // s.denominator) for s in sigma)
-    return GenusTable(tuple(sigma), sigma_num, sigma_den, tuple(reversed(s_num)), s_num[-1])
+    den = lcm(*(s.denominator for s in sigma))
+    return tuple(s.numerator * (den // s.denominator) for s in sigma), den
 
 
 def _tangent_numbers(n: int) -> List[int]:
@@ -111,11 +93,6 @@ def _tangent_numbers(n: int) -> List[int]:
         for j in range(k, n + 1):
             t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
     return t[1:]
-
-
-def sigma_coefficients(g: int) -> Tuple[Fraction, ...]:
-    """sigma_0..sigma_g, sigma_k = [z^(2k)] 1/S(z), read from ``genus_table(g)``."""
-    return genus_table(g).sigma
 
 
 def slot_names(n: int) -> Tuple[str, ...]:
@@ -182,14 +159,14 @@ def s_quotient(g: int, n: int) -> MultiPoly:
     Its coefficient of a^(2 lambda) is sigma_(g-|lambda|) prod_i s_(lambda_i),
     written once per partition lambda on every rearrangement.
     """
-    sigma = sigma_coefficients(g)
+    sigma, sigma_den = genus_table(g)
     terms = {}
     for k in range(g + 1):
         for lam in sorted_exponents(n, k):
-            c = sigma[g - k]
+            den = sigma_den
             for l in lam:
-                c /= 4 ** l * factorial(2 * l + 1)
-            c = GaussRat(c)
+                den *= 4 ** l * factorial(2 * l + 1)
+            c = GaussRat(Fraction(sigma[g - k], den))
             for e in rearrangements(tuple(2 * l for l in lam)):
                 terms[e] = c
     return MultiPoly(slot_names(n), terms, _normalized=True)

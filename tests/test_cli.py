@@ -223,6 +223,23 @@ def test_hurwitz_oracle_partition_above_count_cap_exits_2():
     assert code == 0 and json.loads(out)["match"] is True
 
 
+def test_hurwitz_takes_exactly_one_of_mu_and_d():
+    # --d used to be dropped silently when --mu was given
+    for argv, named in ((("--g", "1", "--mu", "3", "--d", "1"),
+                         "argument --d: not allowed with argument --mu"),
+                        (("--g", "1"), "one of the arguments --mu --d is required")):
+        code, out, err = run_cli("hurwitz", *argv)
+        assert code == 2 and out == "", argv
+        assert named in err, err
+
+
+def test_hurwitz_oracle_without_mu_exits_2():
+    # --oracle compares a partition's count; with --d it used to be dropped
+    code, out, err = run_cli("hurwitz", "--g", "2", "--d", "1,2", "--oracle")
+    assert code == 2 and out == ""
+    assert "--oracle needs --mu" in err and "Traceback" not in err, err
+
+
 def test_bracket_oracle_cases_all_compare():
     code, out, _ = run_cli("verify", "bracket-oracle", "--cases", "3", "--modes", "3")
     assert code == 0

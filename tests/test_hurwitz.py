@@ -7,8 +7,9 @@ the walk of its own that every count took before, over the same table,
 tuples, one state per part, and ``_count_by_permutations`` counts the same
 tuples over all d! permutations, the reference for small degrees.
 ``_one_part_number_by_quotient`` evaluates the n-slot quotient polynomial
-``special.s_quotient`` at the partition, the route the integer series in z^2
-of ``one_part_number`` replaces.
+``special.s_quotient`` at the partition, and ``_one_part_number_by_series``
+multiplies the parts' integer series in z^2, the route the signed sum of
+exponentials of ``one_part_number`` replaces.
 """
 
 import itertools
@@ -18,6 +19,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from math import comb, factorial
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -25,12 +27,11 @@ from hypothesis import strategies as st
 
 from qwk.algebra import MultiPoly
 from qwk.hurwitz import (DEFAULT_DEGREE_CAP, Partition, _cut_and_join, _transitions,
-                         _walk_state,
-                         aut_factor, factorization_count, factorization_counts,
+                         _walk_state, aut_factor, factorization_count,
                          hurwitz_correlator, one_part_number, one_part_polynomial,
                          partitions_of)
 from qwk.series import s_series, s_series_of, series_inverse, series_product
-from qwk.special import s_quotient, slot_names
+from qwk.special import genus_table, s_quotient, slot_names
 
 
 def _cycle_type(p):
@@ -86,6 +87,40 @@ def _one_part_number_by_quotient(g, mu):
     v = s_quotient(g, n).evaluate(dict(zip(slot_names(n), mu.parts)))
     assert v.is_real()
     return v.re * factorial(r) * Fraction(mu.degree) ** (r - 1)
+
+
+def _one_part_number_by_series(g, mu):
+    """r! * d^(r-1) * [w^g] prod_i S(mu_i z) / S(z) with w = z^2, by series
+    products: each S(mu_i z), truncated at w^g, is an integer list over
+    D = 4^g (2g+1)!, t_l (mu_i^2)^l with t_l = D / (4^l (2l+1)!), the n lists
+    are multiplied, and [w^g] of their product P is sum_k sigma_(g-k) P_k."""
+    n = len(mu)
+    r = 2 * g - 1 + n
+    t = [1]                     # t_l from l = g down
+    for l in range(g, 0, -1):
+        t.append(t[-1] * 4 * 2 * l * (2 * l + 1))
+    t.reverse()
+    sigma, sigma_den = genus_table(g)
+    prod = None
+    for part in mu.parts:
+        square = part * part
+        series = list(t)
+        power = 1
+        for l in range(1, g + 1):
+            power *= square
+            series[l] *= power
+        if prod is None:
+            prod = series
+        else:
+            series.reverse()    # P_k = sum_j prod_j series_(k-j)
+            prod = [sum(map(mul, prod, series[g - k:])) for k in range(g + 1)]
+    num = sum(map(mul, reversed(sigma), prod)) * factorial(r)
+    den = sigma_den * t[0] ** n
+    if r:
+        num *= mu.degree ** (r - 1)
+    else:
+        den *= mu.degree
+    return Fraction(num, den)
 
 
 def _sorted_type_row(lam):
@@ -177,6 +212,31 @@ def test_deep_one_part_number_matches_series_quotient(g):
         r = 2 * g - 1 + len(parts)
         expect = factorial(r) * sum(parts) ** (r - 1) * quotient[2 * g]
         assert one_part_number(g, Partition(parts)) == expect, (g, parts)
+
+
+def test_exponential_sum_matches_series_product():
+    # every partition of d <= 12 at g <= 5, against the product of the parts'
+    # integer series over 4^g (2g+1)!
+    keys = 0
+    for d in range(1, 13):
+        for parts in partitions_of(d):
+            mu = Partition(parts)
+            for g in range(6):
+                assert one_part_number(g, mu) == _one_part_number_by_series(g, mu), (parts, g)
+                keys += 1
+    assert keys == 1626
+
+
+# distinct parts, repeated parts, an even number of parts (c_(-s) = c_s) and
+# twenty parts; at g = 300 the series product takes about 2.7 s for (3, 2, 1)
+# and 144 s for (1^20), so there only an odd and an even number of parts run
+@pytest.mark.parametrize("g, parts",
+                         [(g, parts) for g in (20, 40, 60)
+                          for parts in ((3, 2, 1), (7, 3, 3), (2, 2, 2, 1), (1,) * 20)]
+                         + [(300, (3, 2, 1)), (300, (2, 2, 2, 1))])
+def test_deep_exponential_sum_matches_series_product(g, parts):
+    mu = Partition(parts)
+    assert one_part_number(g, mu) == _one_part_number_by_series(g, mu)
 
 
 def test_multiplicity_count_matches_sorted_type_count():
@@ -382,6 +442,15 @@ def test_one_part_number_and_count_refuse_negative_genus():
         factorization_count(-1, mu)
 
 
+@pytest.mark.parametrize("g", [True, 1.0, Fraction(1), 1.5])
+@pytest.mark.parametrize("f", [one_part_number, factorization_count])
+def test_one_part_number_and_count_refuse_genus_that_is_not_an_int(f, g):
+    # True used to read as g = 1, Fraction(1) passed the count, and a float
+    # raised TypeError from inside the closed formula and the walk
+    with pytest.raises(ValueError, match="genus grade .* is not an integer"):
+        f(g, Partition((2, 1)))
+
+
 def test_hurwitz_tau0_examples():
     assert hurwitz_correlator([0, 3], 1) == Fraction(1, 24)
     assert hurwitz_correlator([0, 0, 0], 0) == 1
@@ -429,32 +498,6 @@ def test_factorization_count_examples():
     assert factorization_count(1, Partition((3,))) == 2
     with pytest.raises(ValueError):
         factorization_count(0, Partition((DEFAULT_DEGREE_CAP + 1,)))
-
-
-def test_one_walk_per_degree_matches_the_per_key_counts():
-    # one walk from the d-cycle, read after each r = 2g-1+n steps, against a
-    # walk of its own for every key
-    keys = 0
-    for d in range(1, 11):
-        counts = factorization_counts(d, 3)
-        assert len(counts) == 4 * len(list(partitions_of(d)))
-        for parts in partitions_of(d):
-            for g in range(4):
-                assert counts[parts, g] == factorization_count(g, Partition(parts)), (parts, g)
-                keys += 1
-    assert keys == 552
-    # r = 0, 1, 2: the 3-cycle itself, then one and two transpositions, over 3
-    assert factorization_counts(3, 0) == {((3,), 0): Fraction(1, 3), ((2, 1), 0): 1,
-                                          ((1, 1, 1), 0): 1}
-
-
-def test_one_walk_per_degree_refuses_what_the_per_key_count_refuses():
-    with pytest.raises(ValueError, match="negative genus grade"):
-        factorization_counts(4, -1)
-    with pytest.raises(ValueError, match="factorization-count cap"):
-        factorization_counts(DEFAULT_DEGREE_CAP + 1, 1)
-    with pytest.raises(ValueError, match="factorization-count cap"):
-        factorization_counts(0, 1)
 
 
 def test_factorization_count_convention_invariance():

@@ -11,8 +11,7 @@ from qwk.qkdv import hamiltonian_density
 from qwk.series import (ehrhart_brute_force, s_series, series_exp_log,
                         series_inverse, series_product)
 from qwk.special import (_tangent_numbers, ehrhart_convolution, eulerian_number,
-                         eulerian_polynomial, genus_table, s_quotient, sigma_coefficients,
-                         slot_names)
+                         eulerian_polynomial, genus_table, s_quotient, slot_names)
 from test_algebra import coeff_extract
 
 
@@ -46,22 +45,18 @@ def _sigma_by_recurrence(g):
 def test_sigma_closed_form_matches_recurrence():
     expect = _sigma_by_recurrence(100)
     for g in range(101):
-        got = sigma_coefficients(g)
-        assert type(got) is tuple and all(type(x) is Fraction for x in got), g
-        assert got == expect[:g + 1], g
+        sigma, den = genus_table(g)
+        assert type(sigma) is tuple and all(type(x) is int for x in sigma), g
+        assert tuple(Fraction(x, den) for x in sigma) == expect[:g + 1], g
     assert _tangent_numbers(6) == [1, 2, 16, 272, 7936, 353792]
     assert _tangent_numbers(0) == []
 
 
 def test_genus_table_integer_forms():
     for g in (0, 1, 2, 3, 7, 30):
-        table = genus_table(g)
-        assert table.sigma == sigma_coefficients(g)
-        assert table.sigma_den == lcm(*(x.denominator for x in table.sigma))
-        assert tuple(Fraction(x, table.sigma_den) for x in table.sigma_num) == table.sigma
-        assert table.s_den == 4 ** g * factorial(2 * g + 1)
-        assert [Fraction(x, table.s_den) for x in table.s_num] \
-            == [Fraction(1, 4 ** l * factorial(2 * l + 1)) for l in range(g + 1)]
+        sigma, den = genus_table(g)
+        assert den == lcm(*(Fraction(x, den).denominator for x in sigma))
+        assert tuple(Fraction(x, den) for x in sigma) == _sigma_by_recurrence(g)
 
 
 def test_series_inverse_geometric():
