@@ -30,8 +30,10 @@ live in ``qwk.series``.
 Every coefficient the engine writes is real, so GaussRat keeps a real fast
 path: a real value's imaginary part is one shared ``Fraction(0)``, results are
 built from parts that are already Fractions without coercing them again,
-``+ * ==`` dispatch on ``type(x) is`` before any general coercion, and
-``+ * - == bool`` take a real path on an identity test.  GaussRat is the
+``GaussRat(x)`` and ``GaussRat.of(x)`` of a real x coerce x alone, with no
+``Fraction(0)`` built for the imaginary part, ``+ * ==`` dispatch on
+``type(x) is`` before any general coercion, and ``+ * - == bool`` take a
+real path on an identity test.  GaussRat is the
 coefficient type at symbol boundaries; between them the commutator kernel
 reads each operand term as integer numerators over one denominator, computes
 with Python integers and its integer structure constants, and wraps each
@@ -83,8 +85,10 @@ class GaussRat:
     __slots__ = ("re", "im")
 
     def __init__(self, re: Union[int, Fraction] = 0, im: Union[int, Fraction] = 0):
-        im = _part(im)
         _set_re(self, _part(re))
+        # a real value (the default im = 0) takes the shared zero with no coercion
+        if type(im) is not int or im:
+            im = _part(im)
         _set_im(self, im if im else _ZERO)
 
     def __setattr__(self, name, value):
@@ -98,6 +102,11 @@ class GaussRat:
     def of(x: Scalar) -> "GaussRat":
         if isinstance(x, GaussRat):
             return x
+        t = type(x)
+        if t is Fraction:
+            return _gauss(x)
+        if t is int:
+            return _gauss(Fraction(x))
         return GaussRat(x)
 
     def is_real(self) -> bool:

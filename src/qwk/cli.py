@@ -71,7 +71,30 @@ def _emit(record: dict) -> None:
 
 
 def _approx_decimal(value: Fraction) -> str:
-    return f"approx {float(value):.12g}"
+    """"approx " and the value to 12 significant digits in the text form of
+    ``.12g``, rounded half to even from the exact rational, so no value is too
+    large or too small to print."""
+    if not value:
+        return "approx 0"
+    sign = "-" if value < 0 else ""
+    x = abs(value)
+    # exp with 10^exp <= x < 10^(exp+1), from the bit lengths (log10 2 ~ 0.30103)
+    exp = (x.numerator.bit_length() - x.denominator.bit_length()) * 30103 // 100000
+    while x >= Fraction(10) ** (exp + 1):
+        exp += 1
+    while x < Fraction(10) ** exp:
+        exp -= 1
+    digits = round(x * Fraction(10) ** (11 - exp))
+    if digits == 10 ** 12:       # rounded up to the next power of ten
+        digits //= 10
+        exp += 1
+    text = str(digits)
+    if -4 <= exp < 12:
+        whole, frac = (text[:exp + 1], text[exp + 1:]) if exp >= 0 else ("0", "0" * (-exp - 1) + text)
+        frac = frac.rstrip("0")
+        return f"approx {sign}{whole}{'.' + frac if frac else ''}"
+    frac = text[1:].rstrip("0")
+    return f"approx {sign}{text[0]}{'.' + frac if frac else ''}e{exp:+03d}"
 
 
 # ----------------------------------------------------------------------

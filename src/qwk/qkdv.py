@@ -79,9 +79,10 @@ Ehrhart coefficients, is summed per output monomial of the strike's
 Symbols carry GaussRat coefficients, but between those boundaries the values
 are Python integers: ``_strikes`` reads each operand term once as integer
 numerators over the lcm of its denominators, dl for a left term and dr for a
-right one, the Ehrhart coefficients of a strike are read over one
-de = (D-1)!, the largest denominator of its tables, and the N-power
-multinomials are ints.  Each strike adds one Fraction(numerator, dl*dr*de)
+right one, each Ehrhart table is integers over its own (D-1)! and a strike
+reads all of its tables over one de, the largest of those denominators, by
+one integer scale de // (D-1)! per table, and the N-power multinomials are
+ints.  Each strike adds one Fraction(numerator, dl*dr*de)
 per output monomial (per strike at the last bracket, rule A below), and
 ``bracket`` wraps each output value in a GaussRat once.  A non-real
 coefficient, as in a random test symbol, travels as a GaussRat with integer
@@ -166,7 +167,7 @@ from math import comb, factorial, lcm, perm
 from operator import add, itemgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .algebra import I_POWERS, GaussRat, MultiPoly, Scalar, require_ints
+from .algebra import _ZERO, I_POWERS, GaussRat, MultiPoly, Scalar, _gauss, require_ints
 from .special import (ehrhart_convolution, genus_table, power_of_sum, quotient_rows,
                       rearrangements, slot_names, sorted_exponents)
 from .symbols import (DENSITY, INTEGRATED, FourierSymbol, SymbolTerm,
@@ -213,7 +214,7 @@ def _hamiltonian_term(d: int, g: int,
             for a in big:
                 den *= factorial(a + 1)
             num = sum(c * (common // (total - 2 * h + 1)) for h, c in enumerate(by_half))
-            c = GaussRat(Fraction(sig * num, sigma_den * den * common))
+            c = _gauss(Fraction(sig * num, sigma_den * den * common))
             for e in rearrangements(alpha):
                 terms[e] = c
     if not terms:
@@ -377,10 +378,11 @@ def _numerators(terms: Dict[tuple, GaussRat]) -> Tuple[int, Dict[tuple, Scalar]]
     integer parts.
     """
     values = terms.values()
-    den = lcm(*{c.re.denominator for c in values}, *{c.im.denominator for c in values if c.im})
+    den = lcm(*{c.re.denominator for c in values},
+              *{c.im.denominator for c in values if c.im is not _ZERO})
     out = {}
     for exps, c in terms.items():
-        out[exps] = c * den if c.im else _over(c, den)
+        out[exps] = _over(c, den) if c.im is _ZERO else c * den
     return den, out
 
 
@@ -508,13 +510,14 @@ def _bracket_piece(merged, admitted, fwd: Dict[Tuple[int, ...], Dict[tuple, Scal
     pref = _prefactor(tl.blocks, counts, m_r)
 
     # E_fwd(N) with N := sum of surviving right slots, via the Ehrhart
-    # convolution.  The table of k-exponents r has the one denominator (D-1)!,
-    # D = q + |r|, so every table of this strike is read as integers over the
-    # largest of them, de.  Survivor exponents are laid out as the left
-    # survivors, then the right survivors, each in slot order, which is exactly
-    # the canonical slot order of new_blocks, so every expanded term lands in
-    # the strike's integer sums ``acc`` over den * de, prefactor included, and
-    # those go into the output term of (grade, new_blocks) as one Fraction each
+    # convolution.  The table of k-exponents r is integers over (D-1)!,
+    # D = q + |r|, so every table of this strike is read over the largest of
+    # them, de, each scaled by one integer.  Survivor exponents are laid out
+    # as the left survivors, then the right survivors, each in slot order,
+    # which is exactly the canonical slot order of new_blocks, so every
+    # expanded term lands in the strike's integer sums ``acc`` over den * de,
+    # prefactor included, and those go into the output term of
+    # (grade, new_blocks) as one Fraction each
     de = factorial(q - 1 + max(map(sum, fwd)))
     new_blocks = tuple(b - v for b, v in zip(tl.blocks, counts) if b > v)
     if m_r > q:
@@ -533,8 +536,12 @@ def _bracket_piece(merged, admitted, fwd: Dict[Tuple[int, ...], Dict[tuple, Scal
         for rest, c in bucket.items():
             key = (allowed - n_left + rest[:n_left].count(1), tuple(map(min, rest[n_left:], twos)))
             groups.setdefault(key, []).append((rest, c))
-        for (n_exp,), cn in ehrhart_convolution(k_exps).terms.items():
-            cn = _over(cn, de) * pref
+        table, dt = ehrhart_convolution(k_exps)
+        scale = de // dt * pref
+        for n_exp, cn in enumerate(table):
+            if not cn:
+                continue
+            cn *= scale
             for key, items in groups.items():
                 n_terms = admitted.get((n_left, key, n_exp))
                 if n_terms is None:
@@ -648,11 +655,11 @@ def _string_point_bracket(left: FourierSymbol, right: FourierSymbol,
         de = factorial(q - 1 + max(map(sum, by_k)))
         num = 0
         for k, by_z in by_k.items():
-            table = ehrhart_convolution(k).terms
+            table, dt = ehrhart_convolution(k)
+            scale = de // dt
             for z, c in by_z.items():
-                cn = table.get((z,))
-                if c and cn is not None:
-                    num += c * (_over(cn, de) * factorial(z))
+                if c and z < len(table) and table[z]:
+                    num += c * (table[z] * scale * factorial(z))
         if num:
             pref = _prefactor(tl.blocks, counts, m_r)
             den *= de

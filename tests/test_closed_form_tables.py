@@ -1,30 +1,33 @@
 """The commutator kernel's integer tables, in closed form, against the builds they replaced.
 
 ``special.power_of_sum`` writes each multinomial once per sorted exponent
-tuple, ``special._ehrhart_cached`` interpolates integer coefficient lists
-over the one denominator (D-1)! from D prefix sums, ``special.rearrangements``
-steps through the next permutation, and ``qkdv._admitted_powers`` enumerates
-rule B's N-power monomials, building their multinomials as it walks.  The
-oracles below are the slow paths they replaced: a repeated polynomial power,
-a product of D-1 linear factors per numerator coefficient (as ``MultiPoly``s,
-and as the integer rising factorials the table was summed from before), the
+tuple, ``special._ehrhart_cached`` convolves the Eulerian rows as integer
+lists and interpolates integer coefficients over the one denominator (D-1)!
+from D prefix sums, ``special.rearrangements`` steps through the next
+permutation, and ``qkdv._admitted_powers`` enumerates rule B's N-power
+monomials, building their multinomials as it walks.  The oracles below are
+the slow paths they replaced: a repeated polynomial power, a product of D-1
+linear factors per numerator coefficient (as ``MultiPoly``s, and as the
+integer rising factorials the table was summed from before), the same
+interpolation from a ``MultiPoly`` numerator to a ``MultiPoly`` in N, the
 recursive generator, and the filter over the whole power-of-sum table.
 """
 
 from fractions import Fraction
 import random
-from itertools import product
+from itertools import accumulate, product
 from math import factorial
 from operator import add, ne
 
 import pytest
 
 from qwk import qkdv
-from qwk.algebra import MultiPoly
+from qwk.algebra import GaussRat, MultiPoly
 from qwk.qkdv import _admitted_powers, hamiltonian_density
 from qwk.series import ehrhart_brute_force
 from qwk.special import (ehrhart_convolution, eulerian_polynomial, power_of_sum,
                          rearrangements, slot_names, sorted_exponents)
+from test_special import ehrhart_poly
 
 
 def _power_of_sum_by_power(n, power):
@@ -70,6 +73,34 @@ def _ehrhart_by_rising_factorials(r):
             acc[e] += int(cj.re) * a
     fact = factorial(d_total - 1)
     return MultiPoly(("N",), {(e,): Fraction(a, fact) for e, a in enumerate(acc) if a})
+
+
+def _ehrhart_by_multipoly(r):
+    """The interpolation of ``special._ehrhart_cached`` from a ``MultiPoly``
+    numerator prod_i t E_(r_i)(t) to a ``MultiPoly`` in N."""
+    d_total = len(r) + sum(r)
+    num = MultiPoly.const(1, ("t",))
+    t = MultiPoly.var("t")
+    for ri in r:
+        num = num * t * eulerian_polynomial(ri)
+    low = max(0, num.degree() + 1 - d_total)
+    series = [0] * (low + d_total)
+    for (j,), cj in num.terms.items():
+        series[j] = int(cj.re)
+    for _ in range(d_total):
+        series = list(accumulate(series))
+    diffs = []
+    values = series[low:]
+    while values:
+        diffs.append(values[0])
+        values = [b - a for a, b in zip(values, values[1:])]
+    acc = [diffs[-1]]
+    weight = 1
+    for k in range(d_total - 2, -1, -1):
+        weight *= k + 1
+        acc = [b - (low + k) * a for a, b in zip(acc + [0], [0] + acc)]
+        acc[0] += diffs[k] * weight
+    return MultiPoly(("N",), {(e,): GaussRat(Fraction(a, weight)) for e, a in enumerate(acc) if a})
 
 
 def _rearrangements_recursive(canon):
@@ -156,7 +187,7 @@ def test_ehrhart_convolution_matches_linear_factor_products():
     for q in range(1, 5):
         for total in range(9):
             for r in sorted_exponents(q, total):
-                got, expect = ehrhart_convolution(r), _ehrhart_by_products(r)
+                got, expect = ehrhart_poly(r), _ehrhart_by_products(r)
                 assert got.variables == expect.variables == ("N",), r
                 assert got.terms == expect.terms, r
                 checked += 1
@@ -168,13 +199,36 @@ def test_ehrhart_tables_match_rising_factorials_and_brute_force():
     for q in range(1, 4):
         for total in range(13):
             for r in sorted_exponents(q, total):
-                got = ehrhart_convolution(r)
+                got = ehrhart_poly(r)
                 assert got.terms == _ehrhart_by_rising_factorials(r).terms, r
                 # D = q + total values pin a polynomial of degree D - 1
                 values = [got.evaluate({"N": n}) for n in range(q, 2 * q + total)]
                 assert values == [ehrhart_brute_force(r, n) for n in range(q, 2 * q + total)], r
                 checked += 1
     assert checked == 13 + 49 + 102
+
+
+def test_integer_ehrhart_tables_match_multipoly_build():
+    checked = 0
+    for q in range(1, 5):
+        for total in range(13):
+            for r in sorted_exponents(q, total):
+                coefficients, den = ehrhart_convolution(r)
+                assert len(coefficients) == q + total and den == factorial(q + total - 1), r
+                assert ehrhart_poly(r) == _ehrhart_by_multipoly(r), r
+                checked += 1
+    assert checked == 13 + 49 + 102 + 155
+    # deep tables, and D consecutive values, which pin the degree D - 1,
+    # against the count over compositions
+    for r in ((60,), (20, 20), (10, 10, 10), (400,)):
+        coefficients, den = ehrhart_convolution(r)
+        assert ehrhart_poly(r) == _ehrhart_by_multipoly(r), r
+        q, d_total = len(r), len(r) + sum(r)
+        for n in range(q, q + d_total):
+            value = 0
+            for c in reversed(coefficients):
+                value = value * n + c
+            assert Fraction(value, den) == ehrhart_brute_force(r, n), (r, n)
 
 
 def test_rearrangements_match_recursive_order():

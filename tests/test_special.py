@@ -15,6 +15,13 @@ from qwk.special import (_tangent_numbers, ehrhart_convolution, eulerian_number,
 from test_algebra import coeff_extract
 
 
+def ehrhart_poly(r):
+    """``ehrhart_convolution(r)``, integer coefficients over one denominator,
+    as the polynomial in N they stand for."""
+    coefficients, den = ehrhart_convolution(r)
+    return MultiPoly(("N",), {(e,): Fraction(c, den) for e, c in enumerate(coefficients)})
+
+
 def test_s_series_coefficients():
     s = s_series(16)
     assert len(s) == 17
@@ -171,13 +178,13 @@ def test_eulerian_cache_concurrent_growth():
 
 
 def test_ehrhart_examples():
-    c = ehrhart_convolution((1,))
+    c = ehrhart_poly((1,))
     assert c == MultiPoly.var("N")
-    c = ehrhart_convolution((1, 1))
+    c = ehrhart_poly((1, 1))
     # N(N^2-1)/6
     assert c * 6 == MultiPoly(("N",), {(3,): 1, (1,): -1})
     assert c.evaluate({"N": 3}) == 4 and c.evaluate({"N": 4}) == 10
-    c = ehrhart_convolution((0, 0))
+    c = ehrhart_poly((0, 0))
     assert c == MultiPoly(("N",), {(1,): 1, (0,): -1})
     with pytest.raises(ValueError):
         ehrhart_convolution(())
@@ -198,7 +205,7 @@ def exponent_lists(q_max, sum_max):
 
 def test_ehrhart_convolution_matches_brute_force():
     for r in exponent_lists(4, 6):
-        poly = ehrhart_convolution(r)
+        poly = ehrhart_poly(r)
         low = 0 if min(r) >= 1 else len(r)
         for n in range(low, 16):
             assert poly.evaluate({"N": n}) == ehrhart_brute_force(r, n), (r, n)
@@ -207,7 +214,7 @@ def test_ehrhart_convolution_matches_brute_force():
 def test_ehrhart_degree_and_parity():
     # parity is the positive-exponent lemma; degree holds unconditionally
     for r in exponent_lists(4, 6):
-        poly = ehrhart_convolution(r)
+        poly = ehrhart_poly(r)
         degree = len(r) - 1 + sum(r)
         assert poly.degree() == degree
         if min(r) >= 1:
@@ -219,6 +226,6 @@ def test_ehrhart_vanishes_below_arity_for_positive_exponents():
     for r in exponent_lists(4, 6):
         if min(r) < 1:
             continue
-        poly = ehrhart_convolution(r)
+        poly = ehrhart_poly(r)
         for n in range(len(r)):
             assert poly.evaluate({"N": n}) == 0
